@@ -22,21 +22,9 @@ BACKEND = "python"
 #               ceil(|sum of weights over the word| / maxw).
 #   grid_amax = 0 to disable, else the divisor for the lattice-area term
 #               (only meaningful for rank-2 words, bytes 0..3).
-#
-# Why these and nothing else: a move inserts a relator variant and freely
-# reduces, and reduction can cancel letters of the *old* word against each
-# other once the insertion bridges them (e.g. inserting y^-1 x^-1 into
-# y y x y^-1 leaves the empty word: four letters gone for two inserted).
-# So letter counts and total length may drop by more than the variant
-# carries, and heuristics built on them would overestimate.  Two families
-# survive because free reduction cannot touch them at all:
-#   - signed exponent sums: sum(state') = sum(state) + sum(variant), so
-#     with maxw = max |sum(variant)| the ceil-term changes by at most 1
-#     per unit cost (consistent, zero at the goal, hence admissible);
-#   - the rank-2 area cocycle area(w) = sum over y-letters of the signed
-#     x-prefix-sum: reduction-invariant, and when every variant has zero
-#     x- and y-sums, area(state') - area(state) = area(variant), bounded
-#     by grid_amax = max |area(variant)|.
+# The area search passes None and computes its bounds itself from
+# additive invariants (areasearch module), so only the parity tests use
+# this path.
 
 
 def free_reduce(data: bytes) -> bytes:

@@ -2,13 +2,39 @@
 
 One move inserts a relator variant (a cyclic rotation of a relator or its
 inverse) at some position and freely reduces; every move costs 1 and the
-goal is the empty word.  With heuristic parameters this is A* with a
+goal is the empty word.  With heuristic terms this is A* with a
 consistent heuristic, without them plain uniform-cost search; either way
 the first settlement of the goal is optimal within the length-cap regime.
 
-The loop itself is deliberately plain Python -- all the per-node work
-(insert, reduce, heuristic) happens in the selected backend, so the
-compiled and pure variants share one set of search semantics.
+The loop itself is deliberately plain Python -- inserting and reducing
+happen in the selected backend, so the compiled and pure variants share
+one set of search semantics.
+
+Heuristic: additive invariants.  A move inserts a relator variant and
+freely reduces, and reduction can cancel letters of the *old* word
+against each other once the insertion bridges them (e.g. inserting
+y^-1 x^-1 into y y x y^-1 leaves the empty word: four letters gone for
+two inserted).  So letter counts and total length may drop by more than
+the variant carries, and heuristics built on them would overestimate.
+The invariants used here cannot be touched by free reduction at all,
+because each is a coordinate of a homomorphism out of the free group:
+
+  - the signed exponent sum of one generator (a map to Z);
+  - one Heisenberg term z_L, for a linear map L: Z^rank -> Z^2 that kills
+    the abelianization of every relator.  Sending a letter to (L(letter), 0)
+    in the group Z^2 x Z with product (a, c)(a', c') = (a + a', c + c' +
+    det(a, a')) gives z_L(w) = sum over letters of det(L(prefix), L(letter)).
+    Every relator, hence every variant, lands in the centre {(0, c)}.
+
+In both cases the image of a variant commutes with everything, so
+inserting variant v anywhere moves the invariant by exactly I(v):
+I(child) = I(state) + I(v), whatever the position and however much the
+insertion reduces.  With step = max |I(v)| over the variants, the term
+ceil(|I(w)| / step) changes by at most 1 per unit-cost move and vanishes
+at the goal, so it is consistent and admissible, and so is the maximum of
+several such terms.  A state's invariant values are computed once, when
+the search settles or dives into it; each child's bound is then a table
+lookup by variant index, and no child is rescanned.
 
 Frontier layout: edge costs are 1 and the heuristic is consistent, so
 f-values surface in nondecreasing order and the frontier can be an array
@@ -23,6 +49,61 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .backend import ops
+
+
+class AdditiveHeuristic:
+    """h(w) = max over terms of ceil(|I(w)| / step); see module docstring.
+
+    gens lists the 0-based generators whose exponent sums are terms; plane
+    is None or the pair (lx, ly) giving L(letter) for every letter byte.
+    Every term must be moved by some variant (a nonzero step): a term no
+    variant moves is a conserved quantity, which the caller turns into an
+    obstruction or drops.
+    """
+
+    __slots__ = ("gens", "plane", "steps", "deltas")
+
+    def __init__(self, variants: Sequence[bytes], gens: Sequence[int] = (),
+                 plane: Optional[Tuple[Sequence[int], Sequence[int]]] = None):
+        self.gens = tuple(gens)
+        self.plane = plane
+        self.deltas = [self.values(v) for v in variants]
+        self.steps = tuple(max((abs(d[t]) for d in self.deltas), default=0)
+                           for t in range(len(self.gens) + (plane is not None)))
+        if not all(self.steps):
+            raise ValueError("every heuristic term needs a variant that moves it")
+
+    def values(self, word: bytes) -> List[int]:
+        """The invariant values of `word`, one per term."""
+        out = [word.count(2 * j) - word.count(2 * j + 1) for j in self.gens]
+        if self.plane is not None:
+            lx, ly = self.plane
+            px = py = z = 0
+            for b in word:
+                dx = lx[b]
+                dy = ly[b]
+                z += px * dy - py * dx
+                px += dx
+                py += dy
+            out.append(z)
+        return out
+
+    def bound(self, values: Sequence[int]) -> int:
+        """The lower bound on the moves left, from a state's invariant values."""
+        h = 0
+        for v, step in zip(values, self.steps):
+            v = -(-abs(v) // step)
+            if v > h:
+                h = v
+        return h
+
+    def child_bounds(self, values: Sequence[int]) -> List[int]:
+        """h of the child made by each variant, indexed like the variants."""
+        if not self.steps:
+            return [0] * len(self.deltas)
+        steps = self.steps
+        return [max(-(-abs(a + d) // s) for a, d, s in zip(values, delta, steps))
+                for delta in self.deltas]
 
 
 class SearchOutcome:
@@ -44,7 +125,8 @@ class SearchOutcome:
 
 
 def greedy_probe(start: bytes, variants: Sequence[bytes], *, len_cap: int,
-                 node_budget: int, hparams) -> Optional[List[Tuple[int, int]]]:
+                 node_budget: int, heuristic: AdditiveHeuristic
+                 ) -> Optional[List[Tuple[int, int]]]:
     """Depth-first hunt for an expression of area exactly h(start).
 
     The admissible heuristic bounds the true area from below with no
@@ -54,41 +136,61 @@ def greedy_probe(start: bytes, variants: Sequence[bytes], *, len_cap: int,
     only the f = h(start) shell (children with g + h > h(start) are
     pruned), ordered by (h, length), and gives up after node_budget
     expansions; the caller falls back to the full search.
+
+    The dive is iterative: each level keeps its state and the codes
+    vidx * (len(state) + 1) + pos of its surviving children, best first,
+    and rebuilds a child from its code when the dive reaches it.
     """
-    h0 = ops.heuristic(start, hparams)
+    h0 = heuristic.bound(heuristic.values(start))
     if h0 <= 0:
         return None
     visited = {start}
     path: List[Tuple[int, int]] = []
-    budget = [node_budget]
+    budget = node_budget
 
-    def dive(state: bytes, g: int) -> bool:
-        if budget[0] <= 0:
-            return False
-        budget[0] -= 1
-        children = ops.expand(state, variants, len_cap, hparams)
-        ranked = sorted(range(len(children)),
-                        key=lambda k: (children[k][3], len(children[k][0]), k))
-        for k in ranked:
-            child, pos, vidx, hc = children[k]
-            if g + 1 + hc > h0 or child in visited:
-                continue
-            path.append((pos, vidx))
-            if child == b"":
-                return True
-            visited.add(child)
-            if dive(child, g + 1):
-                return True
+    def ranked(state: bytes, g: int) -> List[int]:
+        hv = heuristic.child_bounds(heuristic.values(state))
+        # a child's h depends only on its variant, so whole variants drop out
+        useful = [k for k in range(len(variants)) if g + 1 + hv[k] <= h0]
+        width = len(state) + 1
+        keep = sorted((hv[useful[k]], len(child), useful[k] * width + pos)
+                      for child, pos, k, _ in
+                      ops.expand(state, [variants[k] for k in useful],
+                                 len_cap, None)
+                      if child not in visited)
+        return [code for _, _, code in keep]
+
+    if budget <= 0:
+        return None
+    budget -= 1
+    levels = [[start, 0, ranked(start, 0), 0]]   # [state, g, codes, next]
+    while levels:
+        top = levels[-1]
+        state, g, codes, i = top
+        if i == len(codes):
+            levels.pop()
+            if levels:
+                path.pop()
+            continue
+        top[3] = i + 1
+        vidx, pos = divmod(codes[i], len(state) + 1)
+        child = ops.insert_reduce(state, pos, variants[vidx])
+        if child in visited:
+            continue
+        path.append((pos, vidx))
+        if child == b"":
+            return path
+        visited.add(child)
+        if budget <= 0:
             path.pop()
-        return False
-
-    if dive(start, 0):
-        return path
+            continue
+        budget -= 1
+        levels.append([child, g + 1, ranked(child, g + 1), 0])
     return None
 
 
 def run_search(start: bytes, variants: Sequence[bytes], *, len_cap: int,
-               node_cap: int, push_cap: int, hparams,
+               node_cap: int, push_cap: int, heuristic: AdditiveHeuristic,
                stop_at_bound: Optional[int] = None) -> SearchOutcome:
     """Search from `start` to the empty word; see module docstring.
 
@@ -96,7 +198,7 @@ def run_search(start: bytes, variants: Sequence[bytes], *, len_cap: int,
     bound: every cheaper state is settled by then, so the optimum is at
     least that f and the caller only wanted the inequality.
     """
-    h0 = ops.heuristic(start, hparams)
+    h0 = heuristic.bound(heuristic.values(start))
     buckets: Dict[int, Dict[int, List[Tuple[bytes, int]]]] = {h0: {h0: [(start, 0)]}}
     cursor: Dict[Tuple[int, int], int] = {}
     remaining: Dict[int, int] = {h0: 1}
@@ -146,11 +248,13 @@ def run_search(start: bytes, variants: Sequence[bytes], *, len_cap: int,
         if nodes >= node_cap:
             return SearchOutcome(None, None, f, nodes, pushes, False,
                                  "node cap")
-        for child, pos, vidx, hc in ops.expand(state, variants, len_cap, hparams):
+        hv = heuristic.child_bounds(heuristic.values(state))
+        for child, pos, vidx, _ in ops.expand(state, variants, len_cap, None):
             gc = g + 1
             old = seen.get(child)
             if old is not None and old <= gc:
                 continue
+            hc = hv[vidx]
             seen[child] = gc
             meta[child] = (state, pos, vidx)
             fc = gc + hc

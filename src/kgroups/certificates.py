@@ -29,13 +29,9 @@ from .kernels import (GenWord, GeneratingSet, KernelGroup, ProductElement,
                       identity_element, rewrite_in_generators,
                       standard_generators)
 from .metrics import _ball_search, distance, h_family
-from .presentations import (DEFAULT_NODE_CAP, AreaResult, Evaluation,
-                            NullExpression, Presentation, area_search,
-                            verify_null_expression)
-
-
-class CertificateError(RuntimeError):
-    """A sub-verification failed; the message names the component."""
+from .presentations import (DEFAULT_NODE_CAP, AreaResult, CertificateError,
+                            Evaluation, NullExpression, Presentation,
+                            area_search, verify_null_expression)
 
 
 class BudgetError(CertificateError):

@@ -16,9 +16,10 @@ verify/search but not the membership question.
 from __future__ import annotations
 
 import concurrent.futures
+import math
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .areasearch import greedy_probe, run_search
+from .areasearch import AdditiveHeuristic, greedy_probe, run_search
 from .backend import ops
 from .kernels import ProductElement, identity_element
 from .words import FreeGroup, Word, inv, mul, parse_word, to_text
@@ -26,6 +27,10 @@ from .words import reduce as reduce_word
 
 DEFAULT_NODE_CAP = 200_000
 DEFAULT_LEN_CAP_FACTOR = 4
+
+
+class CertificateError(RuntimeError):
+    """A sub-verification failed; the message names the component."""
 
 
 class Evaluation:
@@ -222,54 +227,183 @@ def _exponent_sums(data: bytes, rank: int) -> List[int]:
     return out
 
 
-def _lattice_area(data: bytes) -> int:
-    cx = area = 0
+def _kernel_basis(rows: Sequence[Sequence[int]], rank: int) -> List[List[int]]:
+    """Primitive integer vectors spanning {f : f . r = 0 for every row r}.
+
+    One vector per free column of the reduced row echelon form, so the
+    basis is deterministic; it is the standard basis when every row is 0.
+    The elimination stays in integers: each row is a multiple of its
+    reduced form.
+    """
+    m = [list(r) for r in rows]
+    pivots: List[int] = []
+    for c in range(rank):
+        p = next((i for i in range(len(pivots), len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        top = len(pivots)
+        m[top], m[p] = m[p], m[top]
+        a = m[top][c]
+        for i in range(len(m)):
+            b = m[i][c]
+            if i != top and b:
+                row = [a * u - b * v for u, v in zip(m[i], m[top])]
+                g = math.gcd(*row) or 1
+                m[i] = [u // g for u in row]
+        pivots.append(c)
+    scale = math.lcm(*(m[i][pc] for i, pc in enumerate(pivots)))
+    basis = []
+    for c in range(rank):
+        if c in pivots:
+            continue
+        vec = [0] * rank
+        vec[c] = scale
+        for i, pc in enumerate(pivots):
+            vec[pc] = -m[i][c] * scale // m[i][pc]
+        g = math.gcd(*vec)
+        basis.append([v // g for v in vec])
+    return basis
+
+
+def _pair_areas(data: bytes, images: Sequence[Sequence[int]], d: int) -> List[int]:
+    """Upper triangle of the word's antisymmetric pair-area matrix in Z^d.
+
+    Entry (i, j), i < j, is the sum over letters of p_i s_j - p_j s_i, with
+    s the letter's image and p the sum of the images before it.  For
+    L = (x, y) in these coordinates, z_L = sum over i < j of
+    (x_i y_j - x_j y_i) times entry (i, j).
+    """
+    p = [0] * d
+    a = [0] * (d * (d - 1) // 2)
     for b in data:
-        if b == 0:
-            cx += 1
-        elif b == 1:
-            cx -= 1
-        elif b == 2:
-            area += cx
-        elif b == 3:
-            area -= cx
-    return area
+        s = images[b]
+        k = 0
+        for i in range(d):
+            pi, si = p[i], s[i]
+            for j in range(i + 1, d):
+                a[k] += pi * s[j] - p[j] * si
+                k += 1
+        for i in range(d):
+            p[i] += s[i]
+    return a
 
 
-def _auto_hparams(P: Presentation, variants: Sequence[bytes]):
-    """Build admissible heuristic parameters from the variant list.
+def _wedge(x: Sequence[int], y: Sequence[int]) -> Tuple[int, ...]:
+    """The 2x2 minors of (x, y), divided by their gcd, first nonzero > 0."""
+    d = len(x)
+    m = [x[i] * y[j] - x[j] * y[i] for i in range(d) for j in range(i + 1, d)]
+    g = math.gcd(*m)
+    if g == 0:
+        return ()
+    if next(v for v in m if v) < 0:
+        g = -g
+    return tuple(v // g for v in m)
 
-    Per-generator signed exponent sums always qualify (free reduction
-    preserves them; one insertion shifts them by the variant's sum).  The
-    rank-2 lattice-area term additionally needs every variant to have zero
-    exponent sums in both generators, otherwise its change per move is
-    unbounded.  Returns (hparams, obstructions) where obstructions maps
-    each conserved functional to its required value for feasibility.
+
+# rows of the word's pair-area matrix tried as Heisenberg candidates, on
+# top of the first basis pair: the candidate set has at most 1 + _ROWS
+# members at any rank
+_ROWS = 3
+
+
+def _plane_term(P: Presentation, variants: Sequence[bytes], w: bytes
+                ) -> Tuple[Optional[Tuple[List[int], List[int]]], bool]:
+    """Choose the Heisenberg map L for searching from w.
+
+    L's two coordinates f, g range over the integer functionals that kill
+    every relator's abelianization; in coordinates of the _kernel_basis of
+    those, L = (x, y) and z_L depends only on the minors of (x, y).  The
+    candidates are the first basis pair (e_0, e_1) and, for the _ROWS rows
+    i of w's pair-area matrix with the largest l1 norm, (e_i, sign of row
+    i), the choice that maximizes z_L(w) for that x.  Candidates with
+    proportional minors are one candidate, so at dim K = 2 there is exactly
+    one.  Each is scored by |z_L(w)| / max |z_L(variant)|, the best root
+    bound wins and the first wins ties.
+
+    Returns (plane, obstructed): plane is (lx, ly), L of each letter byte,
+    or None when no candidate gives a term; obstructed is True when some
+    candidate has z_L = 0 on every variant but not on w, so no expression
+    exists at any length.
     """
     rank = P.group.rank
-    maxes = [0] * rank
-    for v in variants:
-        for j, s in enumerate(_exponent_sums(v, rank)):
-            maxes[j] = max(maxes[j], abs(s))
-    tables = []
-    conserved = []    # generator indices whose exponent sum no move changes
+    basis = _kernel_basis([_exponent_sums(r.data, rank) for r in P.relators], rank)
+    d = len(basis)
+    if d < 2:
+        return None, False
+    images = []
     for j in range(rank):
-        if maxes[j] > 0:
-            tbl = bytearray(128 for _ in range(256))
-            tbl[2 * j] = 129
-            tbl[2 * j + 1] = 127
-            tables.append((bytes(tbl), maxes[j]))
-        else:
-            conserved.append(j)
-    grid_amax = 0
-    grid_conserved = False
-    if rank == 2 and maxes[0] == 0 and maxes[1] == 0:
-        amax = max((abs(_lattice_area(v)) for v in variants), default=0)
-        if amax > 0:
-            grid_amax = amax
-        else:
-            grid_conserved = True
-    return (tuple(tables), grid_amax), conserved, grid_conserved
+        s = [f[j] for f in basis]
+        images.append(s)
+        images.append([-v for v in s])
+    word_areas = _pair_areas(w, images, d)
+    variant_areas = [_pair_areas(v, images, d) for v in variants]
+
+    rows = [[0] * d for _ in range(d)]
+    k = 0
+    for i in range(d):
+        for j in range(i + 1, d):
+            rows[i][j], rows[j][i] = word_areas[k], -word_areas[k]
+            k += 1
+
+    def unit(i):
+        return [int(k == i) for k in range(d)]
+
+    candidates = [(unit(0), unit(1))]
+    order = sorted(range(d), key=lambda i: (-sum(map(abs, rows[i])), i))
+    for i in order[:_ROWS]:
+        if any(rows[i]):
+            candidates.append((unit(i), [(v > 0) - (v < 0) for v in rows[i]]))
+
+    best = None     # (|z(w)|, zmax, x, y)
+    tried = set()
+    for x, y in candidates:
+        m = _wedge(x, y)
+        if not m or m in tried:
+            continue
+        tried.add(m)
+        zw = abs(sum(a * b for a, b in zip(m, word_areas)))
+        zmax = max((abs(sum(a * b for a, b in zip(m, va)))
+                    for va in variant_areas), default=0)
+        if zmax == 0:
+            if zw:
+                return None, True
+            continue
+        if best is None or zw * best[1] > best[0] * zmax:
+            best = (zw, zmax, x, y)
+    if best is None:
+        return None, False
+    _, _, x, y = best
+    lx: List[int] = []
+    ly: List[int] = []
+    for j in range(rank):
+        f = sum(x[i] * basis[i][j] for i in range(d))
+        g = sum(y[i] * basis[i][j] for i in range(d))
+        lx += (f, -f)
+        ly += (g, -g)
+    return (lx, ly), False
+
+
+def _heuristic_for(P: Presentation, variants: Sequence[bytes], w: bytes
+                   ) -> Tuple[Optional[AdditiveHeuristic], str]:
+    """The additive heuristic for searching from w, or None and the reason
+    no expression of w exists at any length.
+
+    Its terms are the exponent sums that some variant moves and the
+    Heisenberg term of _plane_term.  An invariant that no variant moves is
+    conserved by every move, so a nonzero value on w is an obstruction.
+    """
+    rank = P.group.rank
+    variant_sums = [_exponent_sums(v, rank) for v in variants]
+    moved = [j for j in range(rank) if any(s[j] for s in variant_sums)]
+    sums = _exponent_sums(w, rank)
+    if any(sums[j] for j in range(rank) if j not in moved):
+        return None, ("abelianization obstruction: no expression exists"
+                      " at any length")
+    plane, obstructed = _plane_term(P, variants, w)
+    if obstructed:
+        return None, ("area-cocycle obstruction: no expression exists"
+                      " at any length")
+    return AdditiveHeuristic(variants, moved, plane), ""
 
 
 class AreaResult:
@@ -345,39 +479,36 @@ def area_search(P: Presentation, w: Word, *, node_cap: int = DEFAULT_NODE_CAP,
     caps = {"node_cap": node_cap, "push_cap": push_cap, "len_cap": len_cap,
             "len_cap_factor": len_cap_factor, "heuristic": heuristic}
 
-    hparams, conserved, grid_conserved = _auto_hparams(P, variants)
-    sums = _exponent_sums(w.data, P.group.rank)
-    for j in conserved:
-        if sums[j] != 0:
-            return AreaResult("exhausted", None, None, None, 0, 0, caps, True,
-                              "abelianization obstruction: no expression exists"
-                              " at any length")
-    if grid_conserved and _lattice_area(w.data) != 0:
+    heur, obstruction = _heuristic_for(P, variants, w.data)
+    if heur is None:
         return AreaResult("exhausted", None, None, None, 0, 0, caps, True,
-                          "area-cocycle obstruction: no expression exists"
-                          " at any length")
+                          obstruction)
     if not heuristic:
-        hparams = None
+        heur = AdditiveHeuristic(variants)
 
-    h0 = ops.heuristic(w.data, hparams)
+    h0 = heur.bound(heur.values(w.data))
     if heuristic and stop_at_bound is None and w.data:
         probe_path = greedy_probe(w.data, variants, len_cap=len_cap,
-                                  node_budget=50 * h0 + 200, hparams=hparams)
+                                  node_budget=50 * h0 + 200, heuristic=heur)
         if probe_path is not None:
             witness = _witness_from_path(P, w, probe_path, variants, meta)
-            assert witness.area == h0
+            if witness.area != h0:
+                raise CertificateError("greedy probe: witness area %d differs"
+                                       " from the bound %d" % (witness.area, h0))
             return AreaResult("exact", h0, witness, None, 0, 0, caps, False,
                               "greedy probe matched the heuristic lower bound",
                               unconditional=True)
 
     out = run_search(w.data, variants, len_cap=len_cap, node_cap=node_cap,
-                     push_cap=push_cap, hparams=hparams,
+                     push_cap=push_cap, heuristic=heur,
                      stop_at_bound=stop_at_bound)
     if out.cost is None:
         return AreaResult("exhausted", None, None, out.lower_bound, out.nodes,
                           out.pushes, caps, out.regime_empty, out.stop_reason)
     witness = _witness_from_path(P, w, out.path, variants, meta)
-    assert witness.area == out.cost
+    if witness.area != out.cost:
+        raise CertificateError("area search: witness area %d differs from the"
+                               " path cost %d" % (witness.area, out.cost))
     return AreaResult("exact", out.cost, witness, None, out.nodes, out.pushes,
                       caps, False, out.stop_reason,
                       unconditional=(out.cost == h0))
@@ -398,9 +529,13 @@ def _witness_from_path(P: Presentation, w: Word, path, variants, meta
         conj = Word(P.group, ops.free_reduce(cur[:pos] + ops.invert(u)))
         items.append((conj, ri, -sigma))
         cur = ops.insert_reduce(cur, pos, variants[vidx])
-    assert cur == b""
+    if cur != b"":
+        raise CertificateError("witness replay: the insertion path does not"
+                               " end at the empty word")
     witness = NullExpression(items)
-    assert verify_null_expression(P, w, witness), "witness failed to verify"
+    if not verify_null_expression(P, w, witness):
+        raise CertificateError("witness replay: the expression does not"
+                               " multiply out to the word")
     return witness
 
 

@@ -1,12 +1,18 @@
 import json
+import os
+import random
+import subprocess
+import sys
+import time
 
 import pytest
 
+import kgroups
 from kgroups.presentations import (Evaluation, NullExpression, Presentation,
-                                   area_search, dehn_function,
-                                   is_null_homotopic, parse_presentation,
-                                   verify_null_expression)
-from kgroups.words import parse_word, to_text
+                                   _heuristic_for, _variants, area_search,
+                                   dehn_function, is_null_homotopic,
+                                   parse_presentation, verify_null_expression)
+from kgroups.words import inv, mul, parse_word, to_text
 
 
 @pytest.fixture
@@ -137,3 +143,120 @@ def test_area_result_json_is_deterministic(zz):
     a = json.dumps(area_search(zz, w).to_json(), sort_keys=True)
     b = json.dumps(area_search(zz, w).to_json(), sort_keys=True)
     assert a == b
+
+
+def test_area_of_a_deep_commutator_is_exact(zz):
+    # h0 = 1024: the probe dives 1024 levels deep
+    w = zz.word("[x^32, y^32]")
+    res = area_search(zz, w)
+    assert res.status == "exact" and res.area == 1024
+    assert res.unconditional
+    assert verify_null_expression(zz, w, res.witness)
+
+
+ADMISSIBILITY_PRESENTATIONS = (
+    "< x, y | [x,y] >",
+    "< a, b, c | [a,b], [b,c], [a,c] >",
+    "< a, b, c, d | [a,b] [c,d] >",
+    "< a, c, b, d, s | [a,c], [b,d], s c^-1 a, s d^-1 b >",
+)
+
+
+def random_null_word(rng, P, pieces, conj_len):
+    """A product of `pieces` random conjugates of relators or their inverses."""
+    w = P.group.identity
+    for _ in range(pieces):
+        c = P.group.identity
+        for _ in range(rng.randint(0, conj_len)):
+            c = mul(c, P.group.gen(rng.randint(1, P.group.rank),
+                                   rng.choice((1, -1))))
+        r = rng.choice(P.relators)
+        if rng.random() < 0.5:
+            r = inv(r)
+        w = mul(w, mul(mul(c, r), inv(c)))
+    return w
+
+
+@pytest.mark.parametrize("text", ADMISSIBILITY_PRESENTATIONS)
+def test_root_bound_never_exceeds_the_exact_area(text):
+    # The search without a heuristic, stopped at the root bound h0, settles
+    # every state cheaper than h0: it reaches the bound without meeting the
+    # goal exactly when the exact area is >= h0.  (Run to the goal instead,
+    # it meets the push cap on several of these area-2 words.)
+    P = parse_presentation(text)
+    variants, _ = _variants(P)
+    rng = random.Random(7)
+    checked = positive = 0
+    while checked < 8:
+        w = random_null_word(rng, P, rng.randint(1, 2), 2)
+        if not w:
+            continue
+        heur, obstruction = _heuristic_for(P, variants, w.data)
+        assert heur is not None, obstruction
+        h0 = heur.bound(heur.values(w.data))
+        plain = area_search(P, w, heuristic=False, stop_at_bound=h0)
+        assert plain.status == "exhausted", (to_text(w), h0, plain.area)
+        assert plain.stop_reason == "reached requested bound"
+        assert plain.lower_bound >= h0
+        checked += 1
+        positive += h0 > 1
+    assert positive  # some words need more than one relator, and h0 sees it
+
+
+def test_area_cocycle_obstruction_beyond_rank_two():
+    # Z x F(b, c): [b,c] is not null-homotopic, and the Heisenberg term with
+    # L = (b, c) is moved by no relator but is 2 on the word
+    P = parse_presentation("< a, b, c | [a,b], [a,c] >")
+    res = area_search(P, P.word("[b,c]"))
+    assert res.status == "exhausted" and res.regime_empty
+    assert res.stop_reason.startswith("area-cocycle obstruction")
+    assert res.nodes == 0
+
+
+def test_term_selection_at_rank_six_is_fast():
+    names = "abcdef"
+    rels = ", ".join("[%s,%s]" % (p, q) for i, p in enumerate(names)
+                     for q in names[i + 1:])
+    P = parse_presentation("< %s | %s >" % (", ".join(names), rels))
+    assert len(P.relators) == 15
+    w = P.word("[a b c, d e f]")
+    variants, _ = _variants(P)
+    started = time.perf_counter()
+    heur, _ = _heuristic_for(P, variants, w.data)
+    elapsed = time.perf_counter() - started
+    assert elapsed < 1.0
+    # any two of a, b, c against any two of d, e, f: 9 unit commutators
+    assert heur.bound(heur.values(w.data)) >= 1
+
+
+CORRUPTED_PATH = r"""
+from kgroups.presentations import (CertificateError, _variants,
+                                   _witness_from_path, parse_presentation)
+P = parse_presentation("< x, y | [x,y] >")
+w = P.word("[x,y]")
+variants, meta = _variants(P)
+undo = variants.index(P.word("[y,x]").data)
+ri, sigma, u = meta[undo]
+flipped = list(meta)
+flipped[undo] = (ri, -sigma, u)
+# a path that does not reach the empty word, and a path that does but
+# whose recorded relator sign is wrong
+for path, m in (([(0, 0)], meta), ([(0, undo)], flipped)):
+    try:
+        _witness_from_path(P, w, path, variants, m)
+    except CertificateError as e:
+        print("rejected:", e)
+    else:
+        print("accepted")
+"""
+
+
+def test_corrupted_path_is_rejected_under_optimize():
+    src = os.path.dirname(os.path.dirname(kgroups.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run([sys.executable, "-O", "-c", CORRUPTED_PATH],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.splitlines()
+    assert len(lines) == 2
+    assert all(line.startswith("rejected:") for line in lines)

@@ -12,7 +12,7 @@ from kgroups.certificates import (AmalgamScenario, BudgetError,
 from kgroups.kernels import (GenWord, KernelGroup, random_kernel_element,
                              rewrite_in_generators, standard_generators)
 from kgroups.metrics import h_family
-from kgroups.presentations import verify_null_expression
+from kgroups.presentations import area_search, verify_null_expression
 from kgroups.words import FreeGroup, parse_word, to_text
 
 G = KernelGroup(2, 2, 2)
@@ -138,10 +138,26 @@ def test_toy_amalgam_check_smallest_instance():
 
 def test_toy_amalgam_check_respects_budgets():
     rep = toy_amalgam_check(2, 1, node_cap=2000)
-    assert rep.status == "inconclusive"
+    assert rep.status == "verified-bound"
     assert rep.required == 4
-    # exhaustion is a budget statement, never a refutation
-    assert rep.area.lower_bound is not None and rep.area.lower_bound < 4
+    # the root bound already reaches the requirement, so no node is settled
+    assert rep.area.lower_bound == 4 and rep.area.nodes == 0
+    # exhaustion is a budget statement, never a refutation: [x,y] y [y,x] y^-1
+    # has area 2 but a root bound of 0, and one node is all the search gets
+    P = pair_presentation()
+    res = area_search(P, P.word("[x,y] y [y,x] y^-1"), node_cap=1)
+    assert res.status == "exhausted" and res.stop_reason == "node cap"
+    assert not res.regime_empty
+    assert res.lower_bound is not None and res.lower_bound < 2
+
+
+def test_toy_amalgam_bounds_hold_at_the_root():
+    for k in (1, 2, 3):
+        for n in (1, 2, 3):
+            rep = toy_amalgam_check(k, n)
+            assert rep.status == "verified-bound", (k, n)
+            assert rep.area.lower_bound == rep.required == 2 * k * n
+            assert rep.area.nodes == 0
 
 
 def test_lower_bound_report_values():

@@ -26,7 +26,8 @@ GOOD = [
 
 INCONCLUSIVE = [
     ("metric", "--group", "K2_2_2", "--target", "h(2)", "--radius", "4"),
-    ("toy-amalgam", "--k", "2", "--n", "1", "--node-cap", "2000"),
+    ("area", "--presentation", "< x, y | [x,y] >",
+     "--word", "[x,y] y [y,x] y^-1", "--node-cap", "1"),
 ]
 
 BAD = [
@@ -148,6 +149,13 @@ def test_byte_determinism(capsys):
     assert len(outs) == 1
     data = json.loads(outs.pop())
     assert data["area_bound"] == 16
+
+
+def test_certify_runs_to_the_end_at_n_32(capsys):
+    # the area fact's probe dives to depth n^2 = 1024
+    code, out, err = run(capsys, "certify", "--n", "32")
+    assert code == 0, err
+    assert json.loads(out)["area_bound"] == 2 * 32 ** 3
 
 
 def test_dehn_subcommand(capsys):
