@@ -363,10 +363,11 @@ def toy_amalgam_check(k: int, n: int, *, node_cap: int = DEFAULT_NODE_CAP,
     scen.validate()
     tword = test_word(scen.w, scen.u, scen.v, n)
 
-    ident = identity_element(2, 2)
-    moves = [scen.edge_element, ~scen.edge_element]
-    _, hit, _ = _ball_search(ident, moves, k + 1, scen.h.key())
-    assert hit is not None, "edge power must be reachable"
+    edge = scen.edge_element
+    _, hit, _ = _ball_search(identity_element(2, 2).key(),
+                             [edge.key(), (~edge).key()], k + 1, scen.h.key())
+    if hit is None:
+        raise CertificateError("edge power must be reachable")
     required = 2 * n * hit
 
     res = area_search(scen.presentation, tword, node_cap=node_cap,

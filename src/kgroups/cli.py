@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import re
@@ -374,9 +375,14 @@ def build_parser() -> _ArgParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> _ArgParser:
+    """The parser, built on the first call and reused by later ones."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = _config(args)
         out = args.func(args, cfg)

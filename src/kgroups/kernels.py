@@ -289,10 +289,6 @@ def standard_generators(G: KernelGroup) -> GeneratingSet:
     return G._gens
 
 
-def eval_genword(S: GeneratingSet, w: GenWord) -> ProductElement:
-    return S.eval(w)
-
-
 # -- the rewriting algorithm ------------------------------------------------
 
 def normalize_basic_commutator(group: FreeGroup, u: Letter, v: Letter
@@ -428,7 +424,8 @@ def _rewrite_standard(G: KernelGroup, g: ProductElement) -> List[Tuple[str, int]
                 lift.append((f"b{j}_{i}", s))
     gens = standard_generators(G)
     zeta = g * ~gens.eval(GenWord(gens, lift))
-    assert all(not w for w in zeta.factors[1:]), "lift must clear factors 2..n"
+    if any(zeta.factors[1:]):
+        raise ValueError("lift must clear factors 2..n")
     z = zeta.factors[0]
 
     # stage 2: peel letters above r, then collect basic commutators

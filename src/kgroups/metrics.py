@@ -1,10 +1,13 @@
 """Word metrics on kernel subgroups and distortion experiments.
 
 The intrinsic metric ``d_B`` on a subgroup is computed by breadth-first
-search over the implicit Cayley graph: states are canonical product
-elements (tuples of reduced factor words), edges are right multiplication
-by a generator or its inverse.  Equality of states is componentwise free
-equality, which is exact and cheap, so no quotient trickery is needed.
+search over the implicit Cayley graph: states are raw keys (tuples of
+reduced factor words as bytes), and an edge is right multiplication by a
+generator or its inverse, done factor by factor with the backend's
+``concat``, so the search builds no group objects per edge.  Equality of
+states is componentwise free equality, which is exact and cheap, so no
+quotient trickery is needed.  One search serves ``distance``,
+``ball_profile`` and ``distance_map``.
 
 A failed search is still a certificate: if the ball of radius ``r`` is
 exhausted without meeting the target, the distance is provably ``> r``.
@@ -21,7 +24,8 @@ import io
 import csv
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .words import Word, commutator
+from .backend import ops
+from .words import commutator
 from .kernels import (
     GeneratingSet,
     KernelGroup,
@@ -57,54 +61,60 @@ class DistanceResult(NamedTuple):
         )
 
 
-def _moves(gens: GeneratingSet) -> List[ProductElement]:
-    """Generator realizations and their inverses, in a fixed order."""
-    out: List[ProductElement] = []
+def _moves(gens: GeneratingSet) -> List[Key]:
+    """Keys of the generator realizations and their inverses, in a fixed order."""
+    out: List[Key] = []
     for sym in gens.symbols:
         g = gens.realization[sym]
-        out.append(g)
-        out.append(~g)
+        out.append(g.key())
+        out.append((~g).key())
     return out
 
 
 def _ball_search(
-    ident: ProductElement,
-    moves: Sequence[ProductElement],
+    ident: Key,
+    moves: Sequence[Key],
     radius: int,
     target_key: Optional[Key],
-) -> Tuple[List[int], Optional[int], int]:
+) -> Tuple[Dict[Key, int], Optional[int], int]:
     """Breadth-first enumeration of the ball around ``ident``.
 
-    Returns ``(shells, hit_depth, explored)`` where ``shells[d]`` is the
-    number of new elements at distance exactly ``d``.  The enumeration is
-    serial and the move order fixed, so outcomes are deterministic; a
-    parallel frontier expansion would have to merge visited sets in a
-    way that preserves exactly these shell counts.
+    States are keys; the child of ``g`` along a move is the factorwise
+    reduced concatenation of ``g`` and the move's key.  Returns
+    ``(depths, hit_depth, explored)``: ``depths`` maps every element seen
+    to its exact distance, in discovery order, and ``explored`` is its
+    size.  A search with a target stops the moment the target is seen, so
+    ``depths`` then holds only part of the last shell.  The enumeration
+    is serial and the move order fixed, so outcomes are deterministic.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    if target_key is not None and target_key == ident.key():
-        return [1], 0, 1
-    seen = {ident.key()}
-    frontier: List[ProductElement] = [ident]
-    shells = [1]
+    depths = {ident: 0}
+    if target_key == ident:
+        return depths, 0, 1
+    concat = ops.concat
+    frontier = [ident]
     for depth in range(1, radius + 1):
-        nxt: List[ProductElement] = []
+        nxt: List[Key] = []
         for g in frontier:
             for mv in moves:
-                h = g * mv
-                k = h.key()
-                if k in seen:
+                h = tuple(map(concat, g, mv))
+                if h in depths:
                     continue
-                seen.add(k)
-                if k == target_key:
-                    return shells, depth, len(seen)
+                depths[h] = depth
+                if h == target_key:
+                    return depths, depth, len(depths)
                 nxt.append(h)
         if not nxt:
             break
-        shells.append(len(nxt))
         frontier = nxt
-    return shells, None, len(seen)
+    return depths, None, len(depths)
+
+
+def _ball(gens: GeneratingSet, radius: int, target_key: Optional[Key] = None
+          ) -> Tuple[Dict[Key, int], Optional[int], int]:
+    ident = identity_element(gens.group.n, gens.group.m).key()
+    return _ball_search(ident, _moves(gens), radius, target_key)
 
 
 def distance(
@@ -118,17 +128,21 @@ def distance(
     """
     if target.n != gens.group.n or target.m != gens.group.m:
         raise ValueError("target has the wrong ambient product shape")
-    ident = identity_element(gens.group.n, gens.group.m)
-    _, hit, explored = _ball_search(ident, _moves(gens), max_radius, target.key())
+    _, hit, explored = _ball(gens, max_radius, target.key())
     if hit is not None:
         return DistanceResult(True, hit, max_radius, explored)
     return DistanceResult(False, max_radius, max_radius, explored)
 
 
 def ball_profile(gens: GeneratingSet, radius: int) -> List[int]:
-    """Shell sizes ``[1, s_1, ..., s_radius]`` of the Cayley ball."""
-    ident = identity_element(gens.group.n, gens.group.m)
-    shells, _, _ = _ball_search(ident, _moves(gens), radius, None)
+    """Shell sizes ``[1, s_1, ..., s_radius]`` of the Cayley ball.
+
+    The list stops early at the first empty shell (a finite subgroup).
+    """
+    depths, _, _ = _ball(gens, radius)
+    shells = [0] * (max(depths.values()) + 1)
+    for d in depths.values():
+        shells[d] += 1
     return shells
 
 
@@ -138,22 +152,8 @@ def distance_map(gens: GeneratingSet, radius: int) -> Dict[Key, int]:
     Useful for property checks (symmetry, triangle inequality) that need
     many distances at once rather than one target.
     """
-    group = gens.group
-    ident = identity_element(group.n, group.m)
-    moves = _moves(gens)
-    dist: Dict[Key, int] = {ident.key(): 0}
-    frontier: List[ProductElement] = [ident]
-    for depth in range(1, radius + 1):
-        nxt: List[ProductElement] = []
-        for g in frontier:
-            for mv in moves:
-                h = g * mv
-                k = h.key()
-                if k not in dist:
-                    dist[k] = depth
-                    nxt.append(h)
-        frontier = nxt
-    return dist
+    depths, _, _ = _ball(gens, radius)
+    return depths
 
 
 def ambient_length(g: ProductElement) -> int:
@@ -181,7 +181,8 @@ def h_family(n: int, group: Optional[KernelGroup] = None) -> ProductElement:
     x, y = free.gen(1), free.gen(2)
     w = commutator(x ** n, y ** n)
     g = ProductElement((w, free.identity))
-    assert contains(group, g), "h_n must lie in the kernel"
+    if not contains(group, g):
+        raise ValueError("h_n must lie in the kernel")
     return g
 
 

@@ -42,8 +42,8 @@ class SplittingData:
             factors[n - 1] = F.gen(k, -1)
             hats.append(ProductElement(factors))
         self.hat_generators = tuple(hats)
-        for g in self.hat_generators:
-            assert contains(self.group, g)
+        if not all(contains(self.group, g) for g in self.hat_generators):
+            raise ValueError("hat generators must lie in the kernel")
 
     def eval_hat(self, hat_word: Word) -> ProductElement:
         """Evaluate a word over the hat generators inside the big product."""
@@ -106,9 +106,11 @@ def semidirect_decompose(D: SplittingData, gamma: ProductElement
     hat_word = reduce_word(D.hat_group,
                            [(k, -s) for k, s in gamma.factors[-1].letters])
     rest = gamma * ~D.eval_hat(hat_word)
-    assert not rest.factors[-1], "hat word must clear the last factor"
+    if rest.factors[-1]:
+        raise ValueError("hat word must clear the last factor")
     m_part = ProductElement(rest.factors[:-1])
-    assert in_M(m_part)
+    if not in_M(m_part):
+        raise ValueError("the M-part must lie in K(n-1, m, m)")
     return m_part, hat_word
 
 

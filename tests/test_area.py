@@ -248,6 +248,21 @@ for path, m in (([(0, 0)], meta), ([(0, undo)], flipped)):
         print("rejected:", e)
     else:
         print("accepted")
+
+# the checks in the metric and certificate code run under -O as well
+from kgroups import certificates, metrics
+print("h_2:", metrics.h_family(2))
+print("toy:", certificates.toy_amalgam_check(1, 1).status)
+metrics.contains = lambda group, g: False
+certificates._ball_search = lambda ident, moves, radius, target: ({}, None, 0)
+for call in (lambda: metrics.h_family(2),
+             lambda: certificates.toy_amalgam_check(1, 1)):
+    try:
+        call()
+    except (ValueError, CertificateError) as e:
+        print("rejected:", e)
+    else:
+        print("accepted")
 """
 
 
@@ -258,5 +273,6 @@ def test_corrupted_path_is_rejected_under_optimize():
                          env=env, capture_output=True, text=True, timeout=60)
     assert res.returncode == 0, res.stderr
     lines = res.stdout.splitlines()
-    assert len(lines) == 2
-    assert all(line.startswith("rejected:") for line in lines)
+    assert len(lines) == 6
+    assert lines[2:4] == ["h_2: (x^2 y^2 x^-2 y^-2, 1)", "toy: verified-bound"]
+    assert all(line.startswith("rejected:") for line in lines[:2] + lines[4:])

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from kgroups import cli
 from kgroups.cli import main
 
 
@@ -69,6 +70,30 @@ def test_unknown_flags_exit_one(capsys):
     with pytest.raises(SystemExit) as e:
         main(["--definitely-not-a-flag"])
     assert e.value.code == 1
+
+
+# the flags of one call must not carry over into the next
+SEQUENCE = [
+    ("metric", "--group", "K2_2_2", "--target", "h(1)", "--radius", "3"),
+    ("metric", "--group", "K2_2_2", "--target", "h(1)"),
+    ("distortion", "--n-max", "2", "--radius", "4", "--format", "csv"),
+    ("metric", "--group", "K2_2_2", "--target", "x ; 1"),
+    ("member", "--group", "K2_2_2", "--element", "[x,y] ; 1"),
+    ("metric", "--group", "K2_2_2", "--target", "h(1)"),
+]
+
+
+def test_parser_is_built_once_and_leaks_no_flags(capsys):
+    first = []
+    for args in SEQUENCE:
+        cli._parser.cache_clear()
+        first.append(run(capsys, *args))
+    cli._parser.cache_clear()
+    again = [run(capsys, *args) for args in SEQUENCE]
+    assert cli._parser.cache_info().misses == 1
+    assert again == first
+    assert "radius = 3\n" in again[0][1]
+    assert "radius = 6\n" in again[1][1] and "radius = 6\n" in again[5][1]
 
 
 def test_parse_errors_name_the_position(capsys):

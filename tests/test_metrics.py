@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from kgroups.kernels import (GenWord, KernelGroup, identity_element,
@@ -128,3 +130,59 @@ def test_distance_requires_matching_shape():
         distance(B, identity_element(3, 2), 2)
     with pytest.raises(ValueError):
         h_family(2, K321)
+
+
+# -- parity with a search over group objects -----------------------------------
+
+def _reference_ball(gens, radius):
+    """The ball by breadth-first search over ProductElement products.
+
+    Shares nothing with the raw-key search but the move order: every edge
+    is a ProductElement.__mul__, and the dict records discovery order.
+    """
+    moves = []
+    for sym in gens.symbols:
+        g = gens.realization[sym]
+        moves += [g, ~g]
+    ident = identity_element(gens.group.n, gens.group.m)
+    dist = {ident.key(): 0}
+    frontier = [ident]
+    for depth in range(1, radius + 1):
+        nxt = []
+        for g in frontier:
+            for mv in moves:
+                h = g * mv
+                if h.key() not in dist:
+                    dist[h.key()] = depth
+                    nxt.append(h)
+        frontier = nxt
+    return dist
+
+
+@pytest.mark.parametrize("shape, radius", [((2, 2, 2), 5), ((3, 2, 1), 3)],
+                         ids=["K2_2_2", "K3_2_1"])
+def test_raw_key_search_matches_the_product_search(shape, radius):
+    gens = standard_generators(KernelGroup(*shape))
+    ref = _reference_ball(gens, radius)
+    dm = distance_map(gens, radius)
+    assert dm == ref and list(dm) == list(ref)
+    shells = [0] * (radius + 1)
+    for d in ref.values():
+        shells[d] += 1
+    assert ball_profile(gens, radius) == shells
+    if shape == (2, 2, 2):
+        assert shells == [1, 6, 30, 150, 750, 3740]
+    # a search with a target stops at it, having seen exactly the elements
+    # the full search discovers up to and including the target
+    order = {key: i + 1 for i, key in enumerate(ref)}
+    rng = random.Random(20071)
+    syms = [(s, e) for s in gens.symbols for e in (1, -1)]
+    for _ in range(50):
+        w = GenWord(gens, [rng.choice(syms)
+                           for _ in range(rng.randrange(radius + 3))])
+        target = w.eval()
+        res = distance(gens, target, radius)
+        key = target.key()
+        want = ((True, ref[key], order[key]) if key in ref
+                else (False, radius, len(ref)))
+        assert (res.found, res.value, res.explored) == want
