@@ -3,11 +3,16 @@
 
 Runs the same workload twice in subprocesses (the backend is chosen at
 import time, so each run gets a fresh interpreter): tight loops over the
-raw byte kernels, then a radius-6 ball in the kernel subgroup.  The ball
-search walks raw keys with ``ops.concat``, so ``radius6_ball`` times that
-kernel inside the search loop.  (The toy-amalgam certificates are proved
-at the root by the area search's lower bound and run no search, so they
-say nothing about the kernels.)  Prints one table with the speedups.
+raw byte kernels, a radius-6 ball in the kernel subgroup, and the area
+search's greedy probe on [x^31, y^31].  The ball search walks raw keys
+with ``ops.concat``, so ``radius6_ball`` times that kernel inside the
+search loop.  ``probe_n31`` is the search-core (L1) time of the probe that
+proves Area([x^31, y^31]) = 961 inside ``certify --n 31``: it ranks each
+level's children by their seam lengths in Python and calls one
+``insert_reduce`` per level and no ``expand``, so it mostly times Python,
+not the kernels.  (The toy-amalgam certificates are proved at the root by
+the area search's lower bound and run no search, so they say nothing about
+the kernels.)  Prints one table with the speedups.
 
 Usage: python benchmarks/bench_backends.py
 """
@@ -22,6 +27,9 @@ import json, random, time
 from kgroups.backend import ops, BACKEND
 from kgroups.kernels import KernelGroup, standard_generators
 from kgroups.metrics import ball_profile
+from kgroups.areasearch import greedy_probe
+from kgroups.presentations import (DEFAULT_LEN_CAP_FACTOR, _heuristic_for,
+                                   _variants, parse_presentation)
 
 rng = random.Random(1)
 words = []
@@ -52,6 +60,19 @@ t0 = time.perf_counter()
 ball_profile(standard_generators(KernelGroup(2, 2, 2)), 6)
 out["radius6_ball"] = time.perf_counter() - t0
 
+# the probe as area_search calls it for [x^31, y^31] (961 levels)
+P = parse_presentation("< x, y | [x,y] >")
+w = P.word("[x^31, y^31]").data
+variants, _ = _variants(P)
+heur, _ = _heuristic_for(P, variants, w)
+h0 = heur.bound(heur.values(w))
+t0 = time.perf_counter()
+path = greedy_probe(w, variants, node_budget=50 * h0 + 200, heuristic=heur,
+                    len_cap=len(w) + DEFAULT_LEN_CAP_FACTOR * max(map(len, variants)))
+out["probe_n31"] = time.perf_counter() - t0
+if path is None or len(path) != h0:
+    raise SystemExit("probe_n31: no path of length %d" % h0)
+
 print(json.dumps(out))
 """
 
@@ -80,7 +101,7 @@ def main():
     if fast["backend"] == slow["backend"]:
         print("compiled backend unavailable; both runs used"
               f" {fast['backend']!r}")
-    tasks = ("free_reduce", "concat", "radius6_ball")
+    tasks = ("free_reduce", "concat", "radius6_ball", "probe_n31")
     width = max(len(t) for t in tasks)
     print(f"{'task'.ljust(width)}  {fast['backend']:>10}  "
           f"{slow['backend']:>10}  speedup")

@@ -24,7 +24,9 @@ BACKEND = "python"
 #               (only meaningful for rank-2 words, bytes 0..3).
 # The area search passes None and computes its bounds itself from
 # additive invariants (areasearch module), so only the parity tests use
-# this path.
+# this path.  expand() itself is called only by run_search and the parity
+# tests: the greedy probe ranks children by their seam lengths and builds
+# one child per level with insert_reduce.
 
 
 def free_reduce(data: bytes) -> bytes:

@@ -32,9 +32,21 @@ I(child) = I(state) + I(v), whatever the position and however much the
 insertion reduces.  With step = max |I(v)| over the variants, the term
 ceil(|I(w)| / step) changes by at most 1 per unit-cost move and vanishes
 at the goal, so it is consistent and admissible, and so is the maximum of
-several such terms.  A state's invariant values are computed once, when
-the search settles or dives into it; each child's bound is then a table
-lookup by variant index, and no child is rescanned.
+several such terms.  The search computes a state's invariant values once,
+when it settles the state; each child's bound is then a table lookup by
+variant index, and no child is rescanned.  The greedy probe scans only its
+start: down the dive, a child's values are its parent's plus the inserted
+variant's.
+
+Seam lengths: the probe ranks children by length without building them.
+The state and the variant are reduced, so inserting v at position p can
+cancel letters only across its two seams: a letters of v's head against
+state[:p], then b of v's tail against state[p:].  If a + b = len(v), v is
+gone and state[:p-a] meets state[p+b:], which may cancel on by some run r.
+So len(child) = len(state) + len(v) - 2c with c = a + b + r, and c > 0
+only where state[p-1] = v[0]^-1 or state[p] = v[-1]^-1.  Every other
+position gives length len(state) + len(v), and the dive builds only the
+child it enters.
 
 Frontier layout: edge costs are 1 and the heuristic is consistent, so
 f-values surface in nondecreasing order and the frontier can be an array
@@ -46,9 +58,15 @@ heuristic is sharp.  Ties beyond that are FIFO, so runs are deterministic.
 
 from __future__ import annotations
 
+from array import array
+from itertools import compress, groupby
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .backend import ops
+
+# _MARK[x].translate maps byte x to 1 and every other byte to 0
+_MARK = [bytes(x) + b"\x01" + bytes(255 - x) for x in range(256)]
 
 
 class AdditiveHeuristic:
@@ -124,6 +142,62 @@ class SearchOutcome:
         self.stop_reason = stop_reason
 
 
+def seam_ranked(state: bytes, variants: Sequence[bytes], child_h: Sequence[int],
+                h_max: int, len_cap: int) -> List[int]:
+    """The probe's ranking of one state's children, none of them built.
+
+    Returns the codes vidx * (len(state) + 1) + pos of every child
+    insert_reduce(state, pos, variants[vidx]) with h = child_h[vidx] <= h_max
+    and length <= len_cap, sorted by (h, length, code): the order a sort of
+    ops.expand's children gives, visited or not.  Variants are nonempty and
+    reduced.  A child's length is len(state) + len(v) - 2c for the c letter
+    pairs that cancel (module docstring), and c > 0 only at a seam position,
+    where state[pos-1] = v[0]^-1 or state[pos] = v[-1]^-1.  The other
+    positions are found with byte masks and enter as one ascending run per
+    variant; only seam positions are walked letter by letter.
+    """
+    n = len(state)
+    width = n + 1
+    every = int.from_bytes(b"\x01" * width, "little")   # one 1 per position
+    out: List[int] = []
+    order = sorted((h, k) for k, h in enumerate(child_h) if h <= h_max)
+    for _, group in groupby(order, key=itemgetter(0)):
+        # length -> codes; variants come in ascending index and each one's
+        # positions ascend, so every list is sorted by code as it grows
+        by_len: Dict[int, List[int]] = {}
+        for _, k in group:
+            v = variants[k]
+            lv = len(v)
+            base = k * width
+            # byte pos of `seam` is 1 where pos is a seam position
+            seam = (int.from_bytes(state.translate(_MARK[v[0] ^ 1]), "little") << 8
+                    | int.from_bytes(state.translate(_MARK[v[-1] ^ 1]), "little"))
+            if n + lv <= len_cap:
+                by_len.setdefault(n + lv, []).extend(compress(
+                    range(base, base + width),
+                    (every ^ seam).to_bytes(width, "little")))
+            for p in compress(range(width), seam.to_bytes(width, "little")):
+                a = 0                       # v's head against state[:p]
+                while a < lv and a < p and state[p - 1 - a] ^ v[a] == 1:
+                    a += 1
+                b = 0                       # v's tail against state[p:]
+                while a + b < lv and p + b < n and state[p + b] ^ v[lv - 1 - b] == 1:
+                    b += 1
+                c = a + b
+                if c == lv:                 # v is gone: the state closes up
+                    i, j = p - a, p + b
+                    while i > 0 and j < n and state[i - 1] ^ state[j] == 1:
+                        i -= 1
+                        j += 1
+                        c += 1
+                length = n + lv - 2 * c
+                if length <= len_cap:
+                    by_len.setdefault(length, []).append(base + p)
+        for length in sorted(by_len):
+            out.extend(by_len[length])
+    return out
+
+
 def greedy_probe(start: bytes, variants: Sequence[bytes], *, len_cap: int,
                  node_budget: int, heuristic: AdditiveHeuristic
                  ) -> Optional[List[Tuple[int, int]]]:
@@ -137,42 +211,45 @@ def greedy_probe(start: bytes, variants: Sequence[bytes], *, len_cap: int,
     pruned), ordered by (h, length), and gives up after node_budget
     expansions; the caller falls back to the full search.
 
-    The dive is iterative: each level keeps its state and the codes
-    vidx * (len(state) + 1) + pos of its surviving children, best first,
-    and rebuilds a child from its code when the dive reaches it.
+    The dive is iterative: each level keeps its state, its invariant
+    values and the codes vidx * (len(state) + 1) + pos of its children in
+    the shell, best first (seam_ranked, which computes every child's
+    length from the two seams and builds none), in a machine-int array:
+    as a list of int objects they held 18 MB at depth 961.  When the dive reaches a
+    code it builds that one child with insert_reduce, skips it if it was
+    visited, and gets its values as values(state) + deltas[vidx], the
+    additivity of the module docstring, so no state is rescanned.  A
+    visited child is skipped at the dive and not at ranking: the visited
+    set only grows, so the traversal is the same either way.
     """
-    h0 = heuristic.bound(heuristic.values(start))
+    values = heuristic.values(start)
+    h0 = heuristic.bound(values)
     if h0 <= 0:
         return None
     visited = {start}
     path: List[Tuple[int, int]] = []
     budget = node_budget
+    deltas = heuristic.deltas
 
-    def ranked(state: bytes, g: int) -> List[int]:
-        hv = heuristic.child_bounds(heuristic.values(state))
-        # a child's h depends only on its variant, so whole variants drop out
-        useful = [k for k in range(len(variants)) if g + 1 + hv[k] <= h0]
-        width = len(state) + 1
-        keep = sorted((hv[useful[k]], len(child), useful[k] * width + pos)
-                      for child, pos, k, _ in
-                      ops.expand(state, [variants[k] for k in useful],
-                                 len_cap, None)
-                      if child not in visited)
-        return [code for _, _, code in keep]
+    def ranked(state: bytes, g: int, values: List[int]) -> array:
+        return array("q", seam_ranked(state, variants,
+                                      heuristic.child_bounds(values),
+                                      h0 - g - 1, len_cap))
 
     if budget <= 0:
         return None
     budget -= 1
-    levels = [[start, 0, ranked(start, 0), 0]]   # [state, g, codes, next]
+    # [state, g, values, codes, next]
+    levels = [[start, 0, values, ranked(start, 0, values), 0]]
     while levels:
         top = levels[-1]
-        state, g, codes, i = top
+        state, g, values, codes, i = top
         if i == len(codes):
             levels.pop()
             if levels:
                 path.pop()
             continue
-        top[3] = i + 1
+        top[4] = i + 1
         vidx, pos = divmod(codes[i], len(state) + 1)
         child = ops.insert_reduce(state, pos, variants[vidx])
         if child in visited:
@@ -185,7 +262,8 @@ def greedy_probe(start: bytes, variants: Sequence[bytes], *, len_cap: int,
             path.pop()
             continue
         budget -= 1
-        levels.append([child, g + 1, ranked(child, g + 1), 0])
+        values = [a + d for a, d in zip(values, deltas[vidx])]
+        levels.append([child, g + 1, values, ranked(child, g + 1, values), 0])
     return None
 
 

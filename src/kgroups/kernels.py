@@ -386,7 +386,7 @@ def collect_commutators(w: Word, r: int) -> List[Tuple[Word, int, int, int]]:
         else:
             break
     if len(cur):
-        raise AssertionError("collection left a nonempty sorted residue")
+        raise ValueError("collection left a nonempty sorted residue")
     emitted.reverse()
     return emitted
 

@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kgroups import cli
 from kgroups.cli import main
@@ -203,3 +206,95 @@ def test_csv_fallback_for_scalar_reports(capsys):
     lines = out.splitlines()
     assert lines[0].split(",")[0] == "abelian_image"
     assert len(lines) == 2
+
+
+# -- fuzzed argument strings -----------------------------------------------------
+#
+# Text is joined from tokens, and every token holding a digit ends with a
+# space or "_", so no run of digits (an exponent, a group size) is longer
+# than one: every input stays small.  Budgets are small, and --jobs is never
+# above 1, so no worker process starts.
+
+WORD_TOKENS = ("x", "y", "a", "b", "c", "e1", "e3", "z", "^2 ", "^-1 ", "^3 ",
+               "^0 ", "^", "1 ", "(", ")", "[", "]", ",", " ")
+
+
+def _text(tokens, max_size=10):
+    return st.lists(st.sampled_from(tokens), max_size=max_size).map("".join)
+
+
+# well-formed words over x, y (inversion and commutators do not let them
+# grow past a few dozen letters), mixed with token junk
+_valid_words = st.recursive(
+    st.sampled_from(("x", "y", "x^-1", "y^2", "1")),
+    lambda inner: st.one_of(st.builds("[{}, {}]".format, inner, inner),
+                            st.builds("({})^-1".format, inner),
+                            st.lists(inner, min_size=2, max_size=3)
+                            .map(" ".join)),
+    max_leaves=6)
+_small = st.integers(-1, 3).map(str)
+_words = st.one_of(_valid_words, _text(WORD_TOKENS))
+_elements = st.one_of(
+    st.lists(_valid_words, min_size=1, max_size=3).map(" ; ".join),
+    _text(WORD_TOKENS + (" ; ", ";")))
+_groups = st.one_of(
+    st.sampled_from(("K2_2_2", "K2_2_1", "K3_2_2")),
+    st.builds("K{}_{}_{}".format, st.integers(0, 3), st.integers(0, 3),
+              st.integers(0, 3)),
+    _text(("K", "_", "2_", "K2_", " ", "x"), 5))
+_presentations = st.one_of(
+    st.sampled_from(("< x, y | [x,y] >", "< x, y | x^2, [x,y] >",
+                     "< x, y | x y x^-1 y >", "< x | x^2 >")),
+    st.builds("< {} | {} >".format,
+              st.lists(st.sampled_from(("x", "y", "a", "")), max_size=3)
+              .map(", ".join),
+              st.lists(_words, max_size=3).map(", ".join)),
+    _text(WORD_TOKENS + ("<", ">", "|"), 12))
+_rows = st.one_of(
+    st.lists(st.lists(st.integers(-3, 3), min_size=1, max_size=3),
+             min_size=1, max_size=3)
+    .map(lambda rows: "; ".join(" ".join(map(str, r)) for r in rows)),
+    _text(("0 ", "1 ", "-1 ", ";", "x", " "), 8))
+
+_commands = st.one_of(
+    st.tuples(st.sampled_from(("member", "rewrite", "split")),
+              st.just("--group"), _groups, st.just("--element"), _elements),
+    st.tuples(st.just("area"), st.just("--presentation"), _presentations,
+              st.just("--word"), _words),
+    st.tuples(st.just("dehn"), st.just("--presentation"), _presentations,
+              st.just("--n"), _small, st.sampled_from(((), ("--abelian",))))
+    .map(lambda t: t[:-1] + t[-1]),
+    st.tuples(st.just("metric"), st.just("--group"), _groups,
+              st.just("--target"),
+              st.one_of(_elements, st.builds("h({})".format, _small))),
+    st.tuples(st.just("distortion"), st.just("--n-max"), _small),
+    st.tuples(st.just("certify"), st.just("--n"), _small),
+    st.tuples(st.just("toy-amalgam"), st.just("--k"), _small, st.just("--n"),
+              _small, st.sampled_from(((), ("--exact-attempt",))))
+    .map(lambda t: t[:-1] + t[-1]),
+    st.tuples(st.just("normalize-basis"), st.just("--rows"), _rows),
+    st.tuples(st.sampled_from(("", "nope", "--n")), _small))
+
+# valid budgets, then at most one extra flag; bad values sit among the
+# extras, since hypothesis draws the ends of an integer range often
+_budgets = st.tuples(
+    st.just("--node-cap"), st.integers(1, 200).map(str),
+    st.just("--radius"), st.integers(0, 3).map(str),
+    st.sampled_from(((), (), (), ("--node-cap", "0"), ("--radius", "-1"),
+                     ("--len-cap-factor", "0"), ("--len-cap-factor", "2"),
+                     ("--jobs", "0"), ("--jobs", "1"), ("--format", "csv"),
+                     ("--format", "json"), ("--format", "xml"))))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_commands, _budgets)
+def test_fuzzed_arguments_keep_the_exit_contract(command, budgets):
+    argv = list(command) + list(budgets[:-1]) + list(budgets[-1])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:    # argparse rejects the flags: exit 1
+            code = e.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv

@@ -141,3 +141,17 @@ def test_random_elements_are_deterministic_in_the_seed():
     a = random_kernel_element(K222, 15, 99)
     b = random_kernel_element(K222, 15, 99)
     assert a == b
+
+
+def test_collection_residue_is_a_value_error(monkeypatch):
+    # a broken collection must surface as the ValueError the CLI turns into
+    # exit 1, never as an AssertionError traceback: force a sorted residue
+    # by making every reduction in the collection loop return e_1
+    from kgroups import kernels
+    F2 = FreeGroup(2)
+    w = parse_word(F2, "[e2, e1]")
+    real = kernels.reduce_word
+    monkeypatch.setattr(kernels, "reduce_word",
+                        lambda group, letters: real(group, [(1, 1)]))
+    with pytest.raises(ValueError, match="nonempty sorted residue"):
+        kernels.collect_commutators(w, 2)
