@@ -10,12 +10,11 @@ minimal-area search with verifiable witnesses, `metrics` the subgroup
 word metric by ball search, and `certificates` the assembled
 lower-bound reports.  `cli` exposes each piece as a subcommand.
 
-Word reduction and concatenation run on a compiled extension when it is
-available; set KGROUPS_PURE=1 to force the pure-Python fallback.  The
-active choice is reported by `BACKEND`.
+Word reduction and concatenation run in one pure-Python kernel,
+`_wordops_py`; `BACKEND` names it ("python").
 """
 
-from .backend import BACKEND
+from ._wordops_py import BACKEND
 from .words import (FreeGroup, Word, WordParseError, commutator, conj,
                     exponent_sum, inv, mul, parse_word, reduce, substitute,
                     to_text)

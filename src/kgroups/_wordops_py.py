@@ -4,29 +4,28 @@ Encoding: generator j (1-based) with sign +1 is byte 2*(j-1), with sign -1
 byte 2*(j-1)+1, so a letter and its inverse differ exactly in the lowest
 bit and `a ^ b == 1` tests cancellation.
 
-The compiled twin (_wordops_c) must match this module's outputs byte for
-byte, including the tuple order produced by expand(); the area-search
-tests run both and compare.
+This is the package's only word kernel.  `words`, `presentations`,
+`areasearch` and `metrics` import it under the name `ops`, the name
+perfbench's tracer swaps for a timing handle.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 BACKEND = "python"
 
-# Heuristic parameters for expand()/heuristic():
-#   None, or a pair (tables, grid_amax) where
+# heuristic() is called by nothing in the package: the area search computes
+# its bounds from additive invariants (areasearch module).  It stays only
+# because perfbench's tracer looks every name in its WORDOPS list up on
+# `ops`.  Its hparams are None (bound 0), or a pair (tables, grid_amax):
 #   tables    = tuple of (tbl, maxw): tbl is 256 bytes holding signed
 #               weights offset by 128, maxw >= 1; the term contributed is
 #               ceil(|sum of weights over the word| / maxw).
 #   grid_amax = 0 to disable, else the divisor for the lattice-area term
 #               (only meaningful for rank-2 words, bytes 0..3).
-# The area search passes None and computes its bounds itself from
-# additive invariants (areasearch module), so only the parity tests use
-# this path.  expand() itself is called only by run_search and the parity
-# tests: the greedy probe ranks children by their seam lengths and builds
-# one child per level with insert_reduce.
+# expand() is called only by run_search: the greedy probe ranks children by
+# their seam lengths and builds one child per level with insert_reduce.
 
 
 def free_reduce(data: bytes) -> bytes:
@@ -93,13 +92,12 @@ def heuristic(state: bytes, hparams) -> int:
     return h
 
 
-def expand(state: bytes, variants: Sequence[bytes], len_cap: int,
-           hparams) -> List[Tuple[bytes, int, int, int]]:
+def expand(state: bytes, variants: Sequence[bytes],
+           len_cap: int) -> List[Tuple[bytes, int, int]]:
     """All single-insertion successors within the length cap.
 
-    Returns (child, pos, variant_index, h(child)) tuples, variants outer,
-    positions 0..len(state) inner, both ascending.  The compiled backend
-    reproduces this order exactly.
+    Returns (child, pos, variant_index) tuples, variants outer, positions
+    0..len(state) inner, both ascending.
     """
     out = []
     n = len(state)
@@ -107,5 +105,5 @@ def expand(state: bytes, variants: Sequence[bytes], len_cap: int,
         for pos in range(n + 1):
             child = insert_reduce(state, pos, rv)
             if len(child) <= len_cap:
-                out.append((child, pos, vidx, heuristic(child, hparams)))
+                out.append((child, pos, vidx))
     return out

@@ -6,9 +6,8 @@ goal is the empty word.  With heuristic terms this is A* with a
 consistent heuristic, without them plain uniform-cost search; either way
 the first settlement of the goal is optimal within the length-cap regime.
 
-The loop itself is deliberately plain Python -- inserting and reducing
-happen in the selected backend, so the compiled and pure variants share
-one set of search semantics.
+Inserting and reducing happen in the word kernel (`_wordops_py`, imported
+as `ops`); the loop around it is plain Python.
 
 Heuristic: additive invariants.  A move inserts a relator variant and
 freely reduces, and reduction can cancel letters of the *old* word
@@ -63,7 +62,7 @@ from itertools import compress, groupby
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .backend import ops
+from . import _wordops_py as ops
 
 # _MARK[x].translate maps byte x to 1 and every other byte to 0
 _MARK = [bytes(x) + b"\x01" + bytes(255 - x) for x in range(256)]
@@ -327,7 +326,7 @@ def run_search(start: bytes, variants: Sequence[bytes], *, len_cap: int,
             return SearchOutcome(None, None, f, nodes, pushes, False,
                                  "node cap")
         hv = heuristic.child_bounds(heuristic.values(state))
-        for child, pos, vidx, _ in ops.expand(state, variants, len_cap, None):
+        for child, pos, vidx in ops.expand(state, variants, len_cap):
             gc = g + 1
             old = seen.get(child)
             if old is not None and old <= gc:

@@ -3,7 +3,7 @@
 The intrinsic metric ``d_B`` on a subgroup is computed by breadth-first
 search over the implicit Cayley graph: states are raw keys (tuples of
 reduced factor words as bytes), and an edge is right multiplication by a
-generator or its inverse, done factor by factor with the backend's
+generator or its inverse, done factor by factor with the word kernel's
 ``concat``, so the search builds no group objects per edge.  Equality of
 states is componentwise free equality, which is exact and cheap, so no
 quotient trickery is needed.  One search serves ``distance``,
@@ -24,7 +24,7 @@ import io
 import csv
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .backend import ops
+from . import _wordops_py as ops
 from .words import commutator
 from .kernels import (
     GeneratingSet,

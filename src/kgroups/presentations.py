@@ -20,7 +20,7 @@ import math
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .areasearch import AdditiveHeuristic, greedy_probe, run_search
-from .backend import ops
+from . import _wordops_py as ops
 from .kernels import ProductElement, identity_element
 from .words import FreeGroup, Word, inv, mul, parse_word, to_text
 from .words import reduce as reduce_word

@@ -5,8 +5,8 @@ equality and hashing are plain value equality on the underlying bytes.  A
 word's letters index generators 1..m of an ambient FreeGroup descriptor;
 mixing ranks is a hard error.
 
-Letter-level crunching is delegated to the selected backend (compiled or
-pure Python, see kgroups.backend).
+Letter-level crunching is delegated to the word kernel (`_wordops_py`,
+imported as `ops`).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
 
-from .backend import ops
+from . import _wordops_py as ops
 
 _MAX_RANK = 127
 

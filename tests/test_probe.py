@@ -5,7 +5,7 @@ import random
 import pytest
 
 from kgroups.areasearch import greedy_probe, seam_ranked
-from kgroups.backend import ops
+from kgroups import _wordops_py as ops
 from kgroups.presentations import (DEFAULT_LEN_CAP_FACTOR, _heuristic_for,
                                    _variants, parse_presentation)
 
@@ -25,8 +25,8 @@ def reference_ranking(state, variants, child_h, h_max, len_cap):
     useful = [k for k in range(len(variants)) if child_h[k] <= h_max]
     width = len(state) + 1
     keys = sorted((child_h[useful[k]], len(child), useful[k] * width + pos)
-                  for child, pos, k, _ in
-                  ops.expand(state, [variants[k] for k in useful], len_cap, None))
+                  for child, pos, k in
+                  ops.expand(state, [variants[k] for k in useful], len_cap))
     return [code for _, _, code in keys]
 
 
@@ -61,8 +61,8 @@ def test_seam_ranking_matches_build_and_sort(text):
         capped += len(want) < kept
         # more letters gone than the variant brought: it was absorbed whole
         absorbed += any(len(child) < len(state) - len(variants[k])
-                        for child, _, k, _ in
-                        ops.expand(state, variants, len_cap, None))
+                        for child, _, k in
+                        ops.expand(state, variants, len_cap))
     assert capped
     if "x^2" in text:
         assert absorbed
@@ -82,9 +82,8 @@ def parent_probe(start, variants, *, len_cap, node_budget, heuristic):
         useful = [k for k in range(len(variants)) if g + 1 + hv[k] <= h0]
         width = len(state) + 1
         keep = sorted((hv[useful[k]], len(child), useful[k] * width + pos)
-                      for child, pos, k, _ in
-                      ops.expand(state, [variants[k] for k in useful],
-                                 len_cap, None)
+                      for child, pos, k in
+                      ops.expand(state, [variants[k] for k in useful], len_cap)
                       if child not in visited)
         return [code for _, _, code in keep]
 

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from kgroups import _wordops_py as ops
 from kgroups.words import (FreeGroup, Word, WordParseError, commutator, conj,
                            exponent_sum, inv, mul, parse_word, reduce,
                            substitute, to_text)
@@ -141,3 +142,50 @@ def test_words_hash_consistently():
     v = mul(F2.gen(1), F2.gen(2))
     assert u == v and hash(u) == hash(v)
     assert len({u, v}) == 1
+
+
+# The word kernel on raw bytes, against an oracle that shares no code with it:
+# delete any adjacent letter/inverse pair until none is left.  Free
+# reduction is confluent, so every deletion order ends at the same word.
+
+def naive_reduce(data):
+    out = list(data)
+    i = 0
+    while i + 1 < len(out):
+        if out[i] ^ out[i + 1] == 1:
+            del out[i:i + 2]
+            i = max(i - 1, 0)
+        else:
+            i += 1
+    return bytes(out)
+
+
+raw = st.binary(max_size=60).map(lambda b: bytes(c % 6 for c in b))
+reduced = raw.map(naive_reduce)
+
+
+@given(raw)
+def test_free_reduce_matches_the_oracle(data):
+    r = ops.free_reduce(data)
+    assert r == naive_reduce(data)
+    assert all(a ^ b != 1 for a, b in zip(r, r[1:]))
+    assert ops.free_reduce(r) == r
+
+
+@given(reduced, reduced)
+def test_concat_is_reduced_juxtaposition(a, b):
+    assert ops.concat(a, b) == ops.free_reduce(a + b)
+
+
+@given(reduced, reduced, st.data())
+def test_insert_reduce_is_reduced_insertion(w, v, data):
+    p = data.draw(st.integers(0, len(w)))
+    assert ops.insert_reduce(w, p, v) == ops.free_reduce(w[:p] + v + w[p:])
+
+
+@given(reduced)
+def test_invert_cancels_on_both_sides(a):
+    inv_a = ops.invert(a)
+    assert ops.concat(a, inv_a) == b""
+    assert ops.concat(inv_a, a) == b""
+    assert ops.invert(inv_a) == a
