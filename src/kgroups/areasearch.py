@@ -47,17 +47,22 @@ only where state[p-1] = v[0]^-1 or state[p] = v[-1]^-1.  Every other
 position gives length len(state) + len(v), and the dive builds only the
 child it enters.
 
-Frontier layout: edge costs are 1 and the heuristic is consistent, so
-f-values surface in nondecreasing order and the frontier can be an array
-of buckets indexed by f instead of a heap.  Within one f-bucket states
-are popped smallest h first (equivalently deepest first); consistency
-makes any within-bucket order exact, and diving pays off when the
-heuristic is sharp.  Ties beyond that are FIFO, so runs are deterministic.
+Frontier layout: edge costs are 1 and the heuristic is consistent, so f
+never falls along an edge.  The frontier is a min-heap of (f, h) keys and
+a dict from each key to a deque of bare states (g = f - h) in push order:
+pops take f ascending, then h ascending (deepest first, which pays off
+when the heuristic is sharp), then first in, first out, so runs are
+deterministic.  Consistency makes any order within one f exact: a state
+popped at the least f has its optimal g and is never reopened.  One table
+maps each state to (g, parent, pos, vidx); a popped copy whose g is not the
+table's was superseded by a cheaper push and is skipped.
 """
 
 from __future__ import annotations
 
 from array import array
+from collections import deque
+from heapq import heappop, heappush
 from itertools import compress, groupby
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -271,78 +276,61 @@ def run_search(start: bytes, variants: Sequence[bytes], *, len_cap: int,
                stop_at_bound: Optional[int] = None) -> SearchOutcome:
     """Search from `start` to the empty word; see module docstring.
 
+    Stops at the goal, at node_cap settled states or push_cap pushes
+    (lower_bound is the f being popped), or when the frontier runs dry
+    (regime_empty: no expression within len_cap).
+
     stop_at_bound halts as soon as the cheapest unsettled f reaches the
     bound: every cheaper state is settled by then, so the optimum is at
     least that f and the caller only wanted the inequality.
     """
     h0 = heuristic.bound(heuristic.values(start))
-    buckets: Dict[int, Dict[int, List[Tuple[bytes, int]]]] = {h0: {h0: [(start, 0)]}}
-    cursor: Dict[Tuple[int, int], int] = {}
-    remaining: Dict[int, int] = {h0: 1}
-    minh: Dict[int, int] = {h0: h0}
-    seen: Dict[bytes, int] = {start: 0}
-    meta: Dict[bytes, Tuple[bytes, int, int]] = {}
-    settled = set()
-    fmax = h0
-    f = h0
+    keys = [(h0, h0)]                       # min-heap of the rows' (f, h)
+    rows = {(h0, h0): deque([start])}       # (f, h) -> states, push order
+    best = {start: (0, None, 0, 0)}         # state -> (g, parent, pos, vidx)
     nodes = pushes = 0
 
-    while True:
-        if remaining.get(f, 0) == 0:
-            f += 1
-            if f > fmax:
-                return SearchOutcome(None, None, None, nodes, pushes,
-                                     True, "frontier exhausted")
-            continue
-        hrow = buckets[f]
-        h = minh[f]
-        while True:
-            row = hrow.get(h)
-            i = cursor.get((f, h), 0)
-            if row is not None and i < len(row):
-                break
-            h += 1
-            minh[f] = h
-        cursor[(f, h)] = i + 1
-        remaining[f] -= 1
-        state, g = row[i]
-        if state in settled or seen.get(state) != g:
+    while keys:
+        key = keys[0]
+        row = rows[key]
+        state = row.popleft()
+        if not row:
+            heappop(keys)
+            del rows[key]
+        f, h = key
+        g = f - h
+        if best[state][0] != g:
             continue
         if stop_at_bound is not None and f >= stop_at_bound:
             return SearchOutcome(None, None, f, nodes, pushes, False,
                                  "reached requested bound")
-        settled.add(state)
         nodes += 1
         if state == b"":
             path: List[Tuple[int, int]] = []
-            cur = state
-            while cur != start:
-                parent, pos, vidx = meta[cur]
+            while state != start:
+                _, state, pos, vidx = best[state]
                 path.append((pos, vidx))
-                cur = parent
             path.reverse()
             return SearchOutcome(g, path, None, nodes, pushes, False, "goal")
         if nodes >= node_cap:
             return SearchOutcome(None, None, f, nodes, pushes, False,
                                  "node cap")
         hv = heuristic.child_bounds(heuristic.values(state))
+        gc = g + 1
         for child, pos, vidx in ops.expand(state, variants, len_cap):
-            gc = g + 1
-            old = seen.get(child)
-            if old is not None and old <= gc:
+            old = best.get(child)
+            if old is not None and old[0] <= gc:
                 continue
-            hc = hv[vidx]
-            seen[child] = gc
-            meta[child] = (state, pos, vidx)
-            fc = gc + hc
-            frow = buckets.setdefault(fc, {})
-            frow.setdefault(hc, []).append((child, gc))
-            remaining[fc] = remaining.get(fc, 0) + 1
-            if hc < minh.get(fc, hc + 1):
-                minh[fc] = hc
-            if fc > fmax:
-                fmax = fc
+            best[child] = (gc, state, pos, vidx)
+            key = (gc + hv[vidx], hv[vidx])
+            row = rows.get(key)
+            if row is None:
+                row = rows[key] = deque()
+                heappush(keys, key)
+            row.append(child)
             pushes += 1
             if pushes >= push_cap:
                 return SearchOutcome(None, None, f, nodes, pushes, False,
                                      "push cap")
+    return SearchOutcome(None, None, None, nodes, pushes, True,
+                         "frontier exhausted")

@@ -8,9 +8,8 @@ failure or bad input, 2 means a search budget ran out before a verdict.
 feed experiment logs, and conflating them would corrupt the record.
 
 Output bytes are a function of the flags and inputs alone; rerunning a
-command reproduces its output exactly.  The ``--seed`` flag is recorded
-for provenance but nothing samples today: every subcommand here is
-deterministic.
+command reproduces its output exactly.  Nothing samples: every subcommand
+here is deterministic, so none takes a seed.
 """
 
 from __future__ import annotations
@@ -41,9 +40,8 @@ EXIT_INCONCLUSIVE = 2
 
 
 class RunConfig(NamedTuple):
-    """Reproducibility knobs shared by the subcommands."""
+    """Budgets and the output format, shared by the subcommands."""
 
-    seed: int
     node_cap: int
     len_cap_factor: int
     radius: int
@@ -52,8 +50,8 @@ class RunConfig(NamedTuple):
 
 
 def _config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(args.seed, args.node_cap, args.len_cap_factor,
-                    args.radius, args.jobs, args.format)
+    cfg = RunConfig(args.node_cap, args.len_cap_factor, args.radius,
+                    args.jobs, args.format)
     if cfg.node_cap < 1 or cfg.len_cap_factor < 1 or cfg.jobs < 1:
         raise ValueError("budgets must be positive")
     if cfg.radius < 0:
@@ -276,9 +274,6 @@ def cmd_toy_amalgam(args, cfg: RunConfig) -> _Outcome:
 
 def build_parser() -> _ArgParser:
     common = _ArgParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0,
-                        help="recorded for provenance; current subcommands"
-                             " are deterministic")
     common.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP,
                         help="search node budget")
     common.add_argument("--len-cap-factor", type=int, default=4,

@@ -162,24 +162,6 @@ class GeneratingSet:
     def word(self, syms: Iterable[Tuple[str, int]]) -> GenWord:
         return GenWord(self, syms)
 
-    def parse(self, text: str) -> GenWord:
-        """Whitespace-separated symbol names, with ^k for powers."""
-        syms: List[Tuple[str, int]] = []
-        for token in text.split():
-            if token == "1":
-                continue
-            name, _, exp = token.partition("^")
-            k = 1
-            if exp:
-                try:
-                    k = int(exp)
-                except ValueError:
-                    raise ValueError(f"bad exponent in token {token!r}")
-            if name not in self.realization:
-                raise ValueError(f"unknown symbol {name!r}")
-            syms.extend([(name, 1 if k > 0 else -1)] * abs(k))
-        return GenWord(self, syms)
-
 
 class KernelGroup:
     """Descriptor of K(n, m, r), optionally with non-standard factor maps."""

@@ -288,18 +288,6 @@ def _pair_areas(data: bytes, images: Sequence[Sequence[int]], d: int) -> List[in
     return a
 
 
-def _wedge(x: Sequence[int], y: Sequence[int]) -> Tuple[int, ...]:
-    """The 2x2 minors of (x, y), divided by their gcd, first nonzero > 0."""
-    d = len(x)
-    m = [x[i] * y[j] - x[j] * y[i] for i in range(d) for j in range(i + 1, d)]
-    g = math.gcd(*m)
-    if g == 0:
-        return ()
-    if next(v for v in m if v) < 0:
-        g = -g
-    return tuple(v // g for v in m)
-
-
 # rows of the word's pair-area matrix tried as Heisenberg candidates, on
 # top of the first basis pair: the candidate set has at most 1 + _ROWS
 # members at any rank
@@ -315,10 +303,11 @@ def _plane_term(P: Presentation, variants: Sequence[bytes], w: bytes
     those, L = (x, y) and z_L depends only on the minors of (x, y).  The
     candidates are the first basis pair (e_0, e_1) and, for the _ROWS rows
     i of w's pair-area matrix with the largest l1 norm, (e_i, sign of row
-    i), the choice that maximizes z_L(w) for that x.  Candidates with
-    proportional minors are one candidate, so at dim K = 2 there is exactly
-    one.  Each is scored by |z_L(w)| / max |z_L(variant)|, the best root
-    bound wins and the first wins ties.
+    i), the choice that maximizes z_L(w) for that x.  Each is scored by
+    |z_L(w)| / max |z_L(variant)|, the best root bound wins and the first
+    wins ties.  Candidates with proportional minors score alike, so the
+    first of them stands for all; at dim K = 2 every candidate is
+    proportional to (e_0, e_1).
 
     Returns (plane, obstructed): plane is (lx, ly), L of each letter byte,
     or None when no candidate gives a term; obstructed is True when some
@@ -355,12 +344,8 @@ def _plane_term(P: Presentation, variants: Sequence[bytes], w: bytes
             candidates.append((unit(i), [(v > 0) - (v < 0) for v in rows[i]]))
 
     best = None     # (|z(w)|, zmax, x, y)
-    tried = set()
     for x, y in candidates:
-        m = _wedge(x, y)
-        if not m or m in tried:
-            continue
-        tried.add(m)
+        m = [x[i] * y[j] - x[j] * y[i] for i in range(d) for j in range(i + 1, d)]
         zw = abs(sum(a * b for a, b in zip(m, word_areas)))
         zmax = max((abs(sum(a * b for a, b in zip(m, va)))
                     for va in variant_areas), default=0)

@@ -31,7 +31,7 @@ class SplittingData:
             raise ValueError("splitting needs at least two factors")
         self.n, self.m = n, m
         self.group = KernelGroup(n, m, m)
-        self.m_group = KernelGroup(n - 1, m, m) if n >= 2 else None
+        self.m_group = KernelGroup(n - 1, m, m)
         self.hat_group = FreeGroup(m, names=[f"g{k}" for k in range(1, m + 1)])
         F = FreeGroup(m)
         one = F.identity

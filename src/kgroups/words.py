@@ -202,9 +202,7 @@ def substitute(w: Word, images: Mapping[int, Word],
             raise ValueError(f"no image for generator {j}")
         piece = images[j].data if sign == 1 else ops.invert(images[j].data)
         out = ops.concat(out, piece)
-    if target is None:
-        if w.data:
-            raise ValueError("no image for generator")  # unreachable
+    if target is None:      # no images, so w had no letters
         target = w.group
     return Word(target, out)
 
