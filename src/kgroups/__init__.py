@@ -32,7 +32,7 @@ from .presentations import (AreaResult, DehnResult, Evaluation,
                             dehn_function, is_null_homotopic,
                             parse_presentation, verify_null_expression)
 from .metrics import (DistanceResult, DistortionRow, ambient_length,
-                      ball_profile, distance, distance_map, distortion_csv,
+                      ball_profile, distance, distance_map,
                       distortion_table, h_family)
 from .certificates import (AmalgamScenario, BudgetError, CertificateError,
                            CertificateReport, ToyAmalgamReport,
@@ -65,8 +65,7 @@ __all__ = [
     "parse_presentation", "verify_null_expression",
     # metrics
     "DistanceResult", "DistortionRow", "ambient_length", "ball_profile",
-    "distance", "distance_map", "distortion_csv", "distortion_table",
-    "h_family",
+    "distance", "distance_map", "distortion_table", "h_family",
     # certificates
     "AmalgamScenario", "BudgetError", "CertificateError", "CertificateReport",
     "ToyAmalgamReport", "derive_null_expression", "distortion_test_words",

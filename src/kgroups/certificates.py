@@ -26,7 +26,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 from .words import (FreeGroup, Word, commutator, inv, mul, parse_word,
                     to_text)
 from .kernels import (GenWord, GeneratingSet, KernelGroup, ProductElement,
-                      identity_element, rewrite_in_generators,
+                      evaluate, identity_element, rewrite_in_generators,
                       standard_generators)
 from .metrics import _ball_search, distance, h_family
 from .presentations import (DEFAULT_NODE_CAP, AreaResult, CertificateError,
@@ -233,11 +233,7 @@ class AmalgamScenario:
             return None
         j = lg // le
         for sign in (1, -1):
-            acc = identity_element(g.n, g.m)
-            step = self.edge_element if sign == 1 else ~self.edge_element
-            for _ in range(j):
-                acc = acc * step
-            if acc == g:
+            if evaluate((self.edge_element,), [(0, sign)] * j, g.n, g.m) == g:
                 return sign * j
         return None
 
@@ -348,7 +344,6 @@ class ToyAmalgamReport(NamedTuple):
 
 
 def toy_amalgam_check(k: int, n: int, *, node_cap: int = DEFAULT_NODE_CAP,
-                      push_cap: Optional[int] = None,
                       exact_attempt: bool = False) -> ToyAmalgamReport:
     """Brute-force the inequality Area >= 2n * d(1, h) on the toy scenario.
 
@@ -371,7 +366,6 @@ def toy_amalgam_check(k: int, n: int, *, node_cap: int = DEFAULT_NODE_CAP,
     required = 2 * n * hit
 
     res = area_search(scen.presentation, tword, node_cap=node_cap,
-                      push_cap=push_cap,
                       stop_at_bound=None if exact_attempt else required)
     if res.status == "exact":
         status = "verified-exact" if res.area >= required else "refuted"

@@ -7,6 +7,10 @@ failure or bad input, 2 means a search budget ran out before a verdict.
 "Don't know" and "no" are deliberately different codes — the reports
 feed experiment logs, and conflating them would corrupt the record.
 
+Each subcommand takes only the flags it reads: `--format`, and the search
+budgets of the searches it runs (`_BUDGETS` below).  Any other flag is bad
+input, exit 1.
+
 Output bytes are a function of the flags and inputs alone; rerunning a
 command reproduces its output exactly.  Nothing samples: every subcommand
 here is deterministic, so none takes a seed.
@@ -28,8 +32,9 @@ from .abelian import FactorHom, ab_image, normalize_basis
 from .kernels import (KernelGroup, ProductElement, contains,
                       rewrite_in_generators, standard_generators, theta)
 from .splitting import SplittingData, reassemble, syllable_form
-from .presentations import (DEFAULT_NODE_CAP, Evaluation, Presentation,
-                            area_search, dehn_function, parse_presentation)
+from .presentations import (DEFAULT_LEN_CAP_FACTOR, DEFAULT_NODE_CAP,
+                            Evaluation, Presentation, area_search,
+                            dehn_function, parse_presentation)
 from .metrics import ambient_length, distance, distortion_table, h_family
 from .certificates import (BudgetError, CertificateError, lower_bound_report,
                            toy_amalgam_check)
@@ -37,26 +42,6 @@ from .certificates import (BudgetError, CertificateError, lower_bound_report,
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INCONCLUSIVE = 2
-
-
-class RunConfig(NamedTuple):
-    """Budgets and the output format, shared by the subcommands."""
-
-    node_cap: int
-    len_cap_factor: int
-    radius: int
-    jobs: int
-    format: Optional[str]
-
-
-def _config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(args.node_cap, args.len_cap_factor, args.radius,
-                    args.jobs, args.format)
-    if cfg.node_cap < 1 or cfg.len_cap_factor < 1 or cfg.jobs < 1:
-        raise ValueError("budgets must be positive")
-    if cfg.radius < 0:
-        raise ValueError("radius must be nonnegative")
-    return cfg
 
 
 class _ArgParser(argparse.ArgumentParser):
@@ -143,7 +128,7 @@ class _Outcome(NamedTuple):
 
 # -- subcommands --------------------------------------------------------------
 
-def cmd_member(args, cfg: RunConfig) -> _Outcome:
+def cmd_member(args) -> _Outcome:
     G = _parse_group(args.group)
     g = _parse_element(G, args.element)
     vec = theta(G, g)
@@ -153,7 +138,7 @@ def cmd_member(args, cfg: RunConfig) -> _Outcome:
     return _Outcome(payload, EXIT_OK if member else EXIT_FAIL)
 
 
-def cmd_rewrite(args, cfg: RunConfig) -> _Outcome:
+def cmd_rewrite(args) -> _Outcome:
     G = _parse_group(args.group)
     g = _parse_element(G, args.element)
     if not contains(G, g):
@@ -165,7 +150,7 @@ def cmd_rewrite(args, cfg: RunConfig) -> _Outcome:
     return _Outcome(payload, EXIT_OK if round_trip else EXIT_FAIL)
 
 
-def cmd_normalize_basis(args, cfg: RunConfig) -> _Outcome:
+def cmd_normalize_basis(args) -> _Outcome:
     h = _parse_rows(args.rows)
     change = normalize_basis(h)
     ok = True
@@ -180,7 +165,7 @@ def cmd_normalize_basis(args, cfg: RunConfig) -> _Outcome:
     return _Outcome(payload, EXIT_OK if ok else EXIT_FAIL)
 
 
-def cmd_split(args, cfg: RunConfig) -> _Outcome:
+def cmd_split(args) -> _Outcome:
     G = _parse_group(args.group)
     if G.r != G.m:
         raise ValueError("splitting needs the full kernel, r = m")
@@ -198,11 +183,11 @@ def cmd_split(args, cfg: RunConfig) -> _Outcome:
     return _Outcome(payload, EXIT_OK if ok else EXIT_FAIL)
 
 
-def cmd_area(args, cfg: RunConfig) -> _Outcome:
+def cmd_area(args) -> _Outcome:
     P = parse_presentation(args.presentation)
     w = P.word(args.word)
-    res = area_search(P, w, node_cap=cfg.node_cap,
-                      len_cap_factor=cfg.len_cap_factor)
+    res = area_search(P, w, node_cap=args.node_cap,
+                      len_cap_factor=args.len_cap_factor)
     payload = {"presentation": P.to_text(), "word": to_text(w)}
     payload.update(res.to_json())
     if res.status == "exact":
@@ -214,21 +199,21 @@ def cmd_area(args, cfg: RunConfig) -> _Outcome:
     return _Outcome(payload, code)
 
 
-def cmd_dehn(args, cfg: RunConfig) -> _Outcome:
+def cmd_dehn(args) -> _Outcome:
     P = parse_presentation(args.presentation)
     if args.abelian:
         rank = P.group.rank
         ev = Evaluation([tuple(1 if c == j else 0 for c in range(rank))
                          for j in range(rank)])
         P = Presentation(P.group.names, P.relators, ev)
-    res = dehn_function(P, args.n, node_cap=cfg.node_cap,
-                        len_cap_factor=cfg.len_cap_factor, jobs=cfg.jobs)
+    res = dehn_function(P, args.n, node_cap=args.node_cap,
+                        len_cap_factor=args.len_cap_factor, jobs=args.jobs)
     payload = {"presentation": P.to_text()}
     payload.update(res.to_json())
     return _Outcome(payload, EXIT_OK if res.exact else EXIT_INCONCLUSIVE)
 
 
-def cmd_metric(args, cfg: RunConfig) -> _Outcome:
+def cmd_metric(args) -> _Outcome:
     G = _parse_group(args.group)
     gens = standard_generators(G)
     m = _H_RE.match(args.target.strip())
@@ -238,9 +223,9 @@ def cmd_metric(args, cfg: RunConfig) -> _Outcome:
         g = _parse_element(G, args.target)
         if not contains(G, g):
             raise ValueError("target is outside the subgroup; no distance")
-    res = distance(gens, g, cfg.radius)
+    res = distance(gens, g, args.radius)
     payload = {"group": repr(G), "target": repr(g),
-               "ambient_length": ambient_length(g), "radius": cfg.radius,
+               "ambient_length": ambient_length(g), "radius": args.radius,
                "explored": res.explored}
     if res.found:
         payload["distance"] = res.value
@@ -249,21 +234,21 @@ def cmd_metric(args, cfg: RunConfig) -> _Outcome:
     return _Outcome(payload, EXIT_INCONCLUSIVE)
 
 
-def cmd_distortion(args, cfg: RunConfig) -> _Outcome:
-    rows = distortion_table(range(1, args.n_max + 1), cfg.radius)
+def cmd_distortion(args) -> _Outcome:
+    rows = distortion_table(range(1, args.n_max + 1), args.radius)
     header = ("n", "ambient_length", "status", "value")
     data = [list(r) for r in rows]
     payload = {"rows": [dict(zip(header, r)) for r in data]}
     return _Outcome(payload, EXIT_OK, rows=(header, data))
 
 
-def cmd_certify(args, cfg: RunConfig) -> _Outcome:
-    rep = lower_bound_report(args.n, node_cap=cfg.node_cap)
+def cmd_certify(args) -> _Outcome:
+    rep = lower_bound_report(args.n, node_cap=args.node_cap)
     return _Outcome(rep.to_json(), EXIT_OK, default_format="json")
 
 
-def cmd_toy_amalgam(args, cfg: RunConfig) -> _Outcome:
-    rep = toy_amalgam_check(args.k, args.n, node_cap=cfg.node_cap,
+def cmd_toy_amalgam(args) -> _Outcome:
+    rep = toy_amalgam_check(args.k, args.n, node_cap=args.node_cap,
                             exact_attempt=args.exact_attempt)
     codes = {"verified-exact": EXIT_OK, "verified-bound": EXIT_OK,
              "inconclusive": EXIT_INCONCLUSIVE, "refuted": EXIT_FAIL}
@@ -272,92 +257,104 @@ def cmd_toy_amalgam(args, cfg: RunConfig) -> _Outcome:
 
 # -- wiring -------------------------------------------------------------------
 
-def build_parser() -> _ArgParser:
-    common = _ArgParser(add_help=False)
-    common.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP,
-                        help="search node budget")
-    common.add_argument("--len-cap-factor", type=int, default=4,
-                        help="intermediate words may exceed the input by this"
-                             " many relator lengths")
-    common.add_argument("--radius", type=int, default=6,
-                        help="ball radius for subgroup-metric searches")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for embarrassingly parallel"
-                             " searches")
-    common.add_argument("--format", choices=("table", "csv", "json"),
-                        default=None, help="output format (default: table,"
-                        " except certify/toy-amalgam which default to json)")
+# the budget flags, each given only to the subcommands that read it:
+# dest -> (flag, default, least accepted value, help)
+_BUDGETS = {
+    "node_cap": ("--node-cap", DEFAULT_NODE_CAP, 1,
+                 "search node budget; it also sets the push cap to 8 times"
+                 " this value, and the push cap is often the budget that"
+                 " stops a search"),
+    "len_cap_factor": ("--len-cap-factor", DEFAULT_LEN_CAP_FACTOR, 1,
+                       "intermediate words may exceed the input by this"
+                       " many relator lengths"),
+    "radius": ("--radius", 6, 0, "ball radius for subgroup-metric searches"),
+    "jobs": ("--jobs", 1, 1, "worker processes for embarrassingly parallel"
+                             " searches"),
+}
 
+
+def _check_budgets(args: argparse.Namespace) -> None:
+    for dest, (flag, _, least, _) in _BUDGETS.items():
+        if getattr(args, dest, least) < least:
+            raise ValueError(f"{flag} must be at least {least}")
+
+
+def _command(sub, name: str, func, summary: str, *budgets: str
+             ) -> _ArgParser:
+    """A subcommand parser with `--format` and the named budget flags."""
+    p = sub.add_parser(name, help=summary)
+    for dest in budgets:
+        flag, default, _, text = _BUDGETS[dest]
+        p.add_argument(flag, type=int, default=default, help=text)
+    p.add_argument("--format", choices=("table", "csv", "json"),
+                   default=None, help="output format (default: table,"
+                   " except certify/toy-amalgam which default to json)")
+    p.set_defaults(func=func)
+    return p
+
+
+def build_parser() -> _ArgParser:
     parser = _ArgParser(prog="kgroups",
                         description="kernel subgroups of products of free"
                                     " groups: membership, rewriting, area"
                                     " search, metrics, certificates")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("member", parents=[common],
-                       help="decide membership in the kernel")
+    p = _command(sub, "member", cmd_member,
+                 "decide membership in the kernel")
     p.add_argument("--group", required=True, help="descriptor K<n>_<m>_<r>")
     p.add_argument("--element", required=True,
                    help="factor words separated by ';'")
-    p.set_defaults(func=cmd_member)
 
-    p = sub.add_parser("rewrite", parents=[common],
-                       help="rewrite a kernel element over the standard"
-                            " generators")
+    p = _command(sub, "rewrite", cmd_rewrite,
+                 "rewrite a kernel element over the standard generators")
     p.add_argument("--group", required=True)
     p.add_argument("--element", required=True)
-    p.set_defaults(func=cmd_rewrite)
 
-    p = sub.add_parser("normalize-basis", parents=[common],
-                       help="find a basis on which a map to Z^r is standard")
+    p = _command(sub, "normalize-basis", cmd_normalize_basis,
+                 "find a basis on which a map to Z^r is standard")
     p.add_argument("--rows", required=True,
                    help="generator images, rows separated by ';'")
-    p.set_defaults(func=cmd_normalize_basis)
 
-    p = sub.add_parser("split", parents=[common],
-                       help="semidirect decomposition along the last factor")
+    p = _command(sub, "split", cmd_split,
+                 "semidirect decomposition along the last factor")
     p.add_argument("--group", required=True)
     p.add_argument("--element", required=True)
-    p.set_defaults(func=cmd_split)
 
-    p = sub.add_parser("area", parents=[common],
-                       help="minimal-area null expression for a word")
+    p = _command(sub, "area", cmd_area,
+                 "minimal-area null expression for a word",
+                 "node_cap", "len_cap_factor")
     p.add_argument("--presentation", required=True,
                    help='e.g. "< x, y | [x,y] >"')
     p.add_argument("--word", required=True)
-    p.set_defaults(func=cmd_area)
 
-    p = sub.add_parser("dehn", parents=[common],
-                       help="max area over null-homotopic words of bounded"
-                            " length")
+    p = _command(sub, "dehn", cmd_dehn,
+                 "max area over null-homotopic words of bounded length",
+                 "node_cap", "len_cap_factor", "jobs")
     p.add_argument("--presentation", required=True)
     p.add_argument("--n", type=int, required=True, help="word-length bound")
     p.add_argument("--abelian", action="store_true",
                    help="use the free-abelian quotient as the null-homotopy"
                         " oracle (valid when the relators are exactly the"
                         " commutators)")
-    p.set_defaults(func=cmd_dehn)
 
-    p = sub.add_parser("metric", parents=[common],
-                       help="word metric on the subgroup via ball search")
+    p = _command(sub, "metric", cmd_metric,
+                 "word metric on the subgroup via ball search", "radius")
     p.add_argument("--group", required=True)
     p.add_argument("--target", required=True,
                    help="factor words separated by ';', or h(<n>)")
-    p.set_defaults(func=cmd_metric)
 
-    p = sub.add_parser("distortion", parents=[common],
-                       help="distance vs ambient length for the h(n) family")
+    p = _command(sub, "distortion", cmd_distortion,
+                 "distance vs ambient length for the h(n) family", "radius")
     p.add_argument("--n-max", type=int, default=3)
-    p.set_defaults(func=cmd_distortion)
 
-    p = sub.add_parser("certify", parents=[common],
-                       help="certified area lower bound for the n-th test"
-                            " word")
+    p = _command(sub, "certify", cmd_certify,
+                 "certified area lower bound for the n-th test word",
+                 "node_cap")
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_certify)
 
-    p = sub.add_parser("toy-amalgam", parents=[common],
-                       help="check Area >= 2n*d on the glued toy group")
+    p = _command(sub, "toy-amalgam", cmd_toy_amalgam,
+                 "check Area >= 2n*d on the glued toy group", "node_cap")
     p.add_argument("--k", type=int, default=1, help="power of the edge"
                                                     " generator")
     p.add_argument("--n", type=int, default=1, help="commuting power in the"
@@ -365,7 +362,6 @@ def build_parser() -> _ArgParser:
     p.add_argument("--exact-attempt", action="store_true",
                    help="run the search to its caps instead of stopping at"
                         " the certified bound")
-    p.set_defaults(func=cmd_toy_amalgam)
 
     return parser
 
@@ -379,15 +375,15 @@ def _parser() -> _ArgParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        cfg = _config(args)
-        out = args.func(args, cfg)
+        _check_budgets(args)
+        out = args.func(args)
     except BudgetError as e:
         print(f"inconclusive: {e}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
     except (WordParseError, ValueError, CertificateError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_FAIL
-    fmt = cfg.format or out.default_format
+    fmt = args.format or out.default_format
     sys.stdout.write(_render(out.payload, fmt, out.rows))
     return out.code
 

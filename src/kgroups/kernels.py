@@ -24,6 +24,7 @@ from __future__ import annotations
 import random as _random
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from . import _wordops_py as ops
 from .abelian import (AbelianVector, BasisChange, FactorHom, ab_image,
                       is_surjective, normalize_basis, standard_hom)
 from .words import FreeGroup, Letter, Word, commutator, conj, inv, mul
@@ -87,6 +88,26 @@ class ProductElement:
 def identity_element(n: int, m: int) -> ProductElement:
     F = FreeGroup(m)
     return ProductElement([F.identity] * n)
+
+
+def evaluate(images, letters: Iterable[Tuple[object, int]], n: int, m: int
+             ) -> ProductElement:
+    """The product of images[key]^sign over the (key, sign) letters, in order.
+
+    Every image is an n-factor element of rank m.  Each factor joins its
+    pieces' bytes and is freely reduced once; free reduction has a unique
+    result, so this equals the letter-by-letter product.
+    """
+    columns: List[List[bytes]] = [[] for _ in range(n)]
+    for key, sign in letters:
+        g = images[key]
+        if g.n != n or g.m != m:
+            raise ValueError("shape mismatch")
+        for col, w in zip(columns, g.factors):
+            col.append(w.data if sign == 1 else ops.invert(w.data))
+    F = FreeGroup(m)
+    return ProductElement([Word(F, ops.free_reduce(b"".join(col)))
+                           for col in columns])
 
 
 class GenWord:
@@ -153,11 +174,7 @@ class GeneratingSet:
                 raise ValueError(f"realization of {name} is not in the kernel")
 
     def eval(self, w: GenWord) -> ProductElement:
-        out = identity_element(self.group.n, self.group.m)
-        for name, sign in w.syms:
-            g = self.realization[name]
-            out = out * (g if sign == 1 else ~g)
-        return out
+        return evaluate(self.realization, w.syms, self.group.n, self.group.m)
 
     def word(self, syms: Iterable[Tuple[str, int]]) -> GenWord:
         return GenWord(self, syms)

@@ -20,8 +20,6 @@ metric of the enclosing product of free groups along the test family
 
 from __future__ import annotations
 
-import io
-import csv
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import _wordops_py as ops
@@ -193,19 +191,15 @@ class DistortionRow(NamedTuple):
     value: int
 
 
-def distortion_table(
-    n_range: Iterable[int],
-    radius_budget: int,
-    gens: Optional[GeneratingSet] = None,
-) -> List[DistortionRow]:
+def distortion_table(n_range: Iterable[int], radius_budget: int
+                     ) -> List[DistortionRow]:
     """Distortion evidence for the family ``h_n``.
 
     For each ``n``, reports the exact subgroup distance when the ball
     search finds ``h_n`` within ``radius_budget``, and otherwise the
     certified lower bound ``distance >= radius_budget + 1``.
     """
-    if gens is None:
-        gens = standard_generators(KernelGroup(2, 2, 2))
+    gens = standard_generators(KernelGroup(2, 2, 2))
     rows: List[DistortionRow] = []
     for n in n_range:
         h = h_family(n, gens.group)
@@ -218,12 +212,3 @@ def distortion_table(
             )
     return rows
 
-
-def distortion_csv(rows: Sequence[DistortionRow]) -> str:
-    """Render distortion rows as CSV with a fixed header."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["n", "ambient_length", "status", "value"])
-    for row in rows:
-        writer.writerow([row.n, row.ambient_length, row.status, row.value])
-    return buf.getvalue()

@@ -21,9 +21,9 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .areasearch import AdditiveHeuristic, greedy_probe, run_search
 from . import _wordops_py as ops
-from .kernels import ProductElement, identity_element
+from .abelian import FactorHom, ab_image
+from .kernels import ProductElement, evaluate
 from .words import FreeGroup, Word, inv, mul, parse_word, to_text
-from .words import reduce as reduce_word
 
 DEFAULT_NODE_CAP = 200_000
 DEFAULT_LEN_CAP_FACTOR = 4
@@ -42,7 +42,7 @@ class Evaluation:
     caller's assertion; this class only does the evaluating.
     """
 
-    __slots__ = ("kind", "images")
+    __slots__ = ("kind", "images", "_hom")
 
     def __init__(self, images: Sequence[Union[ProductElement, Tuple[int, ...]]]):
         images = tuple(images)
@@ -52,26 +52,21 @@ class Evaluation:
             self.kind = "product"
             if not all(isinstance(g, ProductElement) for g in images):
                 raise ValueError("mixed image kinds")
+            self._hom = None
         else:
             self.kind = "abelian"
             images = tuple(tuple(int(v) for v in row) for row in images)
             if len({len(row) for row in images}) > 1:
                 raise ValueError("abelian images must share one length")
+            self._hom = FactorHom(len(images), len(images[0]), images)
         self.images = images
 
     def eval_word(self, w: Word):
         if self.kind == "product":
-            out = identity_element(self.images[0].n, self.images[0].m)
-            for j, s in w.letters:
-                g = self.images[j - 1]
-                out = out * (g if s == 1 else ~g)
-            return out
-        r = len(self.images[0])
-        acc = [0] * r
-        for j, s in w.letters:
-            for c in range(r):
-                acc[c] += s * self.images[j - 1][c]
-        return tuple(acc)
+            first = self.images[0]
+            return evaluate(self.images, ((j - 1, s) for j, s in w.letters),
+                            first.n, first.m)
+        return ab_image(self._hom, w)
 
     def is_identity(self, el) -> bool:
         if self.kind == "product":
@@ -129,8 +124,7 @@ def _split_top_level(text: str) -> List[str]:
     return [p.strip() for p in parts]
 
 
-def parse_presentation(text: str, evaluation: Optional[Evaluation] = None
-                       ) -> Presentation:
+def parse_presentation(text: str) -> Presentation:
     """Parse `< a, b | [a,b], a^2 >` style text (commas split at depth 0)."""
     t = text.strip()
     if not (t.startswith("<") and t.endswith(">")):
@@ -143,7 +137,7 @@ def parse_presentation(text: str, evaluation: Optional[Evaluation] = None
     if any(not n for n in names):
         raise ValueError("empty alphabet symbol")
     relator_texts = [r for r in _split_top_level(rels) if r]
-    return Presentation(names, relator_texts, evaluation)
+    return Presentation(names, relator_texts)
 
 
 class NullExpression:
@@ -442,7 +436,6 @@ class AreaResult:
 
 
 def area_search(P: Presentation, w: Word, *, node_cap: int = DEFAULT_NODE_CAP,
-                push_cap: Optional[int] = None,
                 len_cap_factor: int = DEFAULT_LEN_CAP_FACTOR,
                 heuristic: bool = True,
                 stop_at_bound: Optional[int] = None) -> AreaResult:
@@ -450,7 +443,9 @@ def area_search(P: Presentation, w: Word, *, node_cap: int = DEFAULT_NODE_CAP,
 
     When the presentation carries an evaluation, non-null-homotopic words
     are rejected up front.  stop_at_bound turns the run into a lower-bound
-    certificate: it halts once every cheaper state is settled.
+    certificate: it halts once every cheaper state is settled.  The search
+    also stops after 8 * node_cap pushes; on presentations whose states
+    have many children, that push cap is the budget that binds first.
     """
     if w.group != P.group:
         raise ValueError("word is not over the presentation's alphabet")
@@ -459,8 +454,7 @@ def area_search(P: Presentation, w: Word, *, node_cap: int = DEFAULT_NODE_CAP,
     variants, meta = _variants(P)
     maxlen = max((len(v) for v in variants), default=0)
     len_cap = len(w.data) + len_cap_factor * maxlen
-    if push_cap is None:
-        push_cap = 8 * node_cap
+    push_cap = 8 * node_cap
     caps = {"node_cap": node_cap, "push_cap": push_cap, "len_cap": len_cap,
             "len_cap_factor": len_cap_factor, "heuristic": heuristic}
 

@@ -16,8 +16,9 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from .kernels import KernelGroup, ProductElement, contains, identity_element
-from .words import FreeGroup, Word, inv, mul
+from .abelian import FactorHom
+from .kernels import KernelGroup, ProductElement, contains, evaluate, theta
+from .words import FreeGroup, Word, exponent_sum
 from .words import reduce as reduce_word
 
 
@@ -47,11 +48,9 @@ class SplittingData:
 
     def eval_hat(self, hat_word: Word) -> ProductElement:
         """Evaluate a word over the hat generators inside the big product."""
-        out = identity_element(self.n, self.m)
-        for k, s in hat_word.letters:
-            g = self.hat_generators[k - 1]
-            out = out * (g if s == 1 else ~g)
-        return out
+        return evaluate(self.hat_generators,
+                        ((k - 1, s) for k, s in hat_word.letters),
+                        self.n, self.m)
 
 
 def theta_k(k: int, g: ProductElement) -> Tuple[int, ...]:
@@ -59,26 +58,17 @@ def theta_k(k: int, g: ProductElement) -> Tuple[int, ...]:
     m = g.m
     if not 1 <= k <= m:
         raise ValueError(f"k must be in 1..{m}")
-    out = [0] * (m - 1)
-    for w in g.factors:
-        for j, s in w.letters:
-            if j < k:
-                out[j - 1] += s
-            elif j > k:
-                out[j - 2] += s
-    return tuple(out)
+    rows = [[int(c == j) for c in range(m - 1)] for j in range(m - 1)]
+    rows.insert(k - 1, [0] * (m - 1))
+    hom = FactorHom(m, m - 1, rows)
+    return theta(KernelGroup(g.n, m, m - 1, [hom] * g.n), g)
 
 
 def p_k(k: int, g: ProductElement) -> int:
     """Total exponent sum of generator k across all factors."""
     if not 1 <= k <= g.m:
         raise ValueError(f"k must be in 1..{g.m}")
-    total = 0
-    for w in g.factors:
-        for j, s in w.letters:
-            if j == k:
-                total += s
-    return total
+    return sum(exponent_sum(w, k) for w in g.factors)
 
 
 def in_Lk(k: int, g: ProductElement) -> bool:

@@ -196,15 +196,17 @@ def substitute(w: Word, images: Mapping[int, Word],
             target = img.group
         elif target.rank != img.group.rank:
             raise ValueError("substitution images live in different groups")
-    out = b""
+    pieces = []
     for j, sign in w.letters:
         if j not in images:
             raise ValueError(f"no image for generator {j}")
-        piece = images[j].data if sign == 1 else ops.invert(images[j].data)
-        out = ops.concat(out, piece)
+        pieces.append(images[j].data if sign == 1
+                      else ops.invert(images[j].data))
     if target is None:      # no images, so w had no letters
         target = w.group
-    return Word(target, out)
+    # free reduction has a unique result, so reducing the joined pieces
+    # once equals multiplying them one by one
+    return Word(target, ops.free_reduce(b"".join(pieces)))
 
 
 def exponent_sum(w: Word, j: int) -> int:

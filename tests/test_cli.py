@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -275,21 +276,115 @@ _commands = st.one_of(
     st.tuples(st.just("normalize-basis"), st.just("--rows"), _rows),
     st.tuples(st.sampled_from(("", "nope", "--n")), _small))
 
-# valid budgets, then at most one extra flag; bad values sit among the
-# extras, since hypothesis draws the ends of an integer range often
-_budgets = st.tuples(
-    st.just("--node-cap"), st.integers(1, 200).map(str),
-    st.just("--radius"), st.integers(0, 3).map(str),
-    st.sampled_from(((), (), (), ("--node-cap", "0"), ("--radius", "-1"),
-                     ("--len-cap-factor", "0"), ("--len-cap-factor", "2"),
-                     ("--jobs", "0"), ("--jobs", "1"), ("--format", "csv"),
-                     ("--format", "json"), ("--format", "xml"))))
+# the flags each subcommand takes besides its own inputs
+SHARED = ("--node-cap", "--len-cap-factor", "--radius", "--jobs", "--format")
+OWN_FLAGS = {
+    "member": ("--format",),
+    "rewrite": ("--format",),
+    "normalize-basis": ("--format",),
+    "split": ("--format",),
+    "area": ("--node-cap", "--len-cap-factor", "--format"),
+    "dehn": ("--node-cap", "--len-cap-factor", "--jobs", "--format"),
+    "metric": ("--radius", "--format"),
+    "distortion": ("--radius", "--format"),
+    "certify": ("--node-cap", "--format"),
+    "toy-amalgam": ("--node-cap", "--format"),
+}
+# a cheap valid call of each subcommand
+BASE = {
+    "member": ("--group", "K2_2_2", "--element", "[x,y] ; 1"),
+    "rewrite": ("--group", "K2_2_2", "--element", "x y^-1 ; y x^-1"),
+    "normalize-basis": ("--rows", "0 1; 1 1"),
+    "split": ("--group", "K3_2_2", "--element", "x ; x^-1 y ; y^-1"),
+    "area": ("--presentation", "< x, y | [x,y] >", "--word", "[x,y]"),
+    "dehn": ("--presentation", "< x, y | [x,y] >", "--n", "2", "--abelian"),
+    "metric": ("--group", "K2_2_2", "--target", "h(1)"),
+    "distortion": ("--n-max", "1"),
+    "certify": ("--n", "1"),
+    "toy-amalgam": ("--k", "1", "--n", "1"),
+}
+# a valid value of each shared flag, and one that is out of range
+GOOD_VALUE = {"--node-cap": "50", "--len-cap-factor": "2", "--radius": "1",
+              "--jobs": "1", "--format": "json"}
+BAD_VALUE = {"--node-cap": "0", "--len-cap-factor": "0", "--radius": "-1",
+             "--jobs": "0", "--format": "xml"}
+
+
+def _subcommands():
+    """name -> parser, for every subcommand of the built parser."""
+    action, = [a for a in cli._parser()._actions
+               if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_each_subcommand_takes_only_its_own_flags(capsys):
+    table = {name: tuple(f for f in SHARED if f in p._option_string_actions)
+             for name, p in _subcommands().items()}
+    assert table == OWN_FLAGS
+    for command, own in OWN_FLAGS.items():
+        for flag in SHARED:
+            argv = [command, *BASE[command], flag, GOOD_VALUE[flag]]
+            if flag in own:
+                code, out, err = run(capsys, *argv)
+                assert code == 0 and out, (argv, err)
+                continue
+            with pytest.raises(SystemExit) as e:
+                main(argv)
+            err = capsys.readouterr().err
+            assert e.value.code == 1, argv
+            assert "unrecognized arguments: " + flag in err, argv
+            assert "Traceback" not in err, argv
+
+
+def test_out_of_range_flag_values_exit_one(capsys):
+    for command, own in OWN_FLAGS.items():
+        for flag in own:
+            argv = [command, *BASE[command], flag, BAD_VALUE[flag]]
+            if flag == "--format":      # argparse rejects the choice
+                with pytest.raises(SystemExit) as e:
+                    main(argv)
+                code = e.value.code
+            else:                       # the range check in main
+                code = main(argv)
+            err = capsys.readouterr().err
+            assert code == 1, argv
+            assert "Traceback" not in err, argv
+
+
+def _pair(flag):
+    return lambda value: (flag, value)
+
+
+# own flags with valid values; --jobs stays 1, so no worker process starts
+_VALUES = {"--node-cap": st.integers(1, 200).map(str),
+           "--len-cap-factor": st.sampled_from(("1", "2")),
+           "--radius": st.integers(0, 3).map(str),
+           "--jobs": st.just("1"),
+           "--format": st.sampled_from(("table", "csv", "json"))}
+
+
+def _flags(command):
+    """Each own flag with a valid value or left out, then at most one
+    extra pair: an out-of-range own value or a foreign flag."""
+    own = OWN_FLAGS.get(command, ())
+    chosen = st.tuples(*(st.one_of(st.just(()), _VALUES[f].map(_pair(f)))
+                         for f in own))
+    bad = [(f, BAD_VALUE[f]) for f in own]
+    foreign = [(f, GOOD_VALUE[f]) for f in SHARED if f not in own]
+    extra = st.one_of(st.just(()), st.just(()),
+                      *(st.sampled_from(pairs) for pairs in (bad, foreign)
+                        if pairs))
+    return st.tuples(chosen, extra)
+
+
+_cases = _commands.flatmap(lambda c: st.tuples(st.just(c), _flags(c[0])))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(_commands, _budgets)
-def test_fuzzed_arguments_keep_the_exit_contract(command, budgets):
-    argv = list(command) + list(budgets[:-1]) + list(budgets[-1])
+@given(_cases)
+def test_fuzzed_arguments_keep_the_exit_contract(case):
+    command, (chosen, extra) = case
+    argv = list(command) + [x for pair in chosen for x in pair] + list(extra)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:

@@ -5,8 +5,7 @@ import pytest
 from kgroups.kernels import (GenWord, KernelGroup, identity_element,
                              standard_generators)
 from kgroups.metrics import (ambient_length, ball_profile, distance,
-                             distance_map, distortion_csv, distortion_table,
-                             h_family)
+                             distance_map, distortion_table, h_family)
 
 G = KernelGroup(2, 2, 2)
 B = standard_generators(G)
@@ -119,9 +118,6 @@ def test_distortion_table_and_csv():
     assert [r.ambient_length for r in rows] == [4, 8, 12]
     assert rows[0].status == "exact" and rows[0].value == 1
     assert rows[1].status == "lower-bound" and rows[1].value == 6
-    text = distortion_csv(rows)
-    assert text.splitlines()[0] == "n,ambient_length,status,value"
-    assert text.splitlines()[1] == "1,4,exact,1"
 
 
 def test_distance_requires_matching_shape():
