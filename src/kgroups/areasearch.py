@@ -31,11 +31,13 @@ I(child) = I(state) + I(v), whatever the position and however much the
 insertion reduces.  With step = max |I(v)| over the variants, the term
 ceil(|I(w)| / step) changes by at most 1 per unit-cost move and vanishes
 at the goal, so it is consistent and admissible, and so is the maximum of
-several such terms.  The search computes a state's invariant values once,
-when it settles the state; each child's bound is then a table lookup by
-variant index, and no child is rescanned.  The greedy probe scans only its
-start: down the dive, a child's values are its parent's plus the inserted
-variant's.
+several such terms.  A term that no variant moves (step 0) is conserved:
+presentations._heuristic_for reports an obstruction when it is nonzero on
+the start word and drops it otherwise.  The search computes a state's
+invariant values once, when it settles the state; each child's bound is
+then a table lookup by variant index, and no child is rescanned.  The
+greedy probe scans only its start: down the dive, a child's values are its
+parent's plus the inserted variant's.
 
 Seam lengths: the probe ranks children by length without building them.
 The state and the variant are reduced, so inserting v at position p can
@@ -78,9 +80,8 @@ class AdditiveHeuristic:
 
     gens lists the 0-based generators whose exponent sums are terms; plane
     is None or the pair (lx, ly) giving L(letter) for every letter byte.
-    Every term must be moved by some variant (a nonzero step): a term no
-    variant moves is a conserved quantity, which the caller turns into an
-    obstruction or drops.
+    values holds the package's one z_L loop.  bound and child_bounds need
+    every step nonzero: a conserved term is settled before the search.
     """
 
     __slots__ = ("gens", "plane", "steps", "deltas")
@@ -92,8 +93,6 @@ class AdditiveHeuristic:
         self.deltas = [self.values(v) for v in variants]
         self.steps = tuple(max((abs(d[t]) for d in self.deltas), default=0)
                            for t in range(len(self.gens) + (plane is not None)))
-        if not all(self.steps):
-            raise ValueError("every heuristic term needs a variant that moves it")
 
     def values(self, word: bytes) -> List[int]:
         """The invariant values of `word`, one per term."""

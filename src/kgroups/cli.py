@@ -235,6 +235,8 @@ def cmd_metric(args) -> _Outcome:
 
 
 def cmd_distortion(args) -> _Outcome:
+    if args.n_max < 1:
+        raise ValueError("--n-max must be at least 1")
     rows = distortion_table(range(1, args.n_max + 1), args.radius)
     header = ("n", "ambient_length", "status", "value")
     data = [list(r) for r in rows]

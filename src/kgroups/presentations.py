@@ -214,13 +214,6 @@ def _variants(P: Presentation) -> Tuple[List[bytes], List[Tuple[int, int, bytes]
     return variants, meta
 
 
-def _exponent_sums(data: bytes, rank: int) -> List[int]:
-    out = [0] * rank
-    for b in data:
-        out[b // 2] += 1 if b % 2 == 0 else -1
-    return out
-
-
 def _kernel_basis(rows: Sequence[Sequence[int]], rank: int) -> List[List[int]]:
     """Primitive integer vectors spanning {f : f . r = 0 for every row r}.
 
@@ -259,77 +252,58 @@ def _kernel_basis(rows: Sequence[Sequence[int]], rank: int) -> List[List[int]]:
     return basis
 
 
-def _pair_areas(data: bytes, images: Sequence[Sequence[int]], d: int) -> List[int]:
-    """Upper triangle of the word's antisymmetric pair-area matrix in Z^d.
-
-    Entry (i, j), i < j, is the sum over letters of p_i s_j - p_j s_i, with
-    s the letter's image and p the sum of the images before it.  For
-    L = (x, y) in these coordinates, z_L = sum over i < j of
-    (x_i y_j - x_j y_i) times entry (i, j).
-    """
-    p = [0] * d
-    a = [0] * (d * (d - 1) // 2)
-    for b in data:
-        s = images[b]
-        k = 0
-        for i in range(d):
-            pi, si = p[i], s[i]
-            for j in range(i + 1, d):
-                a[k] += pi * s[j] - p[j] * si
-                k += 1
-        for i in range(d):
-            p[i] += s[i]
-    return a
-
-
 # rows of the word's pair-area matrix tried as Heisenberg candidates, on
 # top of the first basis pair: the candidate set has at most 1 + _ROWS
 # members at any rank
 _ROWS = 3
 
 
-def _plane_term(P: Presentation, variants: Sequence[bytes], w: bytes
-                ) -> Tuple[Optional[Tuple[List[int], List[int]]], bool]:
+def _plane_term(P: Presentation, w: bytes
+                ) -> Optional[Tuple[List[int], List[int]]]:
     """Choose the Heisenberg map L for searching from w.
 
     L's two coordinates f, g range over the integer functionals that kill
     every relator's abelianization; in coordinates of the _kernel_basis of
-    those, L = (x, y) and z_L depends only on the minors of (x, y).  The
-    candidates are the first basis pair (e_0, e_1) and, for the _ROWS rows
-    i of w's pair-area matrix with the largest l1 norm, (e_i, sign of row
-    i), the choice that maximizes z_L(w) for that x.  Each is scored by
-    |z_L(w)| / max |z_L(variant)|, the best root bound wins and the first
-    wins ties.  Candidates with proportional minors score alike, so the
-    first of them stands for all; at dim K = 2 every candidate is
-    proportional to (e_0, e_1).
+    those, L = (x, y).  Entry (i, j) of w's pair-area matrix is z_L(w) for
+    the unit plane L = (e_i, e_j).  The candidates are the first basis pair
+    (e_0, e_1) and, for the _ROWS rows i of that matrix with the largest l1
+    norm, (e_i, sign of row i), the choice that maximizes z_L(w) for that x.
+    AdditiveHeuristic evaluates each on w and on the relators, and its
+    score is |z_L(w)| / step, step = max |z_L(relator)| = max |z_L(variant)|
+    (see _heuristic_for): the best root bound wins and the first wins ties.
+    A candidate that no variant moves is a conserved term: it wins outright
+    when w moves it, which _heuristic_for reports as an obstruction, and is
+    skipped when w does not.  At dim K = 2 every candidate is a multiple of
+    (e_0, e_1).
 
-    Returns (plane, obstructed): plane is (lx, ly), L of each letter byte,
-    or None when no candidate gives a term; obstructed is True when some
-    candidate has z_L = 0 on every variant but not on w, so no expression
-    exists at any length.
+    Returns L of each letter byte as the pair (lx, ly), or None when the
+    kernel has dimension < 2 or no candidate gives a term.
     """
     rank = P.group.rank
-    basis = _kernel_basis([_exponent_sums(r.data, rank) for r in P.relators], rank)
+    relators = [r.data for r in P.relators]
+    basis = _kernel_basis(AdditiveHeuristic(relators, range(rank)).deltas, rank)
     d = len(basis)
     if d < 2:
-        return None, False
-    images = []
-    for j in range(rank):
-        s = [f[j] for f in basis]
-        images.append(s)
-        images.append([-v for v in s])
-    word_areas = _pair_areas(w, images, d)
-    variant_areas = [_pair_areas(v, images, d) for v in variants]
+        return None
 
-    rows = [[0] * d for _ in range(d)]
-    k = 0
-    for i in range(d):
-        for j in range(i + 1, d):
-            rows[i][j], rows[j][i] = word_areas[k], -word_areas[k]
-            k += 1
+    def plane(x, y):
+        lx: List[int] = []
+        ly: List[int] = []
+        for j in range(rank):
+            f = sum(x[i] * basis[i][j] for i in range(d))
+            g = sum(y[i] * basis[i][j] for i in range(d))
+            lx += (f, -f)
+            ly += (g, -g)
+        return lx, ly
 
     def unit(i):
         return [int(k == i) for k in range(d)]
+
+    rows = [[0] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i + 1, d):
+            z = AdditiveHeuristic((), plane=plane(unit(i), unit(j))).values(w)[0]
+            rows[i][j], rows[j][i] = z, -z
 
     candidates = [(unit(0), unit(1))]
     order = sorted(range(d), key=lambda i: (-sum(map(abs, rows[i])), i))
@@ -337,29 +311,14 @@ def _plane_term(P: Presentation, variants: Sequence[bytes], w: bytes
         if any(rows[i]):
             candidates.append((unit(i), [(v > 0) - (v < 0) for v in rows[i]]))
 
-    best = None     # (|z(w)|, zmax, x, y)
+    best = None     # (|z(w)|, step, plane)
     for x, y in candidates:
-        m = [x[i] * y[j] - x[j] * y[i] for i in range(d) for j in range(i + 1, d)]
-        zw = abs(sum(a * b for a, b in zip(m, word_areas)))
-        zmax = max((abs(sum(a * b for a, b in zip(m, va)))
-                    for va in variant_areas), default=0)
-        if zmax == 0:
-            if zw:
-                return None, True
-            continue
-        if best is None or zw * best[1] > best[0] * zmax:
-            best = (zw, zmax, x, y)
-    if best is None:
-        return None, False
-    _, _, x, y = best
-    lx: List[int] = []
-    ly: List[int] = []
-    for j in range(rank):
-        f = sum(x[i] * basis[i][j] for i in range(d))
-        g = sum(y[i] * basis[i][j] for i in range(d))
-        lx += (f, -f)
-        ly += (g, -g)
-    return (lx, ly), False
+        heur = AdditiveHeuristic(relators, plane=plane(x, y))
+        zw = abs(heur.values(w)[0])
+        step = heur.steps[0]
+        if (zw or step) and (best is None or zw * best[1] > best[0] * step):
+            best = (zw, step, heur.plane)
+    return None if best is None else best[2]
 
 
 def _heuristic_for(P: Presentation, variants: Sequence[bytes], w: bytes
@@ -367,22 +326,26 @@ def _heuristic_for(P: Presentation, variants: Sequence[bytes], w: bytes
     """The additive heuristic for searching from w, or None and the reason
     no expression of w exists at any length.
 
-    Its terms are the exponent sums that some variant moves and the
-    Heisenberg term of _plane_term.  An invariant that no variant moves is
-    conserved by every move, so a nonzero value on w is an obstruction.
+    The terms are every generator's exponent sum, then the Heisenberg term
+    of _plane_term, and one rule settles each: a term that no variant moves
+    is conserved, so it is an obstruction when it is nonzero on w and is
+    dropped otherwise.  The exponent sums come first, so an abelianization
+    obstruction is reported before an area-cocycle one.  A variant is a
+    conjugate of a relator or its inverse, and each term sends relators to
+    the centre, so the relators give the variants' steps.
     """
     rank = P.group.rank
-    variant_sums = [_exponent_sums(v, rank) for v in variants]
-    moved = [j for j in range(rank) if any(s[j] for s in variant_sums)]
-    sums = _exponent_sums(w, rank)
-    if any(sums[j] for j in range(rank) if j not in moved):
-        return None, ("abelianization obstruction: no expression exists"
-                      " at any length")
-    plane, obstructed = _plane_term(P, variants, w)
-    if obstructed:
-        return None, ("area-cocycle obstruction: no expression exists"
-                      " at any length")
-    return AdditiveHeuristic(variants, moved, plane), ""
+    relators = [r.data for r in P.relators]
+    terms = AdditiveHeuristic(relators, range(rank), _plane_term(P, w))
+    kept = []
+    for t, (value, step) in enumerate(zip(terms.values(w), terms.steps)):
+        if step:
+            kept.append(t)
+        elif value:
+            kind = "abelianization" if t < rank else "area-cocycle"
+            return None, kind + " obstruction: no expression exists at any length"
+    plane = terms.plane if rank in kept else None
+    return AdditiveHeuristic(variants, [t for t in kept if t < rank], plane), ""
 
 
 class AreaResult:
@@ -593,6 +556,8 @@ def dehn_function(P: Presentation, n: int, *, node_cap: int = DEFAULT_NODE_CAP,
     demotes the result to a lower bound.  Enumeration cost is exponential
     in n -- this is a desk instrument for single digits.
     """
+    if n < 0:
+        raise ValueError("n must be at least 0")
     if P.evaluation is None:
         raise ValueError("dehn_function needs an evaluation oracle")
     words = _null_classes(P, n)

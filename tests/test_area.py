@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import random
@@ -276,3 +277,17 @@ def test_corrupted_path_is_rejected_under_optimize():
     assert len(lines) == 6
     assert lines[2:4] == ["h_2: (x^2 y^2 x^-2 y^-2, 1)", "toy: verified-bound"]
     assert all(line.startswith("rejected:") for line in lines[:2] + lines[4:])
+
+
+def test_the_package_has_no_assert_statement():
+    # python -O strips assert statements, so no check may live in one
+    pkg = os.path.dirname(kgroups.__file__)
+    names = sorted(n for n in os.listdir(pkg) if n.endswith(".py"))
+    assert "presentations.py" in names
+    found = []
+    for name in names:
+        with open(os.path.join(pkg, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        found += ["%s:%d" % (name, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert found == []

@@ -48,6 +48,8 @@ BAD = [
     ("certify", "--n", "0"),
     ("area", "--presentation", "< x, y | [x,y] >", "--word", "[x,y]",
      "--node-cap", "0"),
+    ("dehn", "--presentation", "< x, y | [x,y] >", "--n", "-1", "--abelian"),
+    ("distortion", "--n-max", "0"),
 ]
 
 
