@@ -13,7 +13,8 @@ rewrite_in_generators expresses arbitrary kernel elements over these
 symbols constructively: lift factors 2..n letter by letter, peel the
 above-r letters of the factor-1 residual as conjugates, collect what is
 left into conjugated basic commutators by adjacent transpositions, and
-finally translate each conjugator into kernel symbols.
+finally translate the conjugators into kernel symbols.  All of it works on
+reduced bytes (see _wordops_py), and the translation telescopes.
 
 Non-standard surjective maps are supported by changing basis in each free
 factor first (see abelian.normalize_basis) and transporting the result.
@@ -27,9 +28,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from . import _wordops_py as ops
 from .abelian import (AbelianVector, BasisChange, FactorHom, ab_image,
                       is_surjective, normalize_basis, standard_hom)
-from .words import FreeGroup, Letter, Word, commutator, conj, inv, mul
-from .words import reduce as reduce_word
-from .words import to_text
+from .words import FreeGroup, Word, commutator, inv, mul, to_text
 
 
 class ProductElement:
@@ -290,39 +289,31 @@ def standard_generators(G: KernelGroup) -> GeneratingSet:
 
 # -- the rewriting algorithm ------------------------------------------------
 
-def normalize_basic_commutator(group: FreeGroup, u: Letter, v: Letter
-                               ) -> Tuple[int, int, int, Word]:
-    """Express [e_p^sp, e_q^sq] (p != q) as a conjugate of a basic commutator.
+def _index_sign(c: int) -> Tuple[int, int]:
+    """The (generator index, sign) of letter byte c."""
+    return (c >> 1) + 1, -1 if c & 1 else 1
 
-    Returns (i, j, sign, w) with i < j such that
+
+def normalize_basic_commutator(u: int, v: int) -> Tuple[int, int, int, bytes]:
+    """Express [u, v] for letter bytes of distinct generators as a conjugate.
+
+    Returns (i, j, sign, w) with i < j and w reduced bytes such that
         [u, v]  =  w [e_i, e_j]^sign w^-1.
 
-    Uses, for i < j and a = e_i, b = e_j:
-        [a, b^-1]   = b^-1 [a,b]^-1 b
-        [a^-1, b]   = a^-1 [a,b]^-1 a
-        [a^-1, b^-1] = (b a)^-1 [a,b] (b a)
-    and [u, v] = [v, u]^-1 (conjugation commutes with inversion, so the
-    p > q case just flips the sign after swapping arguments).
+    With a, b the letters of e_i, e_j, w is the inverted letters among
+    b, a in that order, and each inverted letter flips the sign:
+        [a, b^-1] = b^-1 [a,b]^-1 b,   [a^-1, b] = a^-1 [a,b]^-1 a,
+        [a^-1, b^-1] = (b a)^-1 [a,b] (b a);
+    [u, v] = [v, u]^-1 flips it once more when u is the higher generator.
     """
-    (p, sp), (q, sq) = u, v
-    if p == q:
+    if u >> 1 == v >> 1:
         raise ValueError("need distinct generators")
-    sign = 1
-    if p > q:
-        (p, sp), (q, sq) = (q, sq), (p, sp)
-        sign = -1
-    if sp == 1 and sq == 1:
-        w = group.identity
-    elif sp == 1 and sq == -1:
-        w, sign = reduce_word(group, [(q, -1)]), -sign
-    elif sp == -1 and sq == 1:
-        w, sign = reduce_word(group, [(p, -1)]), -sign
-    else:
-        w = reduce_word(group, [(q, -1), (p, -1)])
-    return p, q, sign, w
+    a, b, sign = (u, v, 1) if u < v else (v, u, -1)
+    w = bytes(c for c in (b, a) if c & 1)
+    return (a >> 1) + 1, (b >> 1) + 1, sign * (-1) ** len(w), w
 
 
-def peel_high_letters(z: Word, r: int) -> Tuple[List[Tuple[Word, Letter]], Word]:
+def peel_high_letters(z: Word, r: int) -> Tuple[List[Tuple[bytes, int]], Word]:
     """Split off the letters above r as conjugates.
 
     If z = B0 R1 B1 ... RK BK with each Rt a letter e_k (k > r) and the Bt
@@ -331,27 +322,23 @@ def peel_high_letters(z: Word, r: int) -> Tuple[List[Tuple[Word, Letter]], Word]
         z  =  (RK)^{PK} (R_{K-1})^{P_{K-1}} ... (R1)^{P1} . B0 B1 ... BK
 
     (conjugation x^w = w x w^-1; proof: induct on K, the innermost
-    conjugator swallows everything to its left).  Returns the conjugate
-    list in that order plus the residual B0...BK, reduced.
+    conjugator swallows everything to its left).  Returns the (Pt, Rt)
+    byte pairs in that order (a prefix of a reduced word is reduced, so Pt
+    is a slice of z) plus the residual B0...BK, reduced.
     """
-    items: List[Tuple[Word, Letter]] = []
-    residual: List[Letter] = []
-    letters = z.letters
-    for t, (k, s) in enumerate(letters):
-        if k > r:
-            prefix = reduce_word(z.group, letters[:t])
-            items.append((prefix, (k, s)))
-        else:
-            residual.append((k, s))
+    data = z.data
+    items = [(data[:t], c) for t, c in enumerate(data) if c >= 2 * r]
     items.reverse()
-    return items, reduce_word(z.group, residual)
+    residual = bytes(c for c in data if c < 2 * r)
+    return items, Word(z.group, ops.free_reduce(residual))
 
 
-def collect_commutators(w: Word, r: int) -> List[Tuple[Word, int, int, int]]:
+def collect_commutators(w: Word, r: int) -> List[Tuple[bytes, int, int, int]]:
     """Write a zero-exponent-sum word over e_1..e_r as conjugated commutators.
 
-    Returns items (conj, i, j, sign), i < j, whose product in the given
-    order freely equals w:   w = prod of  conj [e_i,e_j]^sign conj^-1.
+    Returns items (conj, i, j, sign), i < j and conj reduced bytes, whose
+    product in the given order freely equals w:
+        w = prod of  conj [e_i,e_j]^sign conj^-1.
 
     Method: bubble toward sorted order.  One adjacent swap uses
         a b = b a . [a^-1, b^-1]
@@ -360,46 +347,45 @@ def collect_commutators(w: Word, r: int) -> List[Tuple[Word, int, int, int]]:
     Each swap keeps length and lowers the inversion count; free reduction
     after a swap lowers length; so (length, inversions) descends
     lexicographically and the loop stops.  A sorted reduced word whose
-    exponent sums all vanish is empty, which is where it stops.
+    exponent sums all vanish is empty, which is where it stops.  S is a
+    slice of the current word, so every piece stays reduced bytes.
     """
-    if any(k > r for k, _ in w.letters):
+    data = w.data
+    if any(c >= 2 * r for c in data):
         raise ValueError("letters above r must be peeled off first")
     for j in range(1, r + 1):
-        if sum(s for k, s in w.letters if k == j) != 0:
+        if data.count(2 * j - 2) != data.count(2 * j - 1):
             raise ValueError(f"exponent sum of e{j} must vanish")
-    group = w.group
-    emitted: List[Tuple[Word, int, int, int]] = []
-    cur = w
+    emitted: List[Tuple[bytes, int, int, int]] = []
+    cur = data
     while True:
-        letters = cur.letters
-        for t in range(len(letters) - 1):
-            (p, sp), (q, sq) = letters[t], letters[t + 1]
-            if p > q:
-                suffix = reduce_word(group, letters[t + 2:])
-                i, j, sign, c = normalize_basic_commutator(
-                    group, (p, -sp), (q, -sq))
-                emitted.append((mul(inv(suffix), c), i, j, sign))
-                cur = reduce_word(
-                    group, letters[:t] + ((q, sq), (p, sp)) + letters[t + 2:])
+        for t in range(len(cur) - 1):
+            a, b = cur[t], cur[t + 1]
+            if a >> 1 > b >> 1:
+                suffix = cur[t + 2:]
+                i, j, sign, c = normalize_basic_commutator(a ^ 1, b ^ 1)
+                emitted.append((ops.concat(ops.invert(suffix), c), i, j, sign))
+                cur = ops.concat(ops.concat(cur[:t], bytes((b, a))), suffix)
                 break
         else:
             break
-    if len(cur):
+    if cur:
         raise ValueError("collection left a nonempty sorted residue")
     emitted.reverse()
     return emitted
 
 
-def _conjugator_symbols(G: KernelGroup, c: Word) -> List[Tuple[str, int]]:
+def _conjugator_symbols(G: KernelGroup, c: bytes) -> List[Tuple[str, int]]:
     """Kernel symbols whose evaluation has factor-1 coordinate exactly c.
 
     Each letter e_j is replaced by a kernel element carrying e_j in factor
     1: the a<j>_2 generator when j <= r, else b<j>_1 b<j>_2^-1.  Since the
     conjugated element lives in factor 1 only, the junk the substitutes
-    carry in other factors conjugates the identity and vanishes.
+    carry in other factors conjugates the identity and vanishes.  The
+    substitution is a homomorphism, so c may be a product of conjugators.
     """
     out: List[Tuple[str, int]] = []
-    for j, s in c.letters:
+    for j, s in map(_index_sign, c):
         if j <= G.r:
             out.append((f"a{j}_2", s))
         elif s == 1:
@@ -411,12 +397,10 @@ def _conjugator_symbols(G: KernelGroup, c: Word) -> List[Tuple[str, int]]:
 
 def _rewrite_standard(G: KernelGroup, g: ProductElement) -> List[Tuple[str, int]]:
     """The three-stage rewriting over a standard-map kernel."""
-    syms: List[Tuple[str, int]] = []
-
     # stage 1: lift factors 2..n letter by letter
     lift: List[Tuple[str, int]] = []
     for i in range(2, G.n + 1):
-        for j, s in g.factors[i - 1].letters:
+        for j, s in map(_index_sign, g.factors[i - 1].data):
             if j <= G.r:
                 lift.append((f"a{j}_{i}", -s))
             else:
@@ -429,18 +413,23 @@ def _rewrite_standard(G: KernelGroup, g: ProductElement) -> List[Tuple[str, int]
 
     # stage 2: peel letters above r, then collect basic commutators
     peels, residual = peel_high_letters(z, G.r)
-    items: List[Tuple[Word, str, int]] = []
-    for prefix, (k, s) in peels:
+    items: List[Tuple[bytes, str, int]] = []
+    for prefix, c in peels:
+        k, s = _index_sign(c)
         items.append((prefix, f"b{k}_1", s))
     for cw, i, j, sign in collect_commutators(residual, G.r):
         items.append((cw, f"c{i}_{j}", sign))
 
-    # stage 3: conjugators into symbols
+    # stage 3: conjugators into symbols, telescoped as c_1 s_1 (c_1^-1 c_2)
+    # s_2 ... c_K^-1; GenWord's free reduction is unique, so the reduced
+    # symbol word is the one the untelescoped product reduces to
+    syms: List[Tuple[str, int]] = []
+    prev = b""
     for cw, name, sign in items:
-        gamma = _conjugator_symbols(G, cw)
-        syms.extend(gamma)
+        syms.extend(_conjugator_symbols(G, ops.concat(ops.invert(prev), cw)))
         syms.append((name, sign))
-        syms.extend((nm, -s) for nm, s in reversed(gamma))
+        prev = cw
+    syms.extend(_conjugator_symbols(G, ops.invert(prev)))
     syms.extend(lift)
     return syms
 

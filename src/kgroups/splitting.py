@@ -19,7 +19,6 @@ from typing import List, Tuple
 from .abelian import FactorHom
 from .kernels import KernelGroup, ProductElement, contains, evaluate, theta
 from .words import FreeGroup, Word, exponent_sum
-from .words import reduce as reduce_word
 
 
 class SplittingData:
@@ -93,8 +92,8 @@ def semidirect_decompose(D: SplittingData, gamma: ProductElement
         raise ValueError("shape mismatch")
     if not contains(D.group, gamma):
         raise ValueError("element is not in the kernel")
-    hat_word = reduce_word(D.hat_group,
-                           [(k, -s) for k, s in gamma.factors[-1].letters])
+    # flipping every sign keeps a reduced word reduced
+    hat_word = Word(D.hat_group, bytes(c ^ 1 for c in gamma.factors[-1].data))
     rest = gamma * ~D.eval_hat(hat_word)
     if rest.factors[-1]:
         raise ValueError("hat word must clear the last factor")

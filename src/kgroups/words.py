@@ -122,10 +122,8 @@ class Word:
         if k == 0:
             return self.group.identity
         base = self if k > 0 else inv(self)
-        out = base.data
-        for _ in range(abs(k) - 1):
-            out = ops.concat(out, base.data)
-        return Word(self.group, out)
+        # free reduction is unique: one pass equals k - 1 products
+        return Word(self.group, ops.free_reduce(base.data * abs(k)))
 
 
 def _check_same_group(u: Word, v: Word):
@@ -237,6 +235,8 @@ class WordParseError(ValueError):
 
 _INT_RE = re.compile(r"-?\d+")
 _IDENT_RE = re.compile(r"[A-Za-z0-9_]+")
+# the parser recurses per bracket: stay far below Python's recursion limit
+_MAX_NESTING = 100
 
 
 class _Parser:
@@ -244,6 +244,7 @@ class _Parser:
         self.group = group
         self.text = text
         self.pos = 0
+        self.depth = 0
         self.names = sorted(group._by_name, key=len, reverse=True)
 
     def error(self, message):
@@ -258,10 +259,14 @@ class _Parser:
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
     def parse_word(self, stop: str = "") -> Word:
+        if self.depth > _MAX_NESTING:
+            self.error(f"brackets nested too deeply (limit {_MAX_NESTING})")
+        self.depth += 1
         parts = self.group.identity
         while True:
             ch = self.peek()
             if ch == "" or ch in stop:
+                self.depth -= 1
                 return parts
             parts = mul(parts, self.parse_item())
 

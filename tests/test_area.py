@@ -291,3 +291,26 @@ def test_the_package_has_no_assert_statement():
         found += ["%s:%d" % (name, node.lineno) for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_the_package_imports_no_unused_name():
+    # an import nothing reads is dead weight (and hides a stale seam)
+    pkg = os.path.dirname(kgroups.__file__)
+    names = sorted(n for n in os.listdir(pkg)
+                   if n.endswith(".py") and n != "__init__.py")
+    assert "kernels.py" in names
+    unused = []
+    for name in names:
+        with open(os.path.join(pkg, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                    or getattr(node, "module", None) == "__future__"):
+                continue
+            for alias in node.names:
+                bound = (alias.asname or alias.name).split(".")[0]
+                if bound not in read:
+                    unused.append("%s:%s" % (name[:-3], bound))
+    assert unused == []

@@ -50,6 +50,11 @@ BAD = [
      "--node-cap", "0"),
     ("dehn", "--presentation", "< x, y | [x,y] >", "--n", "-1", "--abelian"),
     ("distortion", "--n-max", "0"),
+    # brackets nested deeper than Python's recursion limit allows
+    ("member", "--group", "K2_2_2",
+     "--element", "(" * 400 + "x" + ")" * 400 + " ; x^-1"),
+    ("area", "--word", "[x,y]",
+     "--presentation", "< x, y | " + "(" * 400 + "[x,y]" + ")" * 400 + " >"),
 ]
 
 

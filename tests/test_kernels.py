@@ -1,4 +1,6 @@
+import hashlib
 import random
+import types
 
 import pytest
 
@@ -7,6 +9,7 @@ from kgroups.kernels import (GenWord, KernelGroup, ProductElement, contains,
                              identity_element, random_kernel_element,
                              rewrite_in_generators, standard_generators,
                              theta)
+from kgroups.metrics import h_family
 from kgroups.words import FreeGroup, commutator, inv, parse_word
 
 
@@ -146,12 +149,56 @@ def test_random_elements_are_deterministic_in_the_seed():
 def test_collection_residue_is_a_value_error(monkeypatch):
     # a broken collection must surface as the ValueError the CLI turns into
     # exit 1, never as an AssertionError traceback: force a sorted residue
-    # by making every reduction in the collection loop return e_1
+    # by making every product in the collection loop return e_1
     from kgroups import kernels
     F2 = FreeGroup(2)
     w = parse_word(F2, "[e2, e1]")
-    real = kernels.reduce_word
-    monkeypatch.setattr(kernels, "reduce_word",
-                        lambda group, letters: real(group, [(1, 1)]))
+    real = kernels.ops
+    monkeypatch.setattr(kernels, "ops", types.SimpleNamespace(
+        invert=real.invert, free_reduce=real.free_reduce,
+        concat=lambda a, b: b"\x00"))
     with pytest.raises(ValueError, match="nonempty sorted residue"):
         kernels.collect_commutators(w, 2)
+
+
+def _pinned_cases(family):
+    if family == "h_n":
+        return [(K222, h_family(n)) for n in range(1, 33)]
+    if family == "custom-hom":
+        # the kernel and elements of test_custom_hom_kernel_round_trip
+        h = FactorHom(3, 2, [(1, 1), (0, 1), (1, 0)])
+        G = KernelGroup(2, 3, 2, homs=[h, h])
+        return [(G, G.element(["e1 e3^-1 e2^-1", "1"]))] + [
+            (G, random_kernel_element(G, 10, seed)) for seed in range(40)]
+    G = KernelGroup(*(int(c) for c in family[1:].split("_")))
+    return [(G, random_kernel_element(G, 6 + seed % 11, seed))
+            for seed in range(30)]
+
+
+# sha256 of the rewrites' to_text() lines, joined by newlines; the rewriter
+# promises exact output bytes (certify prints them), not just round trips
+PINNED_REWRITES = {
+    "h_n":
+        "63b89e7c5dec21791534d91caaee1961b61776955fa62cdbb657d7b3bdf8636b",
+    "K2_2_2":
+        "e9ea5077a1e258f6809dda53a76625b7f341e5ea461b463556da027a75ab4391",
+    "K3_2_2":
+        "c52bb77b6898213753a68a237e6c45dc9482b9d5078067d6f82f2d5e830565a4",
+    "K2_3_2":
+        "d5688dad2d48586cbda668b2c1ee04d08933d8c4726a491f57ead47bf4b17179",
+    "K2_3_3":
+        "0bc69793de80e95d25bcd9d7f1bb3b37bd270706680d1f65475e29aa483b49e6",
+    "custom-hom":
+        "41eb91d3a4e5522386e4b33f7fbceb6fc99b795818bd7932a0d2303e1e1750df",
+}
+
+
+@pytest.mark.parametrize("family", sorted(PINNED_REWRITES))
+def test_rewrite_output_is_pinned(family):
+    texts = []
+    for G, g in _pinned_cases(family):
+        w = rewrite_in_generators(G, g)
+        assert w.eval() == g
+        texts.append(w.to_text())
+    digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
+    assert digest == PINNED_REWRITES[family]

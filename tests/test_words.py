@@ -64,6 +64,16 @@ def test_powers():
     assert w ** 2 == parse_word(F2, "x y x y")
 
 
+@given(st.one_of(words(2, 12), st.just(parse_word(F2, "x y x^-1"))),
+       st.integers(-6, 6))
+def test_power_is_repeated_product(w, k):
+    # bases that are not cyclically reduced cancel across every seam
+    expect = F2.identity
+    for _ in range(abs(k)):
+        expect = mul(expect, w if k > 0 else inv(w))
+    assert w ** k == expect
+
+
 def test_commutator_and_conj():
     x, y = F2.gen(1), F2.gen(2)
     assert to_text(commutator(x, y)) == "x y x^-1 y^-1"
@@ -122,6 +132,18 @@ class TestParser:
             parse_word(F2, "q")
         # x/y aliases work on any group of rank >= 2, whatever the names
         assert parse_word(F3, "x") == F3.gen(1)
+
+    def test_deep_nesting_is_a_parse_error(self):
+        # the parser recurses per bracket: too deep must be a WordParseError,
+        # not a RecursionError
+        assert parse_word(F2, "(" * 100 + "x" + ")" * 100) == F2.gen(1)
+        for text in ["(" * 101 + "x" + ")" * 101,
+                     "x " + "[" * 400 + "x" + ", y]" * 400]:
+            with pytest.raises(WordParseError, match="nested too deeply"):
+                parse_word(F2, text)
+        with pytest.raises(WordParseError) as e:
+            parse_word(F2, "(" * 400 + "x" + ")" * 400)
+        assert e.value.col == 102
 
 
 @given(words(2, 25))
