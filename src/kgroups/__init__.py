@@ -34,7 +34,7 @@ from .presentations import (AreaResult, DehnResult, Evaluation,
 from .metrics import (DistanceResult, DistortionRow, ambient_length,
                       ball_profile, distance, distance_map,
                       distortion_table, h_family)
-from .certificates import (AmalgamScenario, BudgetError, CertificateError,
+from .certificates import (AmalgamScenario, CertificateError,
                            CertificateReport, ToyAmalgamReport,
                            derive_null_expression, distortion_test_words,
                            letter_length, lower_bound_report,
@@ -67,7 +67,7 @@ __all__ = [
     "DistanceResult", "DistortionRow", "ambient_length", "ball_profile",
     "distance", "distance_map", "distortion_table", "h_family",
     # certificates
-    "AmalgamScenario", "BudgetError", "CertificateError", "CertificateReport",
+    "AmalgamScenario", "CertificateError", "CertificateReport",
     "ToyAmalgamReport", "derive_null_expression", "distortion_test_words",
     "letter_length", "lower_bound_report", "pair_presentation",
     "substitution_split", "test_word", "toy_amalgam_check", "toy_scenario",

@@ -5,8 +5,8 @@ byte 2*(j-1)+1, so a letter and its inverse differ exactly in the lowest
 bit and `a ^ b == 1` tests cancellation.
 
 This is the package's only word kernel.  `words`, `presentations`,
-`areasearch`, `metrics` and `kernels` import it under the name `ops`, the
-name perfbench's tracer swaps for a timing handle.
+`areasearch`, `metrics` and `kernels` import it as `ops`; perfbench's
+tracer swaps that name for a timing handle in the first three only.
 """
 
 from __future__ import annotations

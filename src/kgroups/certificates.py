@@ -31,15 +31,8 @@ from .kernels import (GenWord, GeneratingSet, KernelGroup, ProductElement,
 from .metrics import _ball_search, distance, h_family
 from .presentations import (DEFAULT_NODE_CAP, AreaResult, CertificateError,
                             Evaluation, NullExpression, Presentation,
-                            area_search, verify_null_expression)
-
-
-class BudgetError(CertificateError):
-    """A verifier ran out of search budget before reaching a verdict.
-
-    Distinct from CertificateError so callers can tell "don't know"
-    apart from "checked and false".
-    """
+                            _heuristic_for, _variants, area_search,
+                            verify_null_expression)
 
 
 def _sha256_of(obj) -> str:
@@ -418,15 +411,16 @@ class CertificateReport:
             "utf-8") + b"\n"
 
 
-def lower_bound_report(n: int, *, node_cap: int = DEFAULT_NODE_CAP
-                       ) -> CertificateReport:
+def lower_bound_report(n: int) -> CertificateReport:
     """Assemble the certified chain for one n; raise on any red verifier.
 
     The chain: the test word's hypotheses hold; a kernel word for h_n
-    splits and deletes into a verified null expression; the minimal area
-    of [x^n, y^n] is exactly n^2; therefore every kernel word for h_n
-    carries at least n^2 commutator symbols and the subgroup distance is
-    at least n^2, giving the area bound 2n * n^2 for the test word.
+    splits and deletes into a verified null expression with n^2 items;
+    the area search's root bound for [x^n, y^n] (its Heisenberg term) is
+    n^2 at any word length, so with no search that expression witnesses
+    the minimal area n^2; therefore every kernel word for h_n carries at
+    least n^2 commutator symbols and the subgroup distance is at least
+    n^2, giving the area bound 2n * n^2 for the test word.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -474,24 +468,21 @@ def lower_bound_report(n: int, *, node_cap: int = DEFAULT_NODE_CAP
          "commutator_occurrences": sum(1 for name, _ in wB.syms
                                        if name == "c1_2")}))
 
-    # area fact
+    # area fact: the deletion expression meets the search's root bound
     P = pair_presentation()
     target = parse_word(P.group, "[x^%d, y^%d]" % (n, n))
-    res = area_search(P, target, node_cap=node_cap)
-    if res.status != "exact":
-        raise BudgetError(
-            "area-fact: search exhausted before settling [x^%d, y^%d]"
-            % (n, n))
-    if res.area != n * n:
+    heur = _heuristic_for(P, _variants(P)[0], target.data)[0]
+    root = heur.bound(heur.values(target.data))
+    if not root == expr.area == n * n:
         raise CertificateError(
-            "area-fact: minimal area %d does not match n^2" % res.area)
+            "area-fact: root bound %d and expression area %d do not both"
+            " match n^2 = %d" % (root, expr.area, n * n))
     evidence.append(_evidence(
         "area-fact",
-        {"presentation": P.to_text(), "word": to_text(target),
-         "node_cap": node_cap},
+        {"presentation": P.to_text(), "word": to_text(target)},
         "verified",
-        {"area": res.area, "unconditional": res.unconditional,
-         "witness": res.witness.to_json()}))
+        {"area": expr.area, "unconditional": True,
+         "witness": expr.to_json()}))
 
     # direct ball-search evidence where feasible
     if n <= 2:

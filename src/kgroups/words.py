@@ -237,6 +237,8 @@ _INT_RE = re.compile(r"-?\d+")
 _IDENT_RE = re.compile(r"[A-Za-z0-9_]+")
 # the parser recurses per bracket: stay far below Python's recursion limit
 _MAX_NESTING = 100
+# letters in any product the parser builds, before reduction
+_MAX_LETTERS = 1 << 20
 
 
 class _Parser:
@@ -254,6 +256,10 @@ class _Parser:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
 
+    def check_length(self, letters: int):
+        if letters > _MAX_LETTERS:
+            self.error(f"word too long (limit {_MAX_LETTERS} letters)")
+
     def peek(self):
         self.skip_ws()
         return self.text[self.pos] if self.pos < len(self.text) else ""
@@ -268,7 +274,9 @@ class _Parser:
             if ch == "" or ch in stop:
                 self.depth -= 1
                 return parts
-            parts = mul(parts, self.parse_item())
+            item = self.parse_item()
+            self.check_length(len(parts.data) + len(item.data))
+            parts = mul(parts, item)
 
     def parse_item(self) -> Word:
         atom = self.parse_atom()
@@ -280,7 +288,9 @@ class _Parser:
             if not m:
                 self.error("expected an integer exponent after '^'")
             self.pos = m.end()
-            return atom ** int(m.group())
+            k = int(m.group())
+            self.check_length(len(atom.data) * abs(k))
+            return atom ** k
         return atom
 
     def parse_atom(self) -> Word:
@@ -295,6 +305,7 @@ class _Parser:
             if self.peek() != "]":
                 self.error("expected ']' closing commutator")
             self.pos += 1
+            self.check_length(2 * (len(left.data) + len(right.data)))
             return commutator(left, right)
         if ch == "(":
             self.pos += 1

@@ -254,6 +254,17 @@ for path, m in (([(0, 0)], meta), ([(0, undo)], flipped)):
 from kgroups import certificates, metrics
 print("h_2:", metrics.h_family(2))
 print("toy:", certificates.toy_amalgam_check(1, 1).status)
+# a deletion expression one item short of n^2 misses the root bound
+from kgroups.presentations import NullExpression
+derive = certificates.derive_null_expression
+certificates.derive_null_expression = \
+    lambda w, n: NullExpression(derive(w, n).items[1:])
+try:
+    certificates.lower_bound_report(2)
+except CertificateError as e:
+    print("rejected:", e)
+else:
+    print("accepted")
 metrics.contains = lambda group, g: False
 certificates._ball_search = lambda ident, moves, radius, target: ({}, None, 0)
 for call in (lambda: metrics.h_family(2),
@@ -274,8 +285,9 @@ def test_corrupted_path_is_rejected_under_optimize():
                          env=env, capture_output=True, text=True, timeout=60)
     assert res.returncode == 0, res.stderr
     lines = res.stdout.splitlines()
-    assert len(lines) == 6
+    assert len(lines) == 7
     assert lines[2:4] == ["h_2: (x^2 y^2 x^-2 y^-2, 1)", "toy: verified-bound"]
+    assert lines[4].startswith("rejected: area-fact:")
     assert all(line.startswith("rejected:") for line in lines[:2] + lines[4:])
 
 

@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from kgroups.certificates import (AmalgamScenario, BudgetError,
-                                  CertificateError, derive_null_expression,
+from kgroups import certificates
+from kgroups.certificates import (AmalgamScenario, CertificateError,
+                                  derive_null_expression,
                                   distortion_test_words, letter_length,
                                   lower_bound_report, pair_presentation,
                                   substitution_split, test_word,
@@ -188,8 +189,26 @@ def test_lower_bound_report_rejects_bad_n():
         lower_bound_report(0)
 
 
-def test_budget_error_is_a_certificate_error():
-    # callers separate "ran out of budget" from "checked and false";
-    # the area facts this family needs are settled by the probe, so the
-    # budget path only fires on searches without a perfect heuristic
-    assert issubclass(BudgetError, CertificateError)
+def test_area_fact_is_the_deletion_expression():
+    P = pair_presentation()
+    for n in range(1, 33):
+        evidence = {e["verifier"]: e for e in lower_bound_report(n).evidence}
+        fact = evidence["area-fact"]
+        word = to_text(P.word("[x^%d, y^%d]" % (n, n)))
+        assert fact["inputs"] == {"presentation": P.to_text(),
+                                  "word": word}, n
+        assert fact["details"]["area"] == n * n, n
+        assert fact["details"]["unconditional"] is True, n
+        deletion = evidence["commutator-deletion"]
+        assert deletion["details"]["expression_area"] == n * n, n
+        wB = rewrite_in_generators(G, h_family(n, G))
+        assert fact["details"]["witness"] == \
+            derive_null_expression(wB, n).to_json(), n
+
+
+def test_lower_bound_report_runs_no_area_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("lower_bound_report ran an area search")
+    monkeypatch.setattr(certificates, "area_search", refuse)
+    rep = lower_bound_report(32)
+    assert rep.area_bound == 2 * 32 ** 3

@@ -1,7 +1,10 @@
 import argparse
 import contextlib
 import io
+import itertools
 import json
+import os
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -55,6 +58,9 @@ BAD = [
      "--element", "(" * 400 + "x" + ")" * 400 + " ; x^-1"),
     ("area", "--word", "[x,y]",
      "--presentation", "< x, y | " + "(" * 400 + "[x,y]" + ")" * 400 + " >"),
+    # an exponent too large to allocate
+    ("member", "--group", "K2_2_2", "--element",
+     "x^99999999999999999999 ; 1"),
 ]
 
 
@@ -188,7 +194,7 @@ def test_byte_determinism(capsys):
 
 
 def test_certify_runs_to_the_end_at_n_32(capsys):
-    # the area fact's probe dives to depth n^2 = 1024
+    # the largest n the benchmark certifies
     code, out, err = run(capsys, "certify", "--n", "32")
     assert code == 0, err
     assert json.loads(out)["area_bound"] == 2 * 32 ** 3
@@ -294,7 +300,7 @@ OWN_FLAGS = {
     "dehn": ("--node-cap", "--len-cap-factor", "--jobs", "--format"),
     "metric": ("--radius", "--format"),
     "distortion": ("--radius", "--format"),
-    "certify": ("--node-cap", "--format"),
+    "certify": ("--format",),
     "toy-amalgam": ("--node-cap", "--format"),
 }
 # a cheap valid call of each subcommand
@@ -341,6 +347,27 @@ def test_each_subcommand_takes_only_its_own_flags(capsys):
             assert e.value.code == 1, argv
             assert "unrecognized arguments: " + flag in err, argv
             assert "Traceback" not in err, argv
+
+
+def _readme_flag_table():
+    """subcommand -> flags, from the table in README's Command line section."""
+    path = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                        "README.md")
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    start = lines.index("| subcommand | flags |") + 2
+    table = {}
+    for line in itertools.takewhile(lambda l: l.startswith("|"),
+                                    lines[start:]):
+        names, flags = (re.findall(r"`([^`]+)`", cell)
+                        for cell in line.split("|")[1:3])
+        for name in names:
+            table[name] = tuple(flags)
+    return table
+
+
+def test_readme_flag_table_matches_the_parser():
+    assert _readme_flag_table() == OWN_FLAGS
 
 
 def test_out_of_range_flag_values_exit_one(capsys):

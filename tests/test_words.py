@@ -145,6 +145,16 @@ class TestParser:
             parse_word(F2, "(" * 400 + "x" + ")" * 400)
         assert e.value.col == 102
 
+    def test_overlong_words_are_a_parse_error(self):
+        # short text must not allocate a huge word: an exponent past what
+        # fits in memory, and k nested commutators (2^(k+1) letters)
+        assert len(parse_word(F2, "x^1000").data) == 1000
+        for text in ["x^99999999999999999999", "y^-99999999999999999999",
+                     "[" * 20 + "x" + ", y]" * 20,
+                     "(x^1048576) x"]:
+            with pytest.raises(WordParseError, match="word too long"):
+                parse_word(F2, text)
+
 
 @given(words(2, 25))
 def test_text_round_trip(w):
