@@ -28,7 +28,7 @@ from .words import (FreeGroup, Word, commutator, inv, mul, parse_word,
 from .kernels import (GenWord, GeneratingSet, KernelGroup, ProductElement,
                       evaluate, identity_element, rewrite_in_generators,
                       standard_generators)
-from .metrics import _ball_search, distance, h_family
+from .metrics import _ball_search, ball_key, distance, h_family
 from .presentations import (DEFAULT_NODE_CAP, AreaResult, CertificateError,
                             Evaluation, NullExpression, Presentation,
                             _heuristic_for, _variants, area_search,
@@ -352,8 +352,9 @@ def toy_amalgam_check(k: int, n: int, *, node_cap: int = DEFAULT_NODE_CAP,
     tword = test_word(scen.w, scen.u, scen.v, n)
 
     edge = scen.edge_element
-    _, hit, _ = _ball_search(identity_element(2, 2).key(),
-                             [edge.key(), (~edge).key()], k + 1, scen.h.key())
+    _, hit, _ = _ball_search(ball_key(identity_element(2, 2)),
+                             [edge.key(), (~edge).key()], k + 1,
+                             (ball_key(scen.h),))
     if hit is None:
         raise CertificateError("edge power must be reachable")
     required = 2 * n * hit

@@ -1,13 +1,14 @@
 """Word metrics on kernel subgroups and distortion experiments.
 
 The intrinsic metric ``d_B`` on a subgroup is computed by breadth-first
-search over the implicit Cayley graph: states are raw keys (tuples of
-reduced factor words as bytes), and an edge is right multiplication by a
-generator or its inverse, done factor by factor with the word kernel's
-``concat``, so the search builds no group objects per edge.  Equality of
-states is componentwise free equality, which is exact and cheap, so no
-quotient trickery is needed.  One search serves ``distance``,
-``ball_profile`` and ``distance_map``.
+search over the implicit Cayley graph: a state is one ``bytes`` key, the
+element's reduced factor words joined by the separator byte ``SEP``, and
+an edge is right multiplication by a generator or its inverse, done
+factor by factor with the word kernel's ``concat``, so the search builds
+no group objects per edge.  Equality of states is componentwise free
+equality, which is exact and cheap, so no quotient trickery is needed.
+One search serves ``distance``, ``ball_profile``, ``distance_map`` and
+``distortion_table``.
 
 A failed search is still a certificate: if the ball of radius ``r`` is
 exhausted without meeting the target, the distance is provably ``> r``.
@@ -20,10 +21,11 @@ metric of the enclosing product of free groups along the test family
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (Collection, Dict, Iterable, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from . import _wordops_py as ops
-from .words import commutator
+from .words import _MAX_LETTERS, commutator
 from .kernels import (
     GeneratingSet,
     KernelGroup,
@@ -33,7 +35,16 @@ from .kernels import (
     standard_generators,
 )
 
-Key = Tuple[bytes, ...]
+# A ball key: the reduced factor words joined by SEP.  Letter bytes are at
+# most 2 * words._MAX_RANK - 1 = 253, so SEP is never a letter and the join
+# is injective.
+Key = bytes
+SEP = b"\xff"
+
+
+def ball_key(g: ProductElement) -> Key:
+    """The ball search's key for ``g``."""
+    return SEP.join(g.key())
 
 
 class DistanceResult(NamedTuple):
@@ -59,9 +70,10 @@ class DistanceResult(NamedTuple):
         )
 
 
-def _moves(gens: GeneratingSet) -> List[Key]:
-    """Keys of the generator realizations and their inverses, in a fixed order."""
-    out: List[Key] = []
+def _moves(gens: GeneratingSet) -> List[Tuple[bytes, ...]]:
+    """Generator realizations and their inverses as factor-word tuples, in
+    a fixed order."""
+    out: List[Tuple[bytes, ...]] = []
     for sym in gens.symbols:
         g = gens.realization[sym]
         out.append(g.key())
@@ -71,48 +83,60 @@ def _moves(gens: GeneratingSet) -> List[Key]:
 
 def _ball_search(
     ident: Key,
-    moves: Sequence[Key],
+    moves: Sequence[Tuple[bytes, ...]],
     radius: int,
-    target_key: Optional[Key],
+    targets: Collection[Key] = (),
 ) -> Tuple[Dict[Key, int], Optional[int], int]:
     """Breadth-first enumeration of the ball around ``ident``.
 
-    States are keys; the child of ``g`` along a move is the factorwise
-    reduced concatenation of ``g`` and the move's key.  Returns
-    ``(depths, hit_depth, explored)``: ``depths`` maps every element seen
-    to its exact distance, in discovery order, and ``explored`` is its
-    size.  A search with a target stops the moment the target is seen, so
-    ``depths`` then holds only part of the last shell.  The enumeration
-    is serial and the move order fixed, so outcomes are deterministic.
+    States are joined keys (see ``SEP``); a move is a tuple of factor
+    words, and the child of ``g`` along it joins the factorwise reduced
+    concatenations of ``g``'s factors and the move's.  Returns
+    ``(depths, hit, explored)``: ``depths`` maps every element seen to its
+    exact distance, in discovery order, and ``explored`` is its size.  A
+    search with targets stops the moment the last of them is seen, so
+    ``depths`` then holds only part of the last shell; ``hit`` is that
+    target's depth, and ``None`` when there are no targets or some target
+    lies outside the ball.
+    The enumeration is serial and the move order fixed, so outcomes are
+    deterministic.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     depths = {ident: 0}
-    if target_key == ident:
+    left = set(targets)
+    left.discard(ident)
+    if targets and not left:
         return depths, 0, 1
-    concat = ops.concat
+    concat, join = ops.concat, SEP.join
     frontier = [ident]
     for depth in range(1, radius + 1):
+        # the last shell is never expanded, so it is not kept
+        grow = depth < radius
         nxt: List[Key] = []
         for g in frontier:
+            factors = g.split(SEP)
             for mv in moves:
-                h = tuple(map(concat, g, mv))
+                h = join(map(concat, factors, mv))
                 if h in depths:
                     continue
                 depths[h] = depth
-                if h == target_key:
-                    return depths, depth, len(depths)
-                nxt.append(h)
+                if h in left:
+                    left.remove(h)
+                    if not left:
+                        return depths, depth, len(depths)
+                if grow:
+                    nxt.append(h)
         if not nxt:
             break
         frontier = nxt
     return depths, None, len(depths)
 
 
-def _ball(gens: GeneratingSet, radius: int, target_key: Optional[Key] = None
+def _ball(gens: GeneratingSet, radius: int, targets: Collection[Key] = ()
           ) -> Tuple[Dict[Key, int], Optional[int], int]:
-    ident = identity_element(gens.group.n, gens.group.m).key()
-    return _ball_search(ident, _moves(gens), radius, target_key)
+    ident = ball_key(identity_element(gens.group.n, gens.group.m))
+    return _ball_search(ident, _moves(gens), radius, targets)
 
 
 def distance(
@@ -126,7 +150,7 @@ def distance(
     """
     if target.n != gens.group.n or target.m != gens.group.m:
         raise ValueError("target has the wrong ambient product shape")
-    _, hit, explored = _ball(gens, max_radius, target.key())
+    _, hit, explored = _ball(gens, max_radius, (ball_key(target),))
     if hit is not None:
         return DistanceResult(True, hit, max_radius, explored)
     return DistanceResult(False, max_radius, max_radius, explored)
@@ -144,14 +168,16 @@ def ball_profile(gens: GeneratingSet, radius: int) -> List[int]:
     return shells
 
 
-def distance_map(gens: GeneratingSet, radius: int) -> Dict[Key, int]:
+def distance_map(gens: GeneratingSet, radius: int
+                 ) -> Dict[Tuple[bytes, ...], int]:
     """All elements of the radius-``radius`` ball with exact distances.
 
-    Useful for property checks (symmetry, triangle inequality) that need
-    many distances at once rather than one target.
+    Keys are ``ProductElement.key()`` tuples, in discovery order.  Useful
+    for property checks (symmetry, triangle inequality) that need many
+    distances at once rather than one target.
     """
     depths, _, _ = _ball(gens, radius)
-    return depths
+    return {tuple(key.split(SEP)): d for key, d in depths.items()}
 
 
 def ambient_length(g: ProductElement) -> int:
@@ -167,10 +193,13 @@ def h_family(n: int, group: Optional[KernelGroup] = None) -> ProductElement:
     """The distortion test element ``h_n = ([x^n, y^n], 1)``.
 
     Lives in the kernel of the rank-2 map on a product of two rank-2
-    free groups; raises ``ValueError`` for ``n < 1``.
+    free groups; raises ``ValueError`` for ``n < 1``, and when its 4n
+    letters exceed the parser's word-length cap.
     """
     if n < 1:
         raise ValueError("h_n is defined for n >= 1")
+    if 4 * n > _MAX_LETTERS:
+        raise ValueError(f"h_{n} is too long (limit {_MAX_LETTERS} letters)")
     if group is None:
         group = KernelGroup(2, 2, 2)
     if (group.n, group.m, group.r) != (2, 2, 2):
@@ -197,18 +226,28 @@ def distortion_table(n_range: Iterable[int], radius_budget: int
 
     For each ``n``, reports the exact subgroup distance when the ball
     search finds ``h_n`` within ``radius_budget``, and otherwise the
-    certified lower bound ``distance >= radius_budget + 1``.
+    certified lower bound ``distance >= radius_budget + 1``.  One search
+    serves every ``n``: it stops once all the ``h_n`` are met.
     """
     gens = standard_generators(KernelGroup(2, 2, 2))
-    rows: List[DistortionRow] = []
+    # a ball element is at most radius * (longest move) letters long, so a
+    # longer h_n lies outside the ball and its key need not be kept
+    reach = radius_budget * max(sum(map(len, mv)) for mv in _moves(gens))
+    sized: List[Tuple[int, int, Optional[Key]]] = []
     for n in n_range:
         h = h_family(n, gens.group)
-        res = distance(gens, h, radius_budget)
-        if res.found:
-            rows.append(DistortionRow(n, ambient_length(h), "exact", res.value))
+        length = ambient_length(h)
+        sized.append((n, length, ball_key(h) if length <= reach else None))
+    if not sized:
+        return []
+    depths, _, _ = _ball(gens, radius_budget,
+                         {key for _, _, key in sized if key is not None})
+    rows: List[DistortionRow] = []
+    for n, length, key in sized:
+        d = depths.get(key)
+        if d is not None:
+            rows.append(DistortionRow(n, length, "exact", d))
         else:
-            rows.append(
-                DistortionRow(n, ambient_length(h), "lower-bound", res.radius + 1)
-            )
+            rows.append(DistortionRow(n, length, "lower-bound",
+                                      radius_budget + 1))
     return rows
-

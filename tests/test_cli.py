@@ -113,6 +113,15 @@ def test_parser_is_built_once_and_leaks_no_flags(capsys):
     assert "radius = 6\n" in again[1][1] and "radius = 6\n" in again[5][1]
 
 
+def test_h_family_targets_respect_the_word_length_cap(capsys):
+    # h(262145) has 4 * 262145 letters, just over the 2^20 cap
+    for argv in (("metric", "--group", "K2_2_2", "--target", "h(262145)"),
+                 ("certify", "--n", "262145")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "", argv
+        assert "too long" in err and "Traceback" not in err, argv
+
+
 def test_parse_errors_name_the_position(capsys):
     code, out, err = run(capsys, "member", "--group", "K2_2_2",
                          "--element", "x (y ; 1")

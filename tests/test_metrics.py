@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -18,6 +19,9 @@ def test_h_family_elements():
         assert ambient_length(h_family(n)) == 4 * n
     with pytest.raises(ValueError):
         h_family(0)
+    # 4n letters just over the parser's cap of 2^20
+    with pytest.raises(ValueError, match="too long"):
+        h_family(262145)
 
 
 def test_distance_of_identity_and_h1():
@@ -182,3 +186,38 @@ def test_raw_key_search_matches_the_product_search(shape, radius):
         want = ((True, ref[key], order[key]) if key in ref
                 else (False, radius, len(ref)))
         assert (res.found, res.value, res.explored) == want
+
+
+def test_joined_key_is_injective_at_the_top_rank():
+    # rank 127 puts letters on bytes up to 253, next to the b"\xff" separator
+    gens = standard_generators(KernelGroup(2, 127, 1))
+    ref = _reference_ball(gens, 1)
+    dm = distance_map(gens, 1)
+    assert len(ref) == 507
+    assert max(max(w, default=0) for key in ref for w in key) == 253
+    assert dm == ref and list(dm) == list(ref)
+
+
+def test_ball_memory_per_key():
+    # one joined bytes key per element: about 127 traced bytes per key, where
+    # a tuple of per-factor bytes (with the last shell queued) took 203-207
+    h = h_family(2)
+    tracemalloc.start()
+    try:
+        res = distance(B, h, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.explored == 23285
+    assert peak / res.explored < 160
+
+
+def test_distortion_table_matches_one_search_per_n():
+    for radius in (0, 1, 3, 5):
+        rows = distortion_table(range(1, 7), radius)
+        for row in rows:
+            res = distance(B, h_family(row.n), radius)
+            want = (("exact", res.value) if res.found
+                    else ("lower-bound", radius + 1))
+            assert (row.status, row.value) == want
+    assert distortion_table([], 3) == []
