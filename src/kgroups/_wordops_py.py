@@ -7,11 +7,18 @@ bit and `a ^ b == 1` tests cancellation.
 This is the package's only word kernel.  `words`, `presentations`,
 `areasearch`, `metrics` and `kernels` import it as `ops`; perfbench's
 tracer swaps that name for a timing handle in the first three only.
+
+`right_step(w)` builds the map x -> concat(x, w) for one fixed nonempty
+word, so a caller that multiplies by the same word many times (the
+Cayley-ball search, once per move and factor) pays for no general seam
+loop: for a single letter the step drops x's last letter or appends the
+letter, and for a longer word it calls `concat` only when the seam
+cancels.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 BACKEND = "python"
 
@@ -50,6 +57,15 @@ def concat(a: bytes, b: bytes) -> bytes:
         i -= 1
         j += 1
     return a[:i] + b[j:]
+
+
+def right_step(w: bytes) -> Callable[[bytes], bytes]:
+    """The map x -> concat(x, w) for reduced x, specialised to the nonempty
+    reduced word w."""
+    inv_first = w[0] ^ 1
+    if len(w) == 1:
+        return lambda x: x[:-1] if x and x[-1] == inv_first else x + w
+    return lambda x: concat(x, w) if x and x[-1] == inv_first else x + w
 
 
 def insert_reduce(word: bytes, pos: int, rv: bytes) -> bytes:

@@ -75,14 +75,22 @@ def standard_hom(m: int, r: int) -> FactorHom:
 
 
 def ab_image(h: FactorHom, w: Word) -> AbelianVector:
-    """Image of a word: the signed sum of its letters' image vectors."""
+    """Image of a word: the signed sum of its letters' image vectors.
+
+    Each distinct letter byte is counted once with ``bytes.count``, so the
+    work per letter runs in C.
+    """
     if w.group.rank != h.rank:
         raise ValueError(f"rank mismatch: word has {w.group.rank}, hom has {h.rank}")
     out = [0] * h.target_rank
-    for j, sign in w.letters:
-        row = h.images[j - 1]
-        for c in range(h.target_rank):
-            out[c] += sign * row[c]
+    data = w.data
+    # letter byte b is generator b // 2 + 1, inverted when b is odd
+    for b in set(data):
+        k = data.count(b)
+        if b & 1:
+            k = -k
+        for c, v in enumerate(h.images[b >> 1]):
+            out[c] += k * v
     return tuple(out)
 
 

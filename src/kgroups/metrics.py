@@ -3,12 +3,16 @@
 The intrinsic metric ``d_B`` on a subgroup is computed by breadth-first
 search over the implicit Cayley graph: a state is one ``bytes`` key, the
 element's reduced factor words joined by the separator byte ``SEP``, and
-an edge is right multiplication by a generator or its inverse, done
-factor by factor with the word kernel's ``concat``, so the search builds
-no group objects per edge.  Equality of states is componentwise free
-equality, which is exact and cheap, so no quotient trickery is needed.
-One search serves ``distance``, ``ball_profile``, ``distance_map`` and
-``distortion_table``.
+an edge is right multiplication by a generator or its inverse.  Each
+search first builds a step plan: for every move, the factors it changes,
+each with a step specialised to the move's word there (the word kernel's
+``right_step``), so an edge touches only those factors and builds no group
+objects.  Moves come in inverse pairs, ``moves[i ^ 1]`` undoing
+``moves[i]``; the search checks this and never takes the move back to a
+node's parent, whose result it has already seen.  Equality of states is
+componentwise free equality, which is exact and cheap, so no quotient
+trickery is needed.  One search serves ``distance``, ``ball_profile``,
+``distance_map`` and ``distortion_table``.
 
 A failed search is still a certificate: if the ball of radius ``r`` is
 exhausted without meeting the target, the distance is provably ``> r``.
@@ -21,6 +25,7 @@ metric of the enclosing product of free groups along the test family
 
 from __future__ import annotations
 
+from array import array
 from typing import (Collection, Dict, Iterable, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
@@ -71,8 +76,8 @@ class DistanceResult(NamedTuple):
 
 
 def _moves(gens: GeneratingSet) -> List[Tuple[bytes, ...]]:
-    """Generator realizations and their inverses as factor-word tuples, in
-    a fixed order."""
+    """Generator realizations as factor-word tuples, in a fixed order, each
+    followed by its inverse (the pairing ``_ball_search`` requires)."""
     out: List[Tuple[bytes, ...]] = []
     for sym in gens.symbols:
         g = gens.realization[sym]
@@ -90,34 +95,64 @@ def _ball_search(
     """Breadth-first enumeration of the ball around ``ident``.
 
     States are joined keys (see ``SEP``); a move is a tuple of factor
-    words, and the child of ``g`` along it joins the factorwise reduced
-    concatenations of ``g``'s factors and the move's.  Returns
-    ``(depths, hit, explored)``: ``depths`` maps every element seen to its
-    exact distance, in discovery order, and ``explored`` is its size.  A
-    search with targets stops the moment the last of them is seen, so
-    ``depths`` then holds only part of the last shell; ``hit`` is that
-    target's depth, and ``None`` when there are no targets or some target
-    lies outside the ball.
+    words, one per factor of ``ident``, and the child of ``g`` along it
+    replaces each factor ``f`` by the reduced ``f * w``.  Moves come in
+    inverse pairs: ``moves[i ^ 1]`` must be the factorwise inverse of
+    ``moves[i]``, else ``ValueError``.  The search first builds a step
+    plan, listing for each move only the factors it changes, each with an
+    ``ops.right_step`` for the move's word there.  It keeps, next to each
+    frontier key, the index of the move back to its parent and skips that
+    move: it leads to an element already seen, so the skip changes no
+    outcome.
+
+    Returns ``(depths, hit, explored)``: ``depths`` maps every element seen
+    to its exact distance, in discovery order, and ``explored`` is its
+    size.  A search with targets stops the moment the last of them is
+    seen, so ``depths`` then holds only part of the last shell; ``hit`` is
+    that target's depth, and ``None`` when there are no targets or some
+    target lies outside the ball.
     The enumeration is serial and the move order fixed, so outcomes are
     deterministic.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
+    if len(moves) % 2:
+        raise ValueError("moves must come in inverse pairs")
+    width = ident.count(SEP) + 1
+    for i, mv in enumerate(moves):
+        if len(mv) != width:
+            raise ValueError("move %d has %d factors, the identity %d"
+                             % (i, len(mv), width))
+        if tuple(map(ops.invert, mv)) != tuple(moves[i ^ 1]):
+            raise ValueError("move %d is not the inverse of move %d"
+                             % (i ^ 1, i))
+    plan = [(i, [(k, ops.right_step(w)) for k, w in enumerate(mv) if w])
+            for i, mv in enumerate(moves)]
     depths = {ident: 0}
     left = set(targets)
     left.discard(ident)
     if targets and not left:
         return depths, 0, 1
-    concat, join = ops.concat, SEP.join
-    frontier = [ident]
+    join = SEP.join
+    # backs[j] is the index of the move from frontier[j] back to its parent,
+    # held one byte per key where the move indices fit; len(moves) marks
+    # the root, which has no parent
+    code = "B" if len(moves) < 256 else "L"
+    frontier, backs = [ident], array(code, [len(moves)])
     for depth in range(1, radius + 1):
         # the last shell is never expanded, so it is not kept
         grow = depth < radius
         nxt: List[Key] = []
-        for g in frontier:
+        nxt_backs = array(code)
+        for g, back in zip(frontier, backs):
             factors = g.split(SEP)
-            for mv in moves:
-                h = join(map(concat, factors, mv))
+            for i, steps in plan:
+                if i == back:
+                    continue
+                f = factors.copy()
+                for k, step in steps:
+                    f[k] = step(f[k])
+                h = join(f)
                 if h in depths:
                     continue
                 depths[h] = depth
@@ -127,9 +162,10 @@ def _ball_search(
                         return depths, depth, len(depths)
                 if grow:
                     nxt.append(h)
+                    nxt_backs.append(i ^ 1)
         if not nxt:
             break
-        frontier = nxt
+        frontier, backs = nxt, nxt_backs
     return depths, None, len(depths)
 
 

@@ -104,3 +104,31 @@ def test_invert_moves_round_trip():
 def test_normalize_rejects_non_surjective():
     with pytest.raises(ValueError):
         normalize_basis(FactorHom(2, 2, [(1, 0), (2, 0)]))
+
+
+def _ab_image_by_letters(h, w):
+    """The letter loop: add each letter's signed image vector in turn."""
+    out = [0] * h.target_rank
+    for j, sign in w.letters:
+        for c, v in enumerate(h.images[j - 1]):
+            out[c] += sign * v
+    return tuple(out)
+
+
+def test_ab_image_matches_the_letter_loop():
+    rng = random.Random(5150)
+    for _ in range(200):
+        m = rng.randint(1, 6)
+        r = rng.randint(0, m)
+        h = FactorHom(m, r, [[rng.randint(-3, 3) for _ in range(r)]
+                             for _ in range(m)])
+        F = FreeGroup(m)
+        text = " ".join("e%d^%d" % (rng.randint(1, m), rng.choice((-2, -1, 1, 3)))
+                        for _ in range(rng.randrange(12)))
+        w = parse_word(F, text) if text else F.identity
+        assert ab_image(h, w) == _ab_image_by_letters(h, w)
+    h = FactorHom(2, 2, [(2, -1), (0, 5)])
+    assert ab_image(h, FreeGroup(2).identity) == (0, 0)
+    assert ab_image(h, parse_word(FreeGroup(2), "e1^3 e2^-1 e1^-1")) == (4, -7)
+    with pytest.raises(ValueError, match="rank mismatch"):
+        ab_image(h, parse_word(FreeGroup(3), "e1"))

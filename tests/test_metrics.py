@@ -3,10 +3,12 @@ import tracemalloc
 
 import pytest
 
+from kgroups.certificates import toy_scenario
 from kgroups.kernels import (GenWord, KernelGroup, identity_element,
                              standard_generators)
-from kgroups.metrics import (ambient_length, ball_profile, distance,
-                             distance_map, distortion_table, h_family)
+from kgroups.metrics import (SEP, _ball_search, _moves, ambient_length,
+                             ball_key, ball_profile, distance, distance_map,
+                             distortion_table, h_family)
 
 G = KernelGroup(2, 2, 2)
 B = standard_generators(G)
@@ -112,6 +114,7 @@ def test_ball_profile_shells():
     assert ball_profile(B, 0) == [1]
     assert ball_profile(B, 3) == [1, 6, 30, 150]
     assert ball_profile(B, 5) == [1, 6, 30, 150, 750, 3740]
+    assert ball_profile(B, 7) == [1, 6, 30, 150, 750, 3740, 18608, 92540]
     with pytest.raises(ValueError):
         ball_profile(B, -1)
 
@@ -144,7 +147,11 @@ def _reference_ball(gens, radius):
     for sym in gens.symbols:
         g = gens.realization[sym]
         moves += [g, ~g]
-    ident = identity_element(gens.group.n, gens.group.m)
+    return _reference_search(moves, radius)
+
+
+def _reference_search(moves, radius):
+    ident = identity_element(moves[0].n, moves[0].m)
     dist = {ident.key(): 0}
     frontier = [ident]
     for depth in range(1, radius + 1):
@@ -159,8 +166,10 @@ def _reference_ball(gens, radius):
     return dist
 
 
-@pytest.mark.parametrize("shape, radius", [((2, 2, 2), 5), ((3, 2, 1), 3)],
-                         ids=["K2_2_2", "K3_2_1"])
+# K3_2_2 has moves that leave one or two of the three factors unchanged
+@pytest.mark.parametrize("shape, radius",
+                         [((2, 2, 2), 5), ((3, 2, 1), 3), ((3, 2, 2), 3)],
+                         ids=["K2_2_2", "K3_2_1", "K3_2_2"])
 def test_raw_key_search_matches_the_product_search(shape, radius):
     gens = standard_generators(KernelGroup(*shape))
     ref = _reference_ball(gens, radius)
@@ -172,6 +181,8 @@ def test_raw_key_search_matches_the_product_search(shape, radius):
     assert ball_profile(gens, radius) == shells
     if shape == (2, 2, 2):
         assert shells == [1, 6, 30, 150, 750, 3740]
+    if shape == (3, 2, 2):
+        assert shells == [1, 10, 82, 622]
     # a search with a target stops at it, having seen exactly the elements
     # the full search discovers up to and including the target
     order = {key: i + 1 for i, key in enumerate(ref)}
@@ -221,3 +232,34 @@ def test_distortion_table_matches_one_search_per_n():
                     else ("lower-bound", radius + 1))
             assert (row.status, row.value) == want
     assert distortion_table([], 3) == []
+
+
+def test_edge_power_search_matches_the_product_search():
+    # the toy scenario's search: one move pair, its words longer than a letter
+    ident = ball_key(identity_element(2, 2))
+    for k in (1, 2, 3):
+        scen = toy_scenario(k)
+        edge = scen.edge_element
+        moves = [edge.key(), (~edge).key()]
+        ref = _reference_search([edge, ~edge], k + 2)
+        depths, hit, explored = _ball_search(ident, moves, k + 2)
+        assert list(depths.items()) == [(SEP.join(key), d)
+                                        for key, d in ref.items()]
+        assert (hit, explored) == (None, 2 * k + 5)
+        assert _ball_search(ident, moves, k + 2, (ball_key(scen.h),))[1] == k
+
+
+def test_ball_search_rejects_moves_without_inverse_pairs():
+    ident = ball_key(identity_element(2, 2))
+    moves = _moves(B)
+    assert _ball_search(ident, moves, 2)[2] == 37
+    with pytest.raises(ValueError, match="inverse pairs"):
+        _ball_search(ident, moves[:-1], 2)
+    # the same six moves, but no longer each next to its inverse
+    unpaired = [moves[0], moves[2], moves[1], moves[3], moves[4], moves[5]]
+    with pytest.raises(ValueError, match="not the inverse"):
+        _ball_search(ident, unpaired, 2)
+    with pytest.raises(ValueError, match="not the inverse"):
+        _ball_search(ident, moves[:4] + [moves[4], moves[4]], 2)
+    with pytest.raises(ValueError, match="factors"):
+        _ball_search(ball_key(identity_element(3, 2)), moves, 2)

@@ -221,3 +221,11 @@ def test_invert_cancels_on_both_sides(a):
     assert ops.concat(a, inv_a) == b""
     assert ops.concat(inv_a, a) == b""
     assert ops.invert(inv_a) == a
+
+
+@given(reduced, reduced.filter(bool))
+def test_right_step_is_concat_by_a_fixed_word(a, w):
+    step = ops.right_step(w)
+    # the second word ends in w's inverse, so the seam cancels
+    for x in (a, ops.concat(a, ops.invert(w))):
+        assert step(x) == ops.concat(x, w)
