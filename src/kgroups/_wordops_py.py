@@ -46,8 +46,12 @@ def free_reduce(data: bytes) -> bytes:
     return bytes(out)
 
 
+# translate table swapping each letter with its inverse (flip the low bit)
+_FLIP = bytes(c ^ 1 for c in range(256))
+
+
 def invert(a: bytes) -> bytes:
-    return bytes(c ^ 1 for c in reversed(a))
+    return a[::-1].translate(_FLIP)
 
 
 def concat(a: bytes, b: bytes) -> bytes:

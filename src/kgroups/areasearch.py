@@ -39,6 +39,26 @@ then a table lookup by variant index, and no child is rescanned.  The
 greedy probe scans only its start: down the dive, a child's values are its
 parent's plus the inserted variant's.
 
+Root bound: unsigned winding.  Take a coordinate plane (i, j) whose two
+generators have exponent sum 0 in every relator; a null-homotopic word
+then has exponent sum 0 in both too, so its projection onto (e_i, e_j)
+(other letters stand still) is a closed lattice path with a winding number
+c(s) around each unit square s.  Free reduction deletes a step and its
+reverse, which changes no winding number, and inserting the variant
+u^-1 r^sigma u anywhere splices in a walk along u^-1, the loop r^sigma and
+back along u, so it adds one translated copy of r's winding function.  By
+the triangle inequality W(w) = sum over the planes and squares of |c(s)|
+moves by at most step = max over relators of W(r) per move, and it is 0
+at the goal, so ceil(W / step) is admissible with no length-cap caveat
+(Gersten 1992 bounds area by such l1 norms of a filling 2-chain).  It is
+at least the signed plane term, and can be much larger when a loop winds
++1 in one place and -1 in another.  It is not additive: a child's W
+depends on where the copy lands, not only on which variant was inserted,
+so no table gives it and each child would need a rescan.  So winding_sum
+is a root-only bound: the caller takes the larger of it and the additive
+bound as the start's h0, the probe's target, while children keep their
+additive bounds.
+
 Seam lengths: the probe ranks children by length without building them.
 The state and the variant are reduced, so inserting v at position p can
 cancel letters only across its two seams: a letters of v's head against
@@ -127,6 +147,43 @@ class AdditiveHeuristic:
                 for delta in self.deltas]
 
 
+def winding_sum(word: bytes, planes: Sequence[Tuple[int, int]]) -> int:
+    """W(word): the sum over the 0-based coordinate planes (i, j) of the
+    word's |winding number| around each unit square; see module docstring.
+
+    One pass per plane records each step along e_i as a crossing of its
+    column, at the path's height on e_j.  The square of column x between
+    two heights is wound once for every net crossing of x below it, so a
+    sorted walk up each column sums the windings.  The projections must
+    be closed paths.
+    """
+    total = 0
+    for i, j in planes:
+        xp, yp = 2 * i, 2 * j
+        crossings: Dict[Tuple[int, int], int] = {}
+        x = y = 0
+        for b in word:
+            if b == xp:
+                crossings[x, y] = crossings.get((x, y), 0) + 1
+                x += 1
+            elif b == xp + 1:
+                x -= 1
+                crossings[x, y] = crossings.get((x, y), 0) - 1
+            elif b == yp:
+                y += 1
+            elif b == yp + 1:
+                y -= 1
+        column = run = height = None
+        for (cx, cy), d in sorted(crossings.items()):
+            if cx == column:
+                total += abs(run) * (cy - height)
+                run += d
+            else:
+                column, run = cx, d
+            height = cy
+    return total
+
+
 class SearchOutcome:
     """Raw result of one search run, before any certificate dressing."""
 
@@ -202,17 +259,19 @@ def seam_ranked(state: bytes, variants: Sequence[bytes], child_h: Sequence[int],
 
 
 def greedy_probe(start: bytes, variants: Sequence[bytes], *, len_cap: int,
-                 node_budget: int, heuristic: AdditiveHeuristic
+                 node_budget: int, heuristic: AdditiveHeuristic, target: int
                  ) -> Optional[List[Tuple[int, int]]]:
-    """Depth-first hunt for an expression of area exactly h(start).
+    """Depth-first hunt for an expression of area exactly `target`.
 
-    The admissible heuristic bounds the true area from below with no
-    length-cap caveat (any expression is a move sequence, each move shifts
-    h by at most 1, and h vanishes at the goal) -- so an expression whose
-    area equals h(start) is unconditionally optimal.  This probe searches
-    only the f = h(start) shell (children with g + h > h(start) are
-    pruned), ordered by (h, length), and gives up after node_budget
-    expansions; the caller falls back to the full search.
+    `target` is the caller's root lower bound on the area of `start`, one
+    that holds with no length-cap caveat: the larger of h(start) and the
+    winding bound (module docstring).  An expression of that area is then
+    unconditionally optimal.  The additive heuristic h bounds each child's
+    remaining area from below with no caveat either (any expression is a
+    move sequence, each move shifts h by at most 1, and h vanishes at the
+    goal), so the probe searches only the f = target shell (children with
+    g + h > target are pruned), ordered by (h, length), and gives up after
+    node_budget expansions; the caller falls back to the full search.
 
     The dive is iterative: each level keeps its state, its invariant
     values and the codes vidx * (len(state) + 1) + pos of its children in
@@ -225,10 +284,9 @@ def greedy_probe(start: bytes, variants: Sequence[bytes], *, len_cap: int,
     visited child is skipped at the dive and not at ranking: the visited
     set only grows, so the traversal is the same either way.
     """
-    values = heuristic.values(start)
-    h0 = heuristic.bound(values)
-    if h0 <= 0:
+    if target <= 0:
         return None
+    values = heuristic.values(start)
     visited = {start}
     path: List[Tuple[int, int]] = []
     budget = node_budget
@@ -237,7 +295,7 @@ def greedy_probe(start: bytes, variants: Sequence[bytes], *, len_cap: int,
     def ranked(state: bytes, g: int, values: List[int]) -> array:
         return array("q", seam_ranked(state, variants,
                                       heuristic.child_bounds(values),
-                                      h0 - g - 1, len_cap))
+                                      target - g - 1, len_cap))
 
     if budget <= 0:
         return None

@@ -31,7 +31,7 @@ from .kernels import (GenWord, GeneratingSet, KernelGroup, ProductElement,
 from .metrics import _ball_search, ball_key, distance, h_family
 from .presentations import (DEFAULT_NODE_CAP, AreaResult, CertificateError,
                             Evaluation, NullExpression, Presentation,
-                            _heuristic_for, _variants, area_search,
+                            _root_bound, _variants, area_search,
                             verify_null_expression)
 
 
@@ -417,11 +417,12 @@ def lower_bound_report(n: int) -> CertificateReport:
 
     The chain: the test word's hypotheses hold; a kernel word for h_n
     splits and deletes into a verified null expression with n^2 items;
-    the area search's root bound for [x^n, y^n] (its Heisenberg term) is
-    n^2 at any word length, so with no search that expression witnesses
-    the minimal area n^2; therefore every kernel word for h_n carries at
-    least n^2 commutator symbols and the subgroup distance is at least
-    n^2, giving the area bound 2n * n^2 for the test word.
+    the area search's root bound for [x^n, y^n] (_root_bound; its
+    Heisenberg and winding terms agree there) is n^2 at any word length,
+    so with no search that expression witnesses the minimal area n^2;
+    therefore every kernel word for h_n carries at least n^2 commutator
+    symbols and the subgroup distance is at least n^2, giving the area
+    bound 2n * n^2 for the test word.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -472,8 +473,7 @@ def lower_bound_report(n: int) -> CertificateReport:
     # area fact: the deletion expression meets the search's root bound
     P = pair_presentation()
     target = parse_word(P.group, "[x^%d, y^%d]" % (n, n))
-    heur = _heuristic_for(P, _variants(P)[0], target.data)[0]
-    root = heur.bound(heur.values(target.data))
+    root = _root_bound(P, _variants(P)[0], target.data)[1]
     if not root == expr.area == n * n:
         raise CertificateError(
             "area-fact: root bound %d and expression area %d do not both"

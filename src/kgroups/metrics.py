@@ -225,6 +225,13 @@ def ambient_length(g: ProductElement) -> int:
     return sum(len(w.data) for w in g.factors)
 
 
+def _check_h_index(n: int) -> None:
+    if n < 1:
+        raise ValueError("h_n is defined for n >= 1")
+    if 4 * n > _MAX_LETTERS:
+        raise ValueError(f"h_{n} is too long (limit {_MAX_LETTERS} letters)")
+
+
 def h_family(n: int, group: Optional[KernelGroup] = None) -> ProductElement:
     """The distortion test element ``h_n = ([x^n, y^n], 1)``.
 
@@ -232,10 +239,7 @@ def h_family(n: int, group: Optional[KernelGroup] = None) -> ProductElement:
     free groups; raises ``ValueError`` for ``n < 1``, and when its 4n
     letters exceed the parser's word-length cap.
     """
-    if n < 1:
-        raise ValueError("h_n is defined for n >= 1")
-    if 4 * n > _MAX_LETTERS:
-        raise ValueError(f"h_{n} is too long (limit {_MAX_LETTERS} letters)")
+    _check_h_index(n)
     if group is None:
         group = KernelGroup(2, 2, 2)
     if (group.n, group.m, group.r) != (2, 2, 2):
@@ -263,8 +267,13 @@ def distortion_table(n_range: Iterable[int], radius_budget: int
     For each ``n``, reports the exact subgroup distance when the ball
     search finds ``h_n`` within ``radius_budget``, and otherwise the
     certified lower bound ``distance >= radius_budget + 1``.  One search
-    serves every ``n``: it stops once all the ``h_n`` are met.
+    serves every ``n``: it stops once all the ``h_n`` are met.  The
+    word-length cap is checked on the largest ``n`` before any ``h_n`` is
+    built, so a range past it fails at once.
     """
+    n_range = list(n_range)
+    if n_range:
+        _check_h_index(max(n_range))
     gens = standard_generators(KernelGroup(2, 2, 2))
     # a ball element is at most radius * (longest move) letters long, so a
     # longer h_n lies outside the ball and its key need not be kept

@@ -15,11 +15,11 @@ verify/search but not the membership question.
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .areasearch import AdditiveHeuristic, greedy_probe, run_search
+from .areasearch import (AdditiveHeuristic, greedy_probe, run_search,
+                         winding_sum)
 from . import _wordops_py as ops
 from .abelian import FactorHom, ab_image
 from .kernels import ProductElement, evaluate
@@ -348,6 +348,68 @@ def _heuristic_for(P: Presentation, variants: Sequence[bytes], w: bytes
     return AdditiveHeuristic(variants, [t for t in kept if t < rank], plane), ""
 
 
+def _free_generators(words: Sequence[bytes], rank: int) -> List[int]:
+    """The 0-based generators whose exponent sum is 0 in every word."""
+    return [j for j in range(rank)
+            if all(d.count(2 * j) == d.count(2 * j + 1) for d in words)]
+
+
+def _root_bound(P: Presentation, variants: Sequence[bytes], w: bytes
+                ) -> Tuple[Optional[AdditiveHeuristic], int, Optional[dict], str]:
+    """The search's one root lower bound on the area of w.
+
+    Returns (heuristic, h0, witness, obstruction).  heuristic is
+    _heuristic_for's additive one, which also gives every child's bound, or
+    None with the obstruction when no expression exists.  h0 is the larger
+    of its bound on w and the winding bound ceil(W(w) / step) over every
+    coordinate plane whose generators have exponent sum 0 in each relator
+    (areasearch module docstring); both hold at any word length.  witness
+    is the winding term's evidence for verify_lower_bound when that term
+    attains h0, else None.  _heuristic_for has settled every conserved
+    exponent sum by then, so w's projections onto those planes are closed.
+    """
+    heur, obstruction = _heuristic_for(P, variants, w)
+    if heur is None:
+        return None, 0, None, obstruction
+    h0 = heur.bound(heur.values(w))
+    relators = [r.data for r in P.relators]
+    free = _free_generators(relators, P.group.rank)
+    planes = [(i, j) for k, i in enumerate(free) for j in free[k + 1:]]
+    step = max((winding_sum(r, planes) for r in relators), default=0)
+    if step:
+        value = winding_sum(w, planes)
+        hw = -(-value // step)
+        if hw >= h0:
+            return heur, hw, {"kind": "winding",
+                              "planes": [list(p) for p in planes],
+                              "step": step, "value": value}, ""
+    return heur, h0, None, ""
+
+
+def verify_lower_bound(P: Presentation, w: Word, witness: dict) -> bool:
+    """Recheck a winding witness from P and w alone, in integers.
+
+    The planes must be distinct pairs 0 <= i < j < rank in ascending
+    order whose generators have exponent sum 0 in every relator and in w,
+    so each projection is a closed path; step must be the largest W of a
+    relator over those planes, and nonzero, and value the W of w.  The
+    witness then proves area(w) >= ceil(value / step); any set of such
+    planes does.
+    """
+    if witness.get("kind") != "winding":
+        return False
+    planes = [tuple(p) for p in witness.get("planes", ())]
+    relators = [r.data for r in P.relators]
+    free = set(_free_generators(relators + [w.data], P.group.rank))
+    if not planes or planes != sorted(set(planes)) or any(
+            len(p) != 2 or p[0] >= p[1] or not free.issuperset(p)
+            for p in planes):
+        return False
+    step = max((winding_sum(r, planes) for r in relators), default=0)
+    return (witness.get("step") == step != 0
+            and witness.get("value") == winding_sum(w.data, planes))
+
+
 class AreaResult:
     """Outcome of area_search: exact with witness, or exhausted with bound.
 
@@ -360,10 +422,11 @@ class AreaResult:
 
     __slots__ = ("status", "area", "witness", "lower_bound", "nodes",
                  "pushes", "caps", "regime_empty", "stop_reason",
-                 "unconditional")
+                 "unconditional", "lower_bound_witness")
 
     def __init__(self, status, area, witness, lower_bound, nodes, pushes,
-                 caps, regime_empty, stop_reason, unconditional=False):
+                 caps, regime_empty, stop_reason, unconditional=False,
+                 lower_bound_witness=None):
         self.status = status
         self.area = area
         self.witness = witness
@@ -373,10 +436,12 @@ class AreaResult:
         self.caps = caps
         self.regime_empty = regime_empty
         self.stop_reason = stop_reason
-        # exact results matching the start heuristic carry no length-cap
-        # caveat: the heuristic bounds the true area from below regardless
-        # of intermediate word lengths
+        # exact results matching the root bound carry no length-cap
+        # caveat: the root bound holds regardless of intermediate word
+        # lengths; lower_bound_witness, when the winding term attains the
+        # area, lets verify_lower_bound recheck that bound
         self.unconditional = unconditional
+        self.lower_bound_witness = lower_bound_witness
 
     def to_json(self) -> dict:
         out = {"status": self.status, "nodes": self.nodes,
@@ -386,6 +451,8 @@ class AreaResult:
             out["area"] = self.area
             out["witness"] = self.witness.to_json()
             out["unconditional"] = self.unconditional
+            if self.lower_bound_witness is not None:
+                out["lower_bound_witness"] = self.lower_bound_witness
         else:
             out["lower_bound"] = self.lower_bound
             out["regime_empty"] = self.regime_empty
@@ -421,17 +488,17 @@ def area_search(P: Presentation, w: Word, *, node_cap: int = DEFAULT_NODE_CAP,
     caps = {"node_cap": node_cap, "push_cap": push_cap, "len_cap": len_cap,
             "len_cap_factor": len_cap_factor, "heuristic": heuristic}
 
-    heur, obstruction = _heuristic_for(P, variants, w.data)
+    heur, h0, lb_witness, obstruction = _root_bound(P, variants, w.data)
     if heur is None:
         return AreaResult("exhausted", None, None, None, 0, 0, caps, True,
                           obstruction)
     if not heuristic:
-        heur = AdditiveHeuristic(variants)
+        heur, h0, lb_witness = AdditiveHeuristic(variants), 0, None
 
-    h0 = heur.bound(heur.values(w.data))
     if heuristic and stop_at_bound is None and w.data:
         probe_path = greedy_probe(w.data, variants, len_cap=len_cap,
-                                  node_budget=50 * h0 + 200, heuristic=heur)
+                                  node_budget=50 * h0 + 200, heuristic=heur,
+                                  target=h0)
         if probe_path is not None:
             witness = _witness_from_path(P, w, probe_path, variants, meta)
             if witness.area != h0:
@@ -439,13 +506,16 @@ def area_search(P: Presentation, w: Word, *, node_cap: int = DEFAULT_NODE_CAP,
                                        " from the bound %d" % (witness.area, h0))
             return AreaResult("exact", h0, witness, None, 0, 0, caps, False,
                               "greedy probe matched the heuristic lower bound",
-                              unconditional=True)
+                              unconditional=True,
+                              lower_bound_witness=lb_witness)
 
     out = run_search(w.data, variants, len_cap=len_cap, node_cap=node_cap,
                      push_cap=push_cap, heuristic=heur,
                      stop_at_bound=stop_at_bound)
     if out.cost is None:
-        return AreaResult("exhausted", None, None, out.lower_bound, out.nodes,
+        # the search's bound holds within the length cap, h0 at any length
+        bound = None if out.lower_bound is None else max(out.lower_bound, h0)
+        return AreaResult("exhausted", None, None, bound, out.nodes,
                           out.pushes, caps, out.regime_empty, out.stop_reason)
     witness = _witness_from_path(P, w, out.path, variants, meta)
     if witness.area != out.cost:
@@ -453,7 +523,9 @@ def area_search(P: Presentation, w: Word, *, node_cap: int = DEFAULT_NODE_CAP,
                                " path cost %d" % (witness.area, out.cost))
     return AreaResult("exact", out.cost, witness, None, out.nodes, out.pushes,
                       caps, False, out.stop_reason,
-                      unconditional=(out.cost == h0))
+                      unconditional=(out.cost == h0),
+                      lower_bound_witness=(lb_witness if out.cost == h0
+                                           else None))
 
 
 def _witness_from_path(P: Presentation, w: Word, path, variants, meta
@@ -484,17 +556,28 @@ def _witness_from_path(P: Presentation, w: Word, path, variants, meta
 # -- small-n Dehn profiling --------------------------------------------------
 
 class DehnResult:
-    __slots__ = ("n", "value", "exact", "witness", "classes_searched")
+    """max Area over the null classes of length <= n.
 
-    def __init__(self, n, value, exact, witness, classes_searched):
+    exact: every inner search came back exact, each within its length-cap
+    regime; unconditional: each also matched its root bound, so the value
+    holds with no length-cap caveat.
+    """
+
+    __slots__ = ("n", "value", "exact", "witness", "classes_searched",
+                 "unconditional")
+
+    def __init__(self, n, value, exact, witness, classes_searched,
+                 unconditional=False):
         self.n = n
         self.value = value
         self.exact = exact
         self.witness = witness
         self.classes_searched = classes_searched
+        self.unconditional = unconditional
 
     def to_json(self) -> dict:
         return {"n": self.n, "value": self.value, "exact": self.exact,
+                "unconditional": self.unconditional,
                 "witness": to_text(self.witness) if self.witness else None,
                 "classes_searched": self.classes_searched}
 
@@ -562,18 +645,21 @@ def dehn_function(P: Presentation, n: int, *, node_cap: int = DEFAULT_NODE_CAP,
         raise ValueError("dehn_function needs an evaluation oracle")
     words = _null_classes(P, n)
     value, exact, witness = 0, True, None
+    unconditional = True
     tasks = [(P, w, node_cap, len_cap_factor) for w in words]
     if jobs > 1 and len(tasks) > 1:
+        import concurrent.futures   # here: it costs every other run 0.6 MB
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_area_of, tasks, chunksize=8))
     else:
         results = [_area_of(t) for t in tasks]
     for w, res in zip(words, results):
         if res.status == "exact":
+            unconditional = unconditional and res.unconditional
             if res.area > value:
                 value, witness = res.area, w
         else:
-            exact = False
+            exact = unconditional = False
             if res.lower_bound is not None and res.lower_bound > value:
                 value, witness = res.lower_bound, w
-    return DehnResult(n, value, exact, witness, len(words))
+    return DehnResult(n, value, exact, witness, len(words), unconditional)

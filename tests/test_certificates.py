@@ -13,7 +13,8 @@ from kgroups.certificates import (AmalgamScenario, CertificateError,
 from kgroups.kernels import (GenWord, KernelGroup, random_kernel_element,
                              rewrite_in_generators, standard_generators)
 from kgroups.metrics import h_family
-from kgroups.presentations import area_search, verify_null_expression
+from kgroups.presentations import (area_search, parse_presentation,
+                                   verify_null_expression)
 from kgroups.words import FreeGroup, parse_word, to_text
 
 G = KernelGroup(2, 2, 2)
@@ -143,10 +144,12 @@ def test_toy_amalgam_check_respects_budgets():
     assert rep.required == 4
     # the root bound already reaches the requirement, so no node is settled
     assert rep.area.lower_bound == 4 and rep.area.nodes == 0
-    # exhaustion is a budget statement, never a refutation: [x,y] y [y,x] y^-1
-    # has area 2 but a root bound of 0, and one node is all the search gets
-    P = pair_presentation()
-    res = area_search(P, P.word("[x,y] y [y,x] y^-1"), node_cap=1)
+    # exhaustion is a budget statement, never a refutation: over BS(1,2),
+    # [t a t^-1, a] has area 2 but a root bound of 0 (a's exponent sum is
+    # not conserved, so no winding plane counts), and one node is all the
+    # search gets
+    P = parse_presentation("< a, t | t a t^-1 a^-2 >")
+    res = area_search(P, P.word("[t a t^-1, a]"), node_cap=1)
     assert res.status == "exhausted" and res.stop_reason == "node cap"
     assert not res.regime_empty
     assert res.lower_bound is not None and res.lower_bound < 2

@@ -5,6 +5,7 @@ import itertools
 import json
 import os
 import re
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,8 +35,8 @@ GOOD = [
 
 INCONCLUSIVE = [
     ("metric", "--group", "K2_2_2", "--target", "h(2)", "--radius", "4"),
-    ("area", "--presentation", "< x, y | [x,y] >",
-     "--word", "[x,y] y [y,x] y^-1", "--node-cap", "1"),
+    ("area", "--presentation", "< a, t | t a t^-1 a^-2 >",
+     "--word", "[t a t^-1, a]", "--node-cap", "1"),
 ]
 
 BAD = [
@@ -120,6 +121,16 @@ def test_h_family_targets_respect_the_word_length_cap(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == "", argv
         assert "too long" in err and "Traceback" not in err, argv
+
+
+def test_distortion_checks_the_length_cap_before_building_words(capsys):
+    # the cap is checked on the largest n first, so no h_n is built
+    started = time.perf_counter()
+    code, out, err = run(capsys, "distortion", "--n-max", "262145",
+                         "--radius", "0")
+    assert time.perf_counter() - started < 2
+    assert code == 1 and out == ""
+    assert "h_262145 is too long" in err and "Traceback" not in err
 
 
 def test_parse_errors_name_the_position(capsys):

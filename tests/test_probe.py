@@ -136,5 +136,5 @@ def test_probe_path_matches_the_parent_probe(text, word):
     # area_search's budget, and budgets small enough to run out mid-dive
     for budget in (50 * h0 + 200, h0, 3):
         kw = dict(len_cap=len_cap, node_budget=budget, heuristic=heur)
-        assert greedy_probe(w.data, variants, **kw) == \
+        assert greedy_probe(w.data, variants, target=h0, **kw) == \
             parent_probe(w.data, variants, **kw)

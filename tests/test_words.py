@@ -229,3 +229,10 @@ def test_right_step_is_concat_by_a_fixed_word(a, w):
     # the second word ends in w's inverse, so the seam cancels
     for x in (a, ops.concat(a, ops.invert(w))):
         assert step(x) == ops.concat(x, w)
+
+
+@given(st.binary(max_size=200).map(lambda b: bytes(c % 254 for c in b)))
+def test_invert_matches_the_letter_loop(a):
+    # the translate table against the generator it replaced, on every
+    # letter byte of rank up to 127
+    assert ops.invert(a) == bytes(c ^ 1 for c in reversed(a))
