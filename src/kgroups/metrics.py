@@ -11,12 +11,26 @@ objects.  Moves come in inverse pairs, ``moves[i ^ 1]`` undoing
 ``moves[i]``; the search checks this and never takes the move back to a
 node's parent, whose result it has already seen.  Equality of states is
 componentwise free equality, which is exact and cheap, so no quotient
-trickery is needed.  One search serves ``distance``, ``ball_profile``,
-``distance_map`` and ``distortion_table``.
+trickery is needed.  One breadth-first core, ``_Side.expand`` (one shell,
+stopping at the first new element in a given collection), serves every
+search.
+
+``distance`` and ``distortion_table`` meet in the middle (``_meet``): they
+grow a ball around the identity and one around the target, each a shell
+at a time and the smaller frontier first, and stop at the first element
+both have seen.  A meeting of a new element at depth ``a + 1`` with one at
+depth ``b`` on the other side gives the exact distance ``a + 1 + b``: no
+earlier meeting means the distance exceeds ``a + b``.  A found distance's
+``explored`` counts the distinct elements of the two half-balls, about
+two balls of half the distance where a one-sided search walks the whole
+ball below the target.
 
 A failed search is still a certificate: if the ball of radius ``r`` is
 exhausted without meeting the target, the distance is provably ``> r``.
-Reports preserve that logical shape instead of guessing.
+``distance`` then grows the identity's ball on to ``r``, so its
+``explored`` is that ball's size.  ``ball_profile`` and ``distance_map``
+enumerate the ball with ``_ball_search``.  Reports preserve that logical
+shape instead of guessing.
 
 The distortion experiments compare ``d_B`` against the ambient word
 metric of the enclosing product of free groups along the test family
@@ -26,8 +40,8 @@ metric of the enclosing product of free groups along the test family
 from __future__ import annotations
 
 from array import array
-from typing import (Collection, Dict, Iterable, List, NamedTuple, Optional,
-                    Sequence, Tuple)
+from typing import (Callable, Collection, Dict, Iterable, List, NamedTuple,
+                    Optional, Sequence, Tuple)
 
 from . import _wordops_py as ops
 from .words import _MAX_LETTERS, commutator
@@ -53,12 +67,16 @@ def ball_key(g: ProductElement) -> Key:
 
 
 class DistanceResult(NamedTuple):
-    """Outcome of a ball search.
+    """Outcome of a distance search.
 
     ``found`` tells whether the target was met within ``radius``.  When it
-    was, ``value`` is the exact geodesic distance; otherwise ``value``
-    equals ``radius`` and certifies ``distance > radius`` (the whole ball
-    was enumerated).  ``explored`` counts distinct elements seen.
+    was, ``value`` is the exact geodesic distance, and ``explored`` counts
+    the distinct elements the meet in the middle stored: those of the
+    ball around the identity and of the ball around the target, the
+    meeting element once (1 when the target is the identity).  Otherwise
+    ``value`` equals ``radius`` and certifies ``distance > radius``, and
+    ``explored`` is the size of the whole ball of that radius, which was
+    enumerated.
     """
 
     found: bool
@@ -77,7 +95,7 @@ class DistanceResult(NamedTuple):
 
 def _moves(gens: GeneratingSet) -> List[Tuple[bytes, ...]]:
     """Generator realizations as factor-word tuples, in a fixed order, each
-    followed by its inverse (the pairing ``_ball_search`` requires)."""
+    followed by its inverse (the pairing ``_step_plan`` requires)."""
     out: List[Tuple[bytes, ...]] = []
     for sym in gens.symbols:
         g = gens.realization[sym]
@@ -86,33 +104,22 @@ def _moves(gens: GeneratingSet) -> List[Tuple[bytes, ...]]:
     return out
 
 
-def _ball_search(
-    ident: Key,
-    moves: Sequence[Tuple[bytes, ...]],
-    radius: int,
-    targets: Collection[Key] = (),
-) -> Tuple[Dict[Key, int], Optional[int], int]:
-    """Breadth-first enumeration of the ball around ``ident``.
+# per move: its index and, for each factor it changes, the factor's index
+# and the step that right-multiplies that factor by the move's word
+Plan = List[Tuple[int, List[Tuple[int, Callable[[bytes], bytes]]]]]
 
-    States are joined keys (see ``SEP``); a move is a tuple of factor
-    words, one per factor of ``ident``, and the child of ``g`` along it
-    replaces each factor ``f`` by the reduced ``f * w``.  Moves come in
-    inverse pairs: ``moves[i ^ 1]`` must be the factorwise inverse of
-    ``moves[i]``, else ``ValueError``.  The search first builds a step
-    plan, listing for each move only the factors it changes, each with an
-    ``ops.right_step`` for the move's word there.  It keeps, next to each
-    frontier key, the index of the move back to its parent and skips that
-    move: it leads to an element already seen, so the skip changes no
-    outcome.
 
-    Returns ``(depths, hit, explored)``: ``depths`` maps every element seen
-    to its exact distance, in discovery order, and ``explored`` is its
-    size.  A search with targets stops the moment the last of them is
-    seen, so ``depths`` then holds only part of the last shell; ``hit`` is
-    that target's depth, and ``None`` when there are no targets or some
-    target lies outside the ball.
-    The enumeration is serial and the move order fixed, so outcomes are
-    deterministic.
+def _step_plan(ident: Key, moves: Sequence[Tuple[bytes, ...]], radius: int
+               ) -> Plan:
+    """Check a search's inputs and build its step plan.
+
+    A move is a tuple of factor words, one per factor of ``ident``, and the
+    child of ``g`` along it replaces each factor ``f`` by the reduced
+    ``f * w``.  Moves come in inverse pairs: ``moves[i ^ 1]`` must be the
+    factorwise inverse of ``moves[i]``, else ``ValueError``.  The plan
+    lists, for each move, only the factors it changes, each with an
+    ``ops.right_step`` for the move's word there, so an edge builds no
+    group objects.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
@@ -126,25 +133,44 @@ def _ball_search(
         if tuple(map(ops.invert, mv)) != tuple(moves[i ^ 1]):
             raise ValueError("move %d is not the inverse of move %d"
                              % (i ^ 1, i))
-    plan = [(i, [(k, ops.right_step(w)) for k, w in enumerate(mv) if w])
+    return [(i, [(k, ops.right_step(w)) for k, w in enumerate(mv) if w])
             for i, mv in enumerate(moves)]
-    depths = {ident: 0}
-    left = set(targets)
-    left.discard(ident)
-    if targets and not left:
-        return depths, 0, 1
-    join = SEP.join
-    # backs[j] is the index of the move from frontier[j] back to its parent,
-    # held one byte per key where the move indices fit; len(moves) marks
-    # the root, which has no parent
-    code = "B" if len(moves) < 256 else "L"
-    frontier, backs = [ident], array(code, [len(moves)])
-    for depth in range(1, radius + 1):
-        # the last shell is never expanded, so it is not kept
-        grow = depth < radius
+
+
+class _Side:
+    """One breadth-first search from ``root``, grown a shell at a time.
+
+    ``depths`` maps every element seen to its exact distance from ``root``,
+    in discovery order.  ``frontier`` is the last complete shell, at
+    ``depth``, and ``backs[j]`` the index of the move from ``frontier[j]``
+    back to its parent, which the search skips: it leads to an element
+    already seen, so the skip changes no outcome.  A shell at ``radius`` is
+    never expanded, so it is not kept.
+    """
+
+    __slots__ = ("plan", "radius", "depths", "depth", "frontier", "backs")
+
+    def __init__(self, plan: Plan, root: Key, radius: int) -> None:
+        self.plan = plan
+        self.radius = radius
+        self.depths = {root: 0}
+        self.depth = 0
+        self.frontier = [root]
+        # one byte per move index where they fit; len(plan) marks the
+        # root, which has no parent
+        self.backs = array("B" if len(plan) < 256 else "L", [len(plan)])
+
+    def expand(self, stop: Collection[Key]) -> Optional[Key]:
+        """Discover the next shell, stopping at the first new element that
+        lies in ``stop`` and returning it (the side is then left mid-shell);
+        ``None`` once the shell is complete."""
+        depth = self.depth = self.depth + 1
+        grow = depth < self.radius
+        plan, depths = self.plan, self.depths
+        join = SEP.join
         nxt: List[Key] = []
-        nxt_backs = array(code)
-        for g, back in zip(frontier, backs):
+        nxt_backs = array(self.backs.typecode)
+        for g, back in zip(self.frontier, self.backs):
             factors = g.split(SEP)
             for i, steps in plan:
                 if i == back:
@@ -156,23 +182,100 @@ def _ball_search(
                 if h in depths:
                     continue
                 depths[h] = depth
-                if h in left:
-                    left.remove(h)
-                    if not left:
-                        return depths, depth, len(depths)
+                if h in stop:
+                    return h
                 if grow:
                     nxt.append(h)
                     nxt_backs.append(i ^ 1)
-        if not nxt:
-            break
-        frontier, backs = nxt, nxt_backs
-    return depths, None, len(depths)
+        self.frontier, self.backs = nxt, nxt_backs
+        return None
+
+    def grow(self, stop: Collection[Key]) -> Optional[Key]:
+        """Expand shells up to ``radius``, or until one is empty; stop at
+        the first new element in ``stop`` and return it."""
+        while self.depth < self.radius and self.frontier:
+            hit = self.expand(stop)
+            if hit is not None:
+                return hit
+        return None
 
 
-def _ball(gens: GeneratingSet, radius: int, targets: Collection[Key] = ()
-          ) -> Tuple[Dict[Key, int], Optional[int], int]:
-    ident = ball_key(identity_element(gens.group.n, gens.group.m))
-    return _ball_search(ident, _moves(gens), radius, targets)
+def _ball_search(
+    ident: Key,
+    moves: Sequence[Tuple[bytes, ...]],
+    radius: int,
+    targets: Collection[Key] = (),
+) -> Tuple[Dict[Key, int], Optional[int], int]:
+    """Breadth-first enumeration of the ball around ``ident``.
+
+    States are joined keys (see ``SEP``), and ``moves`` are checked and
+    planned by ``_step_plan``.  Returns ``(depths, hit, explored)``:
+    ``depths`` maps every element seen to its exact distance, in discovery
+    order, and ``explored`` is its size.  A search with targets stops at
+    the first of them it meets, so ``depths`` then holds only part of the
+    last shell; ``hit`` is that target's depth, and ``None`` when there are
+    no targets or none lies in the ball.
+    The enumeration is serial and the move order fixed, so outcomes are
+    deterministic.
+    """
+    side = _Side(_step_plan(ident, moves, radius), ident, radius)
+    if ident in targets:
+        return side.depths, 0, 1
+    hit = side.grow(targets)
+    return side.depths, None if hit is None else side.depth, len(side.depths)
+
+
+def _meet(plan: Plan, ident: Key, target: Key, radius: int
+          ) -> Tuple[Optional[int], int, _Side]:
+    """Meet-in-the-middle distance from ``ident`` to ``target``.
+
+    Two ``_Side`` searches use the same right-multiplication moves, as
+    planned by ``_step_plan``: a forward one from ``ident`` and a backward
+    one from ``target``.  The moves come in inverse pairs, so the
+    Cayley graph is undirected and the backward side's depths are
+    distances to ``target``.  Each step expands one shell of the side
+    whose frontier is smaller (the forward side on ties) and stops at the
+    first new element already in the other side's ``depths``.
+
+    Exactness: a new element is checked against the other side when it is
+    stored, so before a step the two dicts are disjoint.  The forward side
+    then holds every element within ``a`` of ``ident`` and the backward
+    side every element within ``b`` of ``target``; were ``d <= a + b``,
+    the point at distance ``min(a, d)`` along a geodesic would lie in
+    both.  So ``d > a + b``, and a new forward element at depth ``a + 1``
+    seen by the backward side at depth ``b' <= b`` gives a path of length
+    ``a + 1 + b' <= a + 1 + b <= d``; no path is shorter than ``d``, so
+    the distance is exactly ``a + 1 + b'`` (the same for a backward
+    step).  The search stops without a meeting when the depth sum reaches
+    ``radius``, which proves ``d > radius``, or when either frontier
+    empties, which proves ``target`` unreachable.
+
+    Returns ``(hit, explored, forward)``: ``hit`` is the distance, or
+    ``None`` without a meeting; ``explored`` counts the distinct elements
+    the two sides stored, ``len(forward) + len(backward) - 1`` at a
+    meeting, since the two share only the meeting element, and 1 when
+    ``target`` is ``ident``; ``forward`` is the identity's side, which a
+    caller may grow on to ``radius``.
+    """
+    fwd, bwd = _Side(plan, ident, radius), _Side(plan, target, radius)
+    if target == ident:
+        return 0, 1, fwd
+    while fwd.depth + bwd.depth < radius and fwd.frontier and bwd.frontier:
+        side, other = ((fwd, bwd) if len(fwd.frontier) <= len(bwd.frontier)
+                       else (bwd, fwd))
+        hit = side.expand(other.depths)
+        if hit is not None:
+            return (side.depth + other.depths[hit],
+                    len(fwd.depths) + len(bwd.depths) - 1, fwd)
+    return None, len(fwd.depths) + len(bwd.depths), fwd
+
+
+def _identity_key(gens: GeneratingSet) -> Key:
+    return ball_key(identity_element(gens.group.n, gens.group.m))
+
+
+def _ball(gens: GeneratingSet, radius: int) -> Dict[Key, int]:
+    return _ball_search(_identity_key(gens), _moves(gens), radius)[0]
 
 
 def distance(
@@ -180,16 +283,27 @@ def distance(
 ) -> DistanceResult:
     """Exact word-metric distance from the identity, or a ``> r`` certificate.
 
+    A meet in the middle (``_meet``) grows one ball around the identity
+    and one around the target, each to about half the distance, and
+    reports the distance where they first share an element; ``explored``
+    then counts the distinct elements the two balls hold.  Without a
+    meeting, the identity's ball grows on to ``max_radius``, so the
+    ``distance > r`` certificate reports, as ``explored``, the size of the
+    whole ball it rests on.
+
     The caller is responsible for the target actually lying in the
     subgroup generated by ``gens``; for targets outside it the search can
     only ever produce the exhaustion certificate.
     """
     if target.n != gens.group.n or target.m != gens.group.m:
         raise ValueError("target has the wrong ambient product shape")
-    _, hit, explored = _ball(gens, max_radius, (ball_key(target),))
+    ident = _identity_key(gens)
+    hit, explored, fwd = _meet(_step_plan(ident, _moves(gens), max_radius),
+                               ident, ball_key(target), max_radius)
     if hit is not None:
         return DistanceResult(True, hit, max_radius, explored)
-    return DistanceResult(False, max_radius, max_radius, explored)
+    fwd.grow(())
+    return DistanceResult(False, max_radius, max_radius, len(fwd.depths))
 
 
 def ball_profile(gens: GeneratingSet, radius: int) -> List[int]:
@@ -197,7 +311,7 @@ def ball_profile(gens: GeneratingSet, radius: int) -> List[int]:
 
     The list stops early at the first empty shell (a finite subgroup).
     """
-    depths, _, _ = _ball(gens, radius)
+    depths = _ball(gens, radius)
     shells = [0] * (max(depths.values()) + 1)
     for d in depths.values():
         shells[d] += 1
@@ -212,7 +326,7 @@ def distance_map(gens: GeneratingSet, radius: int
     for property checks (symmetry, triangle inequality) that need many
     distances at once rather than one target.
     """
-    depths, _, _ = _ball(gens, radius)
+    depths = _ball(gens, radius)
     return {tuple(key.split(SEP)): d for key, d in depths.items()}
 
 
@@ -264,35 +378,31 @@ def distortion_table(n_range: Iterable[int], radius_budget: int
                      ) -> List[DistortionRow]:
     """Distortion evidence for the family ``h_n``.
 
-    For each ``n``, reports the exact subgroup distance when the ball
-    search finds ``h_n`` within ``radius_budget``, and otherwise the
-    certified lower bound ``distance >= radius_budget + 1``.  One search
-    serves every ``n``: it stops once all the ``h_n`` are met.  The
-    word-length cap is checked on the largest ``n`` before any ``h_n`` is
-    built, so a range past it fails at once.
+    For each ``n``, reports the exact subgroup distance when a meet in the
+    middle (``_meet``) finds ``h_n`` within ``radius_budget``, and
+    otherwise the certified lower bound ``distance >= radius_budget + 1``.
+    The ambient length of ``h_n`` is ``4n``, so ``h_n`` is built, and
+    searched for, only when it is short enough to lie in the ball.  The
+    word-length cap is checked on the largest ``n`` first, so a range past
+    it fails at once.
     """
     n_range = list(n_range)
     if n_range:
         _check_h_index(max(n_range))
     gens = standard_generators(KernelGroup(2, 2, 2))
-    # a ball element is at most radius * (longest move) letters long, so a
-    # longer h_n lies outside the ball and its key need not be kept
-    reach = radius_budget * max(sum(map(len, mv)) for mv in _moves(gens))
-    sized: List[Tuple[int, int, Optional[Key]]] = []
-    for n in n_range:
-        h = h_family(n, gens.group)
-        length = ambient_length(h)
-        sized.append((n, length, ball_key(h) if length <= reach else None))
-    if not sized:
-        return []
-    depths, _, _ = _ball(gens, radius_budget,
-                         {key for _, _, key in sized if key is not None})
+    ident, moves = _identity_key(gens), _moves(gens)
+    plan = _step_plan(ident, moves, radius_budget)
+    # a ball element is at most radius * (longest move) letters long
+    reach = radius_budget * max(sum(map(len, mv)) for mv in moves)
     rows: List[DistortionRow] = []
-    for n, length, key in sized:
-        d = depths.get(key)
+    for n in n_range:
+        d = None
+        if 4 * n <= reach:
+            d = _meet(plan, ident, ball_key(h_family(n, gens.group)),
+                      radius_budget)[0]
         if d is not None:
-            rows.append(DistortionRow(n, length, "exact", d))
+            rows.append(DistortionRow(n, 4 * n, "exact", d))
         else:
-            rows.append(DistortionRow(n, length, "lower-bound",
+            rows.append(DistortionRow(n, 4 * n, "lower-bound",
                                       radius_budget + 1))
     return rows

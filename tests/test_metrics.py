@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -6,9 +7,10 @@ import pytest
 from kgroups.certificates import toy_scenario
 from kgroups.kernels import (GenWord, KernelGroup, identity_element,
                              standard_generators)
-from kgroups.metrics import (SEP, _ball_search, _moves, ambient_length,
-                             ball_key, ball_profile, distance, distance_map,
-                             distortion_table, h_family)
+from kgroups import metrics
+from kgroups.metrics import (SEP, _ball_search, _meet, _moves, _step_plan,
+                             ambient_length, ball_key, ball_profile, distance,
+                             distance_map, distortion_table, h_family)
 
 G = KernelGroup(2, 2, 2)
 B = standard_generators(G)
@@ -143,11 +145,16 @@ def _reference_ball(gens, radius):
     Shares nothing with the raw-key search but the move order: every edge
     is a ProductElement.__mul__, and the dict records discovery order.
     """
+    return _reference_search(_product_moves(gens), radius)
+
+
+def _product_moves(gens):
+    """Each generator's realization followed by its inverse."""
     moves = []
     for sym in gens.symbols:
         g = gens.realization[sym]
         moves += [g, ~g]
-    return _reference_search(moves, radius)
+    return moves
 
 
 def _reference_search(moves, radius):
@@ -164,6 +171,39 @@ def _reference_search(moves, radius):
                     nxt.append(h)
         frontier = nxt
     return dist
+
+
+def _reference_meet(moves, target, radius):
+    """``(distance, explored)`` of a meet in the middle over ProductElement
+    products, or ``(None, None)`` without a meeting.
+
+    The expansion rule of ``metrics._meet``: grow the side with the smaller
+    frontier (the identity's on ties) by one whole shell, and stop at the
+    first new element the other side has seen.
+    """
+    ident = identity_element(target.n, target.m)
+    if target.key() == ident.key():
+        return 0, 1
+    seen = [{ident.key(): 0}, {target.key(): 0}]
+    frontiers = [[ident], [target]]
+    depths = [0, 0]
+    while sum(depths) < radius and all(frontiers):
+        s = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
+        mine, other = seen[s], seen[1 - s]
+        depths[s] += 1
+        nxt = []
+        for g in frontiers[s]:
+            for mv in moves:
+                h = g * mv
+                if h.key() in mine:
+                    continue
+                mine[h.key()] = depths[s]
+                if h.key() in other:
+                    return (depths[s] + other[h.key()],
+                            len(mine) + len(other) - 1)
+                nxt.append(h)
+        frontiers[s] = nxt
+    return None, None
 
 
 # K3_2_2 has moves that leave one or two of the three factors unchanged
@@ -183,9 +223,9 @@ def test_raw_key_search_matches_the_product_search(shape, radius):
         assert shells == [1, 6, 30, 150, 750, 3740]
     if shape == (3, 2, 2):
         assert shells == [1, 10, 82, 622]
-    # a search with a target stops at it, having seen exactly the elements
-    # the full search discovers up to and including the target
-    order = {key: i + 1 for i, key in enumerate(ref)}
+    # a found distance counts the elements of the two half-balls a meet
+    # over group objects stores; an exclusion counts the whole ball
+    moves = _product_moves(gens)
     rng = random.Random(20071)
     syms = [(s, e) for s in gens.symbols for e in (1, -1)]
     for _ in range(50):
@@ -194,8 +234,12 @@ def test_raw_key_search_matches_the_product_search(shape, radius):
         target = w.eval()
         res = distance(gens, target, radius)
         key = target.key()
-        want = ((True, ref[key], order[key]) if key in ref
-                else (False, radius, len(ref)))
+        if key in ref:
+            d, explored = _reference_meet(moves, target, radius)
+            assert d == ref[key]
+            want = (True, ref[key], explored)
+        else:
+            want = (False, radius, len(ref))
         assert (res.found, res.value, res.explored) == want
 
 
@@ -263,3 +307,136 @@ def test_ball_search_rejects_moves_without_inverse_pairs():
         _ball_search(ident, moves[:4] + [moves[4], moves[4]], 2)
     with pytest.raises(ValueError, match="factors"):
         _ball_search(ball_key(identity_element(3, 2)), moves, 2)
+
+
+# -- meet in the middle --------------------------------------------------------
+
+def _run_meet(ident, moves, radius, target):
+    """``(hit, explored, forward side)`` of the meet from ``ident``."""
+    return _meet(_step_plan(ident, moves, radius), ident, target, radius)
+
+
+def _seeded_targets(gens, radius, count, seed):
+    rng = random.Random(seed)
+    syms = [(s, e) for s in gens.symbols for e in (1, -1)]
+    for _ in range(count):
+        yield GenWord(gens, [rng.choice(syms)
+                             for _ in range(rng.randrange(radius + 3))]).eval()
+
+
+def _check_meet(ident, moves, radius, targets, ref, product_moves):
+    """The meet finds exactly the targets in the reference ball, at their
+    reference distances, having stored what the reference meet stores."""
+    found = 0
+    for target in targets:
+        hit, explored, _ = _run_meet(ident, moves, radius, ball_key(target))
+        if target.key() in ref:
+            want = _reference_meet(product_moves, target, radius)
+            assert want[0] == ref[target.key()]
+            assert (hit, explored) == want
+            found += 1
+        else:
+            assert hit is None
+    return found
+
+
+@pytest.mark.parametrize("shape, radius",
+                         [((2, 2, 2), 5), ((3, 2, 1), 3), ((3, 2, 2), 3),
+                          ((2, 127, 1), 1)],
+                         ids=["K2_2_2", "K3_2_1", "K3_2_2", "K2_127_1"])
+def test_meet_matches_the_reference_ball(shape, radius):
+    gens = standard_generators(KernelGroup(*shape))
+    ident = ball_key(identity_element(shape[0], shape[1]))
+    ref = _reference_ball(gens, radius)
+    targets = list(_seeded_targets(gens, radius, 60, 15))
+    found = _check_meet(ident, _moves(gens), radius, targets, ref,
+                        _product_moves(gens))
+    # both outcomes occur
+    assert 0 < found < len(targets)
+
+
+def test_meet_over_the_edge_power_moves():
+    # the toy scenario's one move pair, its words longer than a letter; the
+    # targets are powers of the edge, and a generator off its cyclic group
+    ident = ball_key(identity_element(2, 2))
+    for k in (1, 2, 3):
+        edge = toy_scenario(k).edge_element
+        radius = k + 2
+        ref = _reference_search([edge, ~edge], radius)
+        powers = [edge]
+        while len(powers) < radius + 2:
+            powers.append(powers[-1] * edge)
+        targets = ([identity_element(2, 2), B.realization["c1_2"]] + powers
+                   + [~p for p in powers])
+        found = _check_meet(ident, [edge.key(), (~edge).key()], radius,
+                            targets, ref, [edge, ~edge])
+        # the identity and edge^j, edge^-j for j <= radius
+        assert found == 1 + 2 * radius
+
+
+def test_meet_edge_cases():
+    ident = ball_key(identity_element(2, 2))
+    moves = _moves(B)
+    h1 = ball_key(h_family(1))
+    # radius 0: only the identity is at distance 0
+    assert _run_meet(ident, moves, 0, ident)[:2] == (0, 1)
+    assert _run_meet(ident, moves, 0, h1)[:2] == (None, 2)
+    assert distance(B, h_family(1), 0) == (False, 0, 0, 1)
+    assert distance(B, identity_element(2, 2), 0) == (True, 0, 0, 1)
+    # the identity as target stores nothing beyond itself, at any radius
+    for radius in (1, 2, 5):
+        assert _run_meet(ident, moves, radius, ident)[:2] == (0, 1)
+    # odd radii: a meeting at odd distance, and the radius just below it
+    g = B.realization["a1_2"] * B.realization["c1_2"] * B.realization["a2_2"]
+    assert distance(B, g, 3).found and distance(B, g, 3).value == 3
+    assert distance(B, g, 5).value == 3
+    res = distance(B, g, 2)
+    assert not res.found and res.explored == 37
+    # h_1 is the fifth move, met before the first shell is complete
+    assert _run_meet(ident, moves, 1, h1)[:2] == (1, 6)
+    # no moves: the identity's frontier empties at once, with no meeting
+    hit, explored, fwd = _run_meet(ident, [], 5, h1)
+    assert (hit, explored, fwd.depth) == (None, 2, 1)
+    assert fwd.grow(()) is None and fwd.depths == {ident: 0}
+    assert _run_meet(ident, [], 5, ident)[:2] == (0, 1)
+    assert _ball_search(ident, [], 5) == ({ident: 0}, None, 1)
+
+
+def test_distance_rejects_moves_without_inverse_pairs(monkeypatch):
+    # distance's meet checks its moves where the ball search does, even for
+    # the identity as target
+    moves = _moves(B)
+    for bad, match in (
+            (moves[:-1], "inverse pairs"),
+            ([moves[0], moves[2], moves[1], moves[3], moves[4], moves[5]],
+             "not the inverse"),
+            (moves[:4] + [moves[4], moves[4]], "not the inverse")):
+        with monkeypatch.context() as m:
+            m.setattr(metrics, "_moves", lambda gens, bad=bad: bad)
+            for target in (h_family(1), identity_element(2, 2)):
+                with pytest.raises(ValueError, match=match):
+                    distance(B, target, 2)
+    with pytest.raises(ValueError, match="nonnegative"):
+        distance(B, h_family(1), -1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        distortion_table(range(1, 4), -1)
+
+
+def test_distortion_rows_match_one_distance_call_per_n():
+    for radius in range(8):
+        rows = distortion_table(range(1, 9), radius)
+        want = []
+        for n in range(1, 9):
+            res = distance(B, h_family(n), radius)
+            want.append((n, 4 * n) + (("exact", res.value) if res.found
+                                      else ("lower-bound", radius + 1)))
+        assert [tuple(r) for r in rows] == want
+
+
+def test_distortion_rows_out_of_reach_build_no_words():
+    # h_n is built only when its 4n letters fit in the ball, so a long
+    # range at radius 0 costs one row each
+    start = time.perf_counter()
+    rows = distortion_table(range(1, 200001), 0)
+    assert time.perf_counter() - start < 1.0
+    assert rows == [(n, 4 * n, "lower-bound", 1) for n in range(1, 200001)]
