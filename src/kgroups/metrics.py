@@ -27,9 +27,15 @@ ball below the target.
 
 A failed search is still a certificate: if the ball of radius ``r`` is
 exhausted without meeting the target, the distance is provably ``> r``.
-``distance`` then grows the identity's ball on to ``r``, so its
-``explored`` is that ball's size.  ``ball_profile`` and ``distance_map``
-enumerate the ball with ``_ball_search``.  Reports preserve that logical
+``distance`` then counts the identity's ball of radius ``r`` one symmetry
+orbit at a time, so its ``explored`` is that ball's size.  A symmetry is a
+signed permutation of the letters, applied to every factor, that maps the
+move list onto itself (``_symmetries``); it is an automorphism of the
+Cayley graph fixing the identity, so the search stores one representative
+per orbit and counts the orbit's size.  K(2,2,2)'s standard moves have one
+such map, x <-> y, which halves the stored ball.  ``ball_profile`` does
+this count, shell by shell; ``distance_map``, which needs every element,
+enumerates the ball with ``_ball_search``.  Reports preserve that logical
 shape instead of guessing.
 
 The distortion experiments compare ``d_B`` against the ambient word
@@ -40,6 +46,7 @@ metric of the enclosing product of free groups along the test family
 from __future__ import annotations
 
 from array import array
+from itertools import permutations, product
 from typing import (Callable, Collection, Dict, Iterable, List, NamedTuple,
                     Optional, Sequence, Tuple)
 
@@ -76,7 +83,7 @@ class DistanceResult(NamedTuple):
     meeting element once (1 when the target is the identity).  Otherwise
     ``value`` equals ``radius`` and certifies ``distance > radius``, and
     ``explored`` is the size of the whole ball of that radius, which was
-    enumerated.
+    counted one symmetry orbit at a time.
     """
 
     found: bool
@@ -137,28 +144,98 @@ def _step_plan(ident: Key, moves: Sequence[Tuple[bytes, ...]], radius: int
             for i, mv in enumerate(moves)]
 
 
+# the largest rank whose 2^m m! signed letter permutations _symmetries tries
+_SYMMETRY_RANK = 4
+
+# a letter symmetry: its translate table, and the move index each move maps to
+Symmetry = Tuple[bytes, Tuple[int, ...]]
+
+
+def _symmetries(moves: Sequence[Tuple[bytes, ...]]) -> List[Symmetry]:
+    """The nontrivial letter symmetries of a move list.
+
+    A signed permutation of the letters, sending generator ``j`` to
+    generator ``p(j)`` or its inverse and applied to every factor, is an
+    automorphism of the product of free groups that maps reduced words to
+    reduced words.  When it maps the set of moves onto itself it is an
+    automorphism of the Cayley graph that fixes the identity:
+    ``s(g * m) = s(g) * s(m)``.  Each such map is returned once per
+    permutation of the moves it induces, as ``(table, perm)``: the
+    ``bytes.translate`` table of its letters (every other byte, ``SEP``
+    included, is fixed) and ``perm[i]``, the index of the image of
+    ``moves[i]``.  The induced permutations form a group, of which the
+    identity is left out.  As ``moves[i ^ 1]`` is the inverse of
+    ``moves[i]`` and no move repeats, ``perm[i ^ 1] == perm[i] ^ 1``.
+
+    The rank is read from the moves' largest letter.  Only ranks up to
+    ``_SYMMETRY_RANK`` are tried (2^m m! candidates each); above that, and
+    for a move list with a repeated move, the list is empty, which leaves
+    every count exact.  The moves must be checked by ``_step_plan`` first.
+    """
+    index = {mv: i for i, mv in enumerate(moves)}
+    rank = max((c for mv in moves for w in mv for c in w), default=-1) // 2 + 1
+    if rank > _SYMMETRY_RANK or len(index) != len(moves):
+        return []
+    perms = {tuple(range(len(moves)))}
+    out: List[Symmetry] = []
+    for images in permutations(range(rank)):
+        for flips in product((0, 1), repeat=rank):
+            table = bytearray(range(256))
+            for j, (k, e) in enumerate(zip(images, flips)):
+                table[2 * j], table[2 * j + 1] = 2 * k + e, 2 * k + (e ^ 1)
+            table = bytes(table)
+            mapped = [tuple(w.translate(table) for w in mv) for mv in moves]
+            if set(mapped) != index.keys():
+                continue
+            perm = tuple(index[mv] for mv in mapped)
+            if perm not in perms:
+                perms.add(perm)
+                out.append((table, perm))
+    return out
+
+
 class _Side:
     """One breadth-first search from ``root``, grown a shell at a time.
 
     ``depths`` maps every element seen to its exact distance from ``root``,
-    in discovery order.  ``frontier`` is the last complete shell, at
-    ``depth``, and ``backs[j]`` the index of the move from ``frontier[j]``
-    back to its parent, which the search skips: it leads to an element
-    already seen, so the skip changes no outcome.  A shell at ``radius`` is
-    never expanded, so it is not kept.
+    in discovery order, and ``shells[k]`` is the size of shell ``k`` once
+    it is complete.  ``frontier`` is the last complete shell, at ``depth``,
+    and ``backs[j]`` the index of the move from ``frontier[j]`` back to its
+    parent, which the search skips: it leads to an element already seen,
+    so the skip changes no outcome.  A shell at ``radius`` is never
+    expanded, so it is not kept.
+
+    With symmetries (``_symmetries`` of the moves, and ``root`` the
+    identity, which they fix), the search stores one element per orbit:
+    each child ``h`` is replaced by its least image ``s(h)`` over the
+    group, and a new one adds its orbit's size to its shell, the group
+    order over the number of maps that send ``h`` to ``s(h)``.  This
+    counts every element.  The maps are graph automorphisms fixing the
+    identity, so they keep distances to it and an orbit lies within one
+    shell.  Every ``h`` in shell ``k + 1`` is ``g * m`` for some ``g`` in
+    shell ``k`` and move ``m`` (``S_(k+1) = S_k * M - B(k)``); with
+    ``g = t(r)`` for a stored ``r`` and a map ``t``, ``t^-1(h) =
+    r * t^-1(m)`` is a child of ``r``, so expanding the stored elements
+    alone reaches every orbit of shell ``k + 1``.  The move from ``s(h)``
+    back to ``s(r)`` is ``s(moves[i ^ 1])``, index ``perm[i] ^ 1``, and is
+    skipped as before.
     """
 
-    __slots__ = ("plan", "radius", "depths", "depth", "frontier", "backs")
+    __slots__ = ("plan", "radius", "syms", "depths", "depth", "frontier",
+                 "backs", "shells")
 
-    def __init__(self, plan: Plan, root: Key, radius: int) -> None:
+    def __init__(self, plan: Plan, root: Key, radius: int,
+                 syms: Sequence[Symmetry] = ()) -> None:
         self.plan = plan
         self.radius = radius
+        self.syms = syms
         self.depths = {root: 0}
         self.depth = 0
         self.frontier = [root]
         # one byte per move index where they fit; len(plan) marks the
         # root, which has no parent
         self.backs = array("B" if len(plan) < 256 else "L", [len(plan)])
+        self.shells = [1]
 
     def expand(self, stop: Collection[Key]) -> Optional[Key]:
         """Discover the next shell, stopping at the first new element that
@@ -166,8 +243,11 @@ class _Side:
         ``None`` once the shell is complete."""
         depth = self.depth = self.depth + 1
         grow = depth < self.radius
-        plan, depths = self.plan, self.depths
+        plan, depths, syms = self.plan, self.depths, self.syms
+        order = len(syms) + 1
         join = SEP.join
+        seen = len(depths)
+        size = 0
         nxt: List[Key] = []
         nxt_backs = array(self.backs.typecode)
         for g, back in zip(self.frontier, self.backs):
@@ -179,7 +259,21 @@ class _Side:
                 for k, step in steps:
                     f[k] = step(f[k])
                 h = join(f)
-                if h in depths:
+                if syms:
+                    # the least image c, the move index leading to it, and
+                    # how many maps send h to c
+                    c, j, fixed = h, i, 1
+                    for t, perm in syms:
+                        x = h.translate(t)
+                        if x < c:
+                            c, j, fixed = x, perm[i], 1
+                        elif x == c:
+                            fixed += 1
+                    if c in depths:
+                        continue
+                    h, i = c, j
+                    size += order // fixed
+                elif h in depths:
                     continue
                 depths[h] = depth
                 if h in stop:
@@ -188,6 +282,7 @@ class _Side:
                     nxt.append(h)
                     nxt_backs.append(i ^ 1)
         self.frontier, self.backs = nxt, nxt_backs
+        self.shells.append(size if syms else len(depths) - seen)
         return None
 
     def grow(self, stop: Collection[Key]) -> Optional[Key]:
@@ -254,8 +349,7 @@ def _meet(plan: Plan, ident: Key, target: Key, radius: int
     ``None`` without a meeting; ``explored`` counts the distinct elements
     the two sides stored, ``len(forward) + len(backward) - 1`` at a
     meeting, since the two share only the meeting element, and 1 when
-    ``target`` is ``ident``; ``forward`` is the identity's side, which a
-    caller may grow on to ``radius``.
+    ``target`` is ``ident``; ``forward`` is the identity's side.
     """
     fwd, bwd = _Side(plan, ident, radius), _Side(plan, target, radius)
     if target == ident:
@@ -274,10 +368,6 @@ def _identity_key(gens: GeneratingSet) -> Key:
     return ball_key(identity_element(gens.group.n, gens.group.m))
 
 
-def _ball(gens: GeneratingSet, radius: int) -> Dict[Key, int]:
-    return _ball_search(_identity_key(gens), _moves(gens), radius)[0]
-
-
 def distance(
     gens: GeneratingSet, target: ProductElement, max_radius: int
 ) -> DistanceResult:
@@ -287,9 +377,10 @@ def distance(
     and one around the target, each to about half the distance, and
     reports the distance where they first share an element; ``explored``
     then counts the distinct elements the two balls hold.  Without a
-    meeting, the identity's ball grows on to ``max_radius``, so the
-    ``distance > r`` certificate reports, as ``explored``, the size of the
-    whole ball it rests on.
+    meeting, the identity's ball of radius ``max_radius`` is counted one
+    symmetry orbit at a time (``ball_profile``), so the ``distance > r``
+    certificate reports, as ``explored``, the size of the whole ball it
+    rests on.
 
     The caller is responsible for the target actually lying in the
     subgroup generated by ``gens``; for targets outside it the search can
@@ -298,23 +389,28 @@ def distance(
     if target.n != gens.group.n or target.m != gens.group.m:
         raise ValueError("target has the wrong ambient product shape")
     ident = _identity_key(gens)
-    hit, explored, fwd = _meet(_step_plan(ident, _moves(gens), max_radius),
-                               ident, ball_key(target), max_radius)
+    hit, explored, _ = _meet(_step_plan(ident, _moves(gens), max_radius),
+                             ident, ball_key(target), max_radius)
     if hit is not None:
         return DistanceResult(True, hit, max_radius, explored)
-    fwd.grow(())
-    return DistanceResult(False, max_radius, max_radius, len(fwd.depths))
+    return DistanceResult(False, max_radius, max_radius,
+                          sum(ball_profile(gens, max_radius)))
 
 
 def ball_profile(gens: GeneratingSet, radius: int) -> List[int]:
     """Shell sizes ``[1, s_1, ..., s_radius]`` of the Cayley ball.
 
     The list stops early at the first empty shell (a finite subgroup).
+    The shells are counted one orbit of the moves' letter symmetries at a
+    time (see ``_Side``).
     """
-    depths = _ball(gens, radius)
-    shells = [0] * (max(depths.values()) + 1)
-    for d in depths.values():
-        shells[d] += 1
+    ident, moves = _identity_key(gens), _moves(gens)
+    side = _Side(_step_plan(ident, moves, radius), ident, radius,
+                 _symmetries(moves))
+    side.grow(())
+    shells = side.shells
+    if shells[-1] == 0:
+        shells.pop()
     return shells
 
 
@@ -326,7 +422,7 @@ def distance_map(gens: GeneratingSet, radius: int
     for property checks (symmetry, triangle inequality) that need many
     distances at once rather than one target.
     """
-    depths = _ball(gens, radius)
+    depths = _ball_search(_identity_key(gens), _moves(gens), radius)[0]
     return {tuple(key.split(SEP)): d for key, d in depths.items()}
 
 

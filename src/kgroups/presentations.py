@@ -16,6 +16,7 @@ verify/search but not the membership question.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .areasearch import (AdditiveHeuristic, greedy_probe, run_search,
@@ -52,6 +53,8 @@ class Evaluation:
             self.kind = "product"
             if not all(isinstance(g, ProductElement) for g in images):
                 raise ValueError("mixed image kinds")
+            if len({(g.n, g.m) for g in images}) > 1:
+                raise ValueError("product images must share one shape")
             self._hom = None
         else:
             self.kind = "abelian"
@@ -605,22 +608,36 @@ def _canonical_class(data: bytes) -> bytes:
 
 
 def _null_classes(P: Presentation, n: int) -> List[Word]:
-    """Canonical representatives of null-homotopic classes of length <= n."""
-    rank = P.group.rank
-    letters = list(range(2 * rank))
+    """Canonical representatives of null-homotopic classes of length <= n.
+
+    A depth-first walk over the reduced words of length <= n carries each
+    prefix's image under the evaluation down to its children: one vector
+    add per letter for an abelian image, one seam ``concat`` per factor for
+    a product image.  A prefix is null exactly when every coordinate of its
+    image is zero (abelian) or empty (product).
+    """
+    ev = P.evaluation
+    letters = range(2 * P.group.rank)
+    if ev.kind == "abelian":
+        step, one = operator.add, (0,) * len(ev.images[0])
+        images = [tuple(-v if c & 1 else v for v in ev.images[c >> 1])
+                  for c in letters]
+    else:
+        step, one = ops.concat, (b"",) * ev.images[0].n
+        images = [tuple(ops.invert(w) if c & 1 else w
+                        for w in ev.images[c >> 1].key()) for c in letters]
     reps = set()
-    stack: List[List[int]] = [[]]
+    stack = [(b"", one)]
     while stack:
-        prefix = stack.pop()
-        if prefix:
-            w = Word(P.group, bytes(prefix))
-            if is_null_homotopic(P, w):
-                reps.add(_canonical_class(w.data))
+        prefix, image = stack.pop()
+        if prefix and not any(image):
+            reps.add(_canonical_class(prefix))
         if len(prefix) < n:
             for c in letters:
                 if prefix and (prefix[-1] ^ c) == 1:
                     continue
-                stack.append(prefix + [c])
+                stack.append((prefix + bytes((c,)),
+                              tuple(map(step, image, images[c]))))
     reps.discard(b"")
     return [Word(P.group, d) for d in sorted(reps, key=lambda d: (len(d), d))]
 

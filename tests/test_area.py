@@ -9,11 +9,14 @@ import time
 import pytest
 
 import kgroups
+from kgroups.certificates import toy_scenario
+from kgroups.kernels import ProductElement
 from kgroups.presentations import (Evaluation, NullExpression, Presentation,
-                                   _heuristic_for, _variants, area_search,
+                                   _canonical_class, _heuristic_for,
+                                   _null_classes, _variants, area_search,
                                    dehn_function, is_null_homotopic,
                                    parse_presentation, verify_null_expression)
-from kgroups.words import inv, mul, parse_word, to_text
+from kgroups.words import Word, inv, mul, parse_word, to_text
 
 
 @pytest.fixture
@@ -132,6 +135,36 @@ def test_dehn_function_parallel_matches_serial(zz):
     parallel = dehn_function(zz, 5, jobs=2)
     assert (serial.n, serial.value, serial.exact) == \
         (parallel.n, parallel.value, parallel.exact)
+
+
+def _null_classes_by_evaluation(P, n):
+    """The null classes found by evaluating every prefix from scratch."""
+    reps = set()
+    stack = [b""]
+    while stack:
+        prefix = stack.pop()
+        if prefix and is_null_homotopic(P, Word(P.group, prefix)):
+            reps.add(_canonical_class(prefix))
+        if len(prefix) < n:
+            stack += [prefix + bytes((c,)) for c in range(2 * P.group.rank)
+                      if not prefix or prefix[-1] ^ c != 1]
+    reps.discard(b"")
+    return sorted(reps, key=lambda d: (len(d), d))
+
+
+def test_null_classes_carry_the_image_down_the_walk(zz):
+    # an abelian image, and the toy amalgam's product image
+    for P, n_max in ((zz, 8), (toy_scenario(1).presentation, 4)):
+        for n in range(n_max + 1):
+            got = [w.data for w in _null_classes(P, n)]
+            assert got == _null_classes_by_evaluation(P, n)
+    assert len(_null_classes(zz, 8)) == 17
+
+
+def test_product_evaluation_needs_one_shape(zz):
+    x = zz.word("x")
+    with pytest.raises(ValueError, match="one shape"):
+        Evaluation([ProductElement((x, x)), ProductElement((x,))])
 
 
 def test_dehn_needs_oracle():

@@ -5,11 +5,14 @@ import itertools
 import json
 import os
 import re
+import subprocess
+import sys
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import kgroups
 from kgroups import cli
 from kgroups.cli import main
 
@@ -447,3 +450,15 @@ def test_fuzzed_arguments_keep_the_exit_contract(case):
             code = e.code
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err.getvalue(), argv
+
+
+def test_python_dash_m_kgroups_exits_with_the_cli_code():
+    src = os.path.dirname(os.path.dirname(kgroups.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "kgroups", "metric", "--group", "K2_2_2",
+         "--target", "h(2)", "--radius", "6"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "certificate = distance > 6" in proc.stdout.splitlines()
+    assert "explored = 23285" in proc.stdout.splitlines()

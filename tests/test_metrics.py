@@ -9,8 +9,9 @@ from kgroups.kernels import (GenWord, KernelGroup, identity_element,
                              standard_generators)
 from kgroups import metrics
 from kgroups.metrics import (SEP, _ball_search, _meet, _moves, _step_plan,
-                             ambient_length, ball_key, ball_profile, distance,
-                             distance_map, distortion_table, h_family)
+                             _symmetries, ambient_length, ball_key,
+                             ball_profile, distance, distance_map,
+                             distortion_table, h_family)
 
 G = KernelGroup(2, 2, 2)
 B = standard_generators(G)
@@ -440,3 +441,76 @@ def test_distortion_rows_out_of_reach_build_no_words():
     rows = distortion_table(range(1, 200001), 0)
     assert time.perf_counter() - start < 1.0
     assert rows == [(n, 4 * n, "lower-bound", 1) for n in range(1, 200001)]
+
+
+# -- counting the ball one symmetry orbit at a time ----------------------------
+
+def _unreduced_shells(gens, radius):
+    """Shell sizes of the ball as the unreduced ``_ball_search`` stores it."""
+    depths = _ball_search(ball_key(identity_element(gens.group.n,
+                                                    gens.group.m)),
+                          _moves(gens), radius)[0]
+    shells = [0] * (max(depths.values()) + 1)
+    for d in depths.values():
+        shells[d] += 1
+    return shells
+
+
+@pytest.mark.parametrize("shape, radius, order",
+                         [((2, 2, 2), 7, 2), ((2, 3, 2), 4, 4),
+                          ((2, 2, 1), 5, 4), ((2, 3, 3), 4, 6),
+                          ((3, 3, 2), 3, 4), ((2, 2, 0), 5, 8),
+                          ((3, 2, 2), 4, 2)],
+                         ids=["K2_2_2", "K2_3_2", "K2_2_1", "K2_3_3",
+                              "K3_3_2", "K2_2_0", "K3_2_2"])
+def test_orbit_counts_match_the_unreduced_ball(shape, radius, order):
+    gens = standard_generators(KernelGroup(*shape))
+    assert len(_symmetries(_moves(gens))) + 1 == order
+    want = _unreduced_shells(gens, radius)
+    for r in range(radius + 1):
+        assert ball_profile(gens, r) == want[:r + 1]
+    # an exclusion reports the whole ball, counted the same way; a power of
+    # the first generator longer than any ball element lies outside it
+    reach = radius * max(map(ambient_length, gens.realization.values()))
+    far = GenWord(gens, [(gens.symbols[0], 1)] * (reach + 1)).eval()
+    res = distance(gens, far, radius)
+    assert (res.found, res.explored) == (False, sum(want))
+
+
+def test_symmetries_of_k222_are_x_swapped_with_y():
+    moves = _moves(B)
+    # the moves are a1_2, a2_2, c1_2, each followed by its inverse; x <-> y
+    # swaps the a-moves and sends c1_2 = ([x,y], 1) to its inverse
+    assert B.symbols == ("a1_2", "a2_2", "c1_2")
+    (table, perm), = _symmetries(moves)
+    assert table[:4] == bytes([2, 3, 0, 1]) and table[4:] == bytes(range(4, 256))
+    assert perm == (2, 3, 0, 1, 5, 4)
+    for mv, i in zip(moves, perm):
+        assert tuple(w.translate(table) for w in mv) == moves[i]
+
+
+def test_moves_without_symmetry_get_none():
+    x, y = b"\x00", b"\x02"
+    X, Y = b"\x01", b"\x03"
+    # x and y x, with their inverses: no signed letter map keeps the set
+    assert _symmetries([(x,), (X,), (y + x,), (X + Y,)]) == []
+    # a repeated move, and a rank above the enumerated ones
+    assert _symmetries([(x,), (X,), (x,), (X,)]) == []
+    assert _symmetries(_moves(standard_generators(KernelGroup(2, 5, 2)))) == []
+    assert _symmetries([]) == []
+    # a lone letter and its inverse are swapped by x -> x^-1
+    assert _symmetries([(x,), (X,)]) == [(bytes([1, 0]) + bytes(range(2, 256)),
+                                          (1, 0))]
+
+
+def test_orbit_ball_memory_per_explored_element():
+    # the exclusion stores one key per x <-> y orbit: about 62 traced bytes
+    # per element of the ball, where storing every element took about 127
+    tracemalloc.start()
+    try:
+        res = distance(B, h_family(2), 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (res.found, res.explored) == (False, 23285)
+    assert peak / res.explored < 80
