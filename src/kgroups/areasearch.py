@@ -31,13 +31,16 @@ I(child) = I(state) + I(v), whatever the position and however much the
 insertion reduces.  With step = max |I(v)| over the variants, the term
 ceil(|I(w)| / step) changes by at most 1 per unit-cost move and vanishes
 at the goal, so it is consistent and admissible, and so is the maximum of
-several such terms.  A term that no variant moves (step 0) is conserved:
-presentations._heuristic_for reports an obstruction when it is nonzero on
-the start word and drops it otherwise.  The search computes a state's
-invariant values once, when it settles the state; each child's bound is
-then a table lookup by variant index, and no child is rescanned.  The
-greedy probe scans only its start: down the dive, a child's values are its
-parent's plus the inserted variant's.
+several such terms.  A term that no variant moves (step 0) is conserved,
+and presentations._heuristic_for settles all of them by one rule: the
+integer kernel basis of the relators' exponent sums spans the conserved
+linear functionals, a basis functional nonzero on the start word (or a
+conserved plane term that the word moves) is an obstruction, and no
+conserved term is kept.  The search computes a state's invariant values
+once, when it settles the state; each child's bound is then a table
+lookup by variant index, and no child is rescanned.  The greedy probe
+scans only its start: down the dive, a child's values are its parent's
+plus the inserted variant's.
 
 Root bound: unsigned winding.  Take a coordinate plane (i, j) whose two
 generators have exponent sum 0 in every relator; a null-homotopic word

@@ -33,8 +33,8 @@ from .kernels import (KernelGroup, ProductElement, contains,
                       rewrite_in_generators, standard_generators, theta)
 from .splitting import SplittingData, reassemble, syllable_form
 from .presentations import (DEFAULT_LEN_CAP_FACTOR, DEFAULT_NODE_CAP,
-                            Evaluation, Presentation, area_search,
-                            dehn_function, parse_presentation)
+                            area_search, dehn_function, parse_presentation,
+                            with_abelian_evaluation)
 from .metrics import ambient_length, distance, distortion_table, h_family
 from .certificates import (CertificateError, lower_bound_report,
                            toy_amalgam_check)
@@ -202,10 +202,7 @@ def cmd_area(args) -> _Outcome:
 def cmd_dehn(args) -> _Outcome:
     P = parse_presentation(args.presentation)
     if args.abelian:
-        rank = P.group.rank
-        ev = Evaluation([tuple(1 if c == j else 0 for c in range(rank))
-                         for j in range(rank)])
-        P = Presentation(P.group.names, P.relators, ev)
+        P = with_abelian_evaluation(P)
     res = dehn_function(P, args.n, node_cap=args.node_cap,
                         len_cap_factor=args.len_cap_factor, jobs=args.jobs)
     payload = {"presentation": P.to_text()}
@@ -337,8 +334,8 @@ def build_parser() -> _ArgParser:
     p.add_argument("--n", type=int, required=True, help="word-length bound")
     p.add_argument("--abelian", action="store_true",
                    help="use the free-abelian quotient as the null-homotopy"
-                        " oracle (valid when the relators are exactly the"
-                        " commutators)")
+                        " oracle; every commutator [e_i,e_j] must be a"
+                        " relator, and every relator null in Z^rank")
 
     p = _command(sub, "metric", cmd_metric,
                  "word metric on the subgroup via ball search", "radius")

@@ -28,7 +28,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from . import _wordops_py as ops
 from .abelian import (AbelianVector, BasisChange, FactorHom, ab_image,
                       is_surjective, normalize_basis, standard_hom)
-from .words import FreeGroup, Word, commutator, inv, mul, to_text
+from .words import (_MAX_LETTERS, _MAX_RANK, FreeGroup, Word, commutator,
+                    inv, mul, to_text)
 
 
 class ProductElement:
@@ -188,6 +189,10 @@ class KernelGroup:
                  homs: Optional[Sequence[FactorHom]] = None):
         if n < 1 or m < 1:
             raise ValueError("need n >= 1 and m >= 1")
+        # the per-factor maps and their checks are O(n), and each map is
+        # m x r
+        if n > _MAX_LETTERS or m > _MAX_RANK:
+            raise ValueError(f"need n <= {_MAX_LETTERS} and m <= {_MAX_RANK}")
         if not 0 <= r <= m:
             raise ValueError("need 0 <= r <= m")
         if homs is None:
@@ -256,6 +261,11 @@ def standard_generators(G: KernelGroup) -> GeneratingSet:
         raise ValueError("the generating set requires at least two factors")
     if G._gens is not None:
         return G._gens
+    count = G.r * (G.n - 1) + (G.m - G.r) * G.n + G.r * (G.r - 1) // 2
+    if count * G.n > _MAX_LETTERS:
+        raise ValueError(f"the generating set of {G!r} is too large: {count}"
+                         f" symbols of {G.n} factors each (limit"
+                         f" {_MAX_LETTERS} factors in all)")
     F = G.factor_group()
     one = F.identity
     if G.is_standard:

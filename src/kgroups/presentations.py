@@ -15,6 +15,8 @@ verify/search but not the membership question.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import operator
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -24,7 +26,8 @@ from .areasearch import (AdditiveHeuristic, greedy_probe, run_search,
 from . import _wordops_py as ops
 from .abelian import FactorHom, ab_image
 from .kernels import ProductElement, evaluate
-from .words import FreeGroup, Word, inv, mul, parse_word, to_text
+from .words import (FreeGroup, Word, commutator, inv, mul, parse_word,
+                    to_text)
 
 DEFAULT_NODE_CAP = 200_000
 DEFAULT_LEN_CAP_FACTOR = 4
@@ -261,33 +264,32 @@ def _kernel_basis(rows: Sequence[Sequence[int]], rank: int) -> List[List[int]]:
 _ROWS = 3
 
 
-def _plane_term(P: Presentation, w: bytes
-                ) -> Optional[Tuple[List[int], List[int]]]:
-    """Choose the Heisenberg map L for searching from w.
+def _plane_term(relators: Sequence[bytes], basis: Sequence[Sequence[int]],
+                w: bytes) -> Optional[Tuple[Tuple[List[int], List[int]], int]]:
+    """Choose the Heisenberg map L for searching from w, with its step.
 
-    L's two coordinates f, g range over the integer functionals that kill
-    every relator's abelianization; in coordinates of the _kernel_basis of
-    those, L = (x, y).  Entry (i, j) of w's pair-area matrix is z_L(w) for
-    the unit plane L = (e_i, e_j).  The candidates are the first basis pair
+    basis is _heuristic_for's _kernel_basis of the relators' exponent
+    sums: L's two coordinates f, g range over the integer functionals that
+    kill every relator's abelianization, and in coordinates of the basis,
+    L = (x, y).  Entry (i, j) of w's pair-area matrix is z_L(w) for the
+    unit plane L = (e_i, e_j).  The candidates are the first basis pair
     (e_0, e_1) and, for the _ROWS rows i of that matrix with the largest l1
     norm, (e_i, sign of row i), the choice that maximizes z_L(w) for that x.
     AdditiveHeuristic evaluates each on w and on the relators, and its
     score is |z_L(w)| / step, step = max |z_L(relator)| = max |z_L(variant)|
     (see _heuristic_for): the best root bound wins and the first wins ties.
-    A candidate that no variant moves is a conserved term: it wins outright
-    when w moves it, which _heuristic_for reports as an obstruction, and is
-    skipped when w does not.  At dim K = 2 every candidate is a multiple of
-    (e_0, e_1).
+    A candidate that no relator moves is a conserved term: it wins outright
+    when w moves it, with step 0, which _heuristic_for reports as an
+    obstruction, and is skipped when w does not.  At dim K = 2 every
+    candidate is a multiple of (e_0, e_1).
 
-    Returns L of each letter byte as the pair (lx, ly), or None when the
-    kernel has dimension < 2 or no candidate gives a term.
+    Returns (L, step) with L of each letter byte as the pair (lx, ly), or
+    None when the kernel has dimension < 2 or no candidate gives a term.
     """
-    rank = P.group.rank
-    relators = [r.data for r in P.relators]
-    basis = _kernel_basis(AdditiveHeuristic(relators, range(rank)).deltas, rank)
     d = len(basis)
     if d < 2:
         return None
+    rank = len(basis[0])
 
     def plane(x, y):
         lx: List[int] = []
@@ -321,7 +323,15 @@ def _plane_term(P: Presentation, w: bytes
         step = heur.steps[0]
         if (zw or step) and (best is None or zw * best[1] > best[0] * step):
             best = (zw, step, heur.plane)
-    return None if best is None else best[2]
+    return None if best is None else (best[2], best[1])
+
+
+def _exponent_sums(data: bytes, rank: int) -> List[int]:
+    """The signed exponent sum of each 0-based generator in a word."""
+    return [data.count(2 * j) - data.count(2 * j + 1) for j in range(rank)]
+
+
+_OBSTRUCTION = " obstruction: no expression exists at any length"
 
 
 def _heuristic_for(P: Presentation, variants: Sequence[bytes], w: bytes
@@ -329,26 +339,32 @@ def _heuristic_for(P: Presentation, variants: Sequence[bytes], w: bytes
     """The additive heuristic for searching from w, or None and the reason
     no expression of w exists at any length.
 
-    The terms are every generator's exponent sum, then the Heisenberg term
-    of _plane_term, and one rule settles each: a term that no variant moves
-    is conserved, so it is an obstruction when it is nonzero on w and is
-    dropped otherwise.  The exponent sums come first, so an abelianization
+    One rule settles every conserved term.  A functional on exponent sums
+    that kills each relator's abelianization is moved by no variant, so
+    when one is nonzero on w no expression exists; the relators'
+    _kernel_basis spans these functionals, so testing the basis decides
+    it.  That covers a generator no relator moves (its coordinate lies in
+    the span) and also sums such as (1, -2) on < g, y | g y g >.  The
+    linear terms kept are the exponent sums of the generators that some
+    relator moves, and the Heisenberg term is _plane_term's, built on the
+    same basis; a plane that no relator moves but w does (step 0) is the
+    area-cocycle obstruction.  The abelianization is tested first, so its
     obstruction is reported before an area-cocycle one.  A variant is a
     conjugate of a relator or its inverse, and each term sends relators to
-    the centre, so the relators give the variants' steps.
+    the centre, so the variants' steps are the relators'.
     """
     rank = P.group.rank
     relators = [r.data for r in P.relators]
-    terms = AdditiveHeuristic(relators, range(rank), _plane_term(P, w))
-    kept = []
-    for t, (value, step) in enumerate(zip(terms.values(w), terms.steps)):
-        if step:
-            kept.append(t)
-        elif value:
-            kind = "abelianization" if t < rank else "area-cocycle"
-            return None, kind + " obstruction: no expression exists at any length"
-    plane = terms.plane if rank in kept else None
-    return AdditiveHeuristic(variants, [t for t in kept if t < rank], plane), ""
+    rows = [_exponent_sums(r, rank) for r in relators]
+    basis = _kernel_basis(rows, rank)
+    sums = _exponent_sums(w, rank)
+    if any(sum(map(operator.mul, f, sums)) for f in basis):
+        return None, "abelianization" + _OBSTRUCTION
+    plane, step = _plane_term(relators, basis, w) or (None, None)
+    if step == 0:
+        return None, "area-cocycle" + _OBSTRUCTION
+    gens = [j for j in range(rank) if any(row[j] for row in rows)]
+    return AdditiveHeuristic(variants, gens, plane), ""
 
 
 def _free_generators(words: Sequence[bytes], rank: int) -> List[int]:
@@ -365,19 +381,21 @@ def _root_bound(P: Presentation, variants: Sequence[bytes], w: bytes
     _heuristic_for's additive one, which also gives every child's bound, or
     None with the obstruction when no expression exists.  h0 is the larger
     of its bound on w and the winding bound ceil(W(w) / step) over every
-    coordinate plane whose generators have exponent sum 0 in each relator
-    (areasearch module docstring); both hold at any word length.  witness
-    is the winding term's evidence for verify_lower_bound when that term
-    attains h0, else None.  _heuristic_for has settled every conserved
-    exponent sum by then, so w's projections onto those planes are closed.
+    coordinate plane of two generators the heuristic leaves out, which are
+    those with exponent sum 0 in each relator (areasearch module
+    docstring); both hold at any word length.  witness is the winding
+    term's evidence for verify_lower_bound when that term attains h0, else
+    None.  _heuristic_for has found w's exponent sums in the span of the
+    relators' by then, so those generators' sums are 0 on w too and w's
+    projections onto the planes are closed.
     """
     heur, obstruction = _heuristic_for(P, variants, w)
     if heur is None:
         return None, 0, None, obstruction
     h0 = heur.bound(heur.values(w))
     relators = [r.data for r in P.relators]
-    free = _free_generators(relators, P.group.rank)
-    planes = [(i, j) for k, i in enumerate(free) for j in free[k + 1:]]
+    free = [j for j in range(P.group.rank) if j not in heur.gens]
+    planes = list(itertools.combinations(free, 2))
     step = max((winding_sum(r, planes) for r in relators), default=0)
     if step:
         value = winding_sum(w, planes)
@@ -607,6 +625,28 @@ def _canonical_class(data: bytes) -> bytes:
     return best
 
 
+def with_abelian_evaluation(P: Presentation) -> Presentation:
+    """P with the free-abelian quotient Z^rank as its evaluation.
+
+    That evaluation is faithful only when P presents Z^rank, so every basic
+    commutator [e_i, e_j] (i < j) must be a relator up to rotation and
+    inversion (_canonical_class).  The Presentation then checks that every
+    relator's abelianization is zero, so the relators are consequences of
+    those commutators and the group is Z^rank.
+    """
+    rank = P.group.rank
+    have = {_canonical_class(r.data) for r in P.relators}
+    for i, j in itertools.combinations(range(1, rank + 1), 2):
+        c = commutator(P.group.gen(i), P.group.gen(j))
+        if _canonical_class(c.data) not in have:
+            raise ValueError(f"the commutator {to_text(c)} is not a relator,"
+                             " so the free-abelian evaluation is not"
+                             " faithful")
+    ev = Evaluation([tuple(int(c == j) for c in range(rank))
+                     for j in range(rank)])
+    return Presentation(P.group.names, P.relators, ev)
+
+
 def _null_classes(P: Presentation, n: int) -> List[Word]:
     """Canonical representatives of null-homotopic classes of length <= n.
 
@@ -642,11 +682,6 @@ def _null_classes(P: Presentation, n: int) -> List[Word]:
     return [Word(P.group, d) for d in sorted(reps, key=lambda d: (len(d), d))]
 
 
-def _area_of(args):
-    P, w, node_cap, len_cap_factor = args
-    return area_search(P, w, node_cap=node_cap, len_cap_factor=len_cap_factor)
-
-
 def dehn_function(P: Presentation, n: int, *, node_cap: int = DEFAULT_NODE_CAP,
                   len_cap_factor: int = DEFAULT_LEN_CAP_FACTOR,
                   jobs: int = 1) -> DehnResult:
@@ -663,13 +698,14 @@ def dehn_function(P: Presentation, n: int, *, node_cap: int = DEFAULT_NODE_CAP,
     words = _null_classes(P, n)
     value, exact, witness = 0, True, None
     unconditional = True
-    tasks = [(P, w, node_cap, len_cap_factor) for w in words]
-    if jobs > 1 and len(tasks) > 1:
+    area = functools.partial(area_search, P, node_cap=node_cap,
+                             len_cap_factor=len_cap_factor)
+    if jobs > 1 and len(words) > 1:
         import concurrent.futures   # here: it costs every other run 0.6 MB
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_area_of, tasks, chunksize=8))
+            results = list(pool.map(area, words, chunksize=8))
     else:
-        results = [_area_of(t) for t in tasks]
+        results = list(map(area, words))
     for w, res in zip(words, results):
         if res.status == "exact":
             unconditional = unconditional and res.unconditional

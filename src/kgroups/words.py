@@ -41,6 +41,11 @@ class FreeGroup:
             raise ValueError("need exactly one name per generator")
         if len(set(self.names)) != rank:
             raise ValueError("generator names must be distinct")
+        for name in self.names:
+            # the word grammar must read every printed name back
+            if name == "1" or not _IDENT_RE.fullmatch(name):
+                raise ValueError(f"generator name {name!r} must be letters,"
+                                 " digits and underscores, and not 1")
         by_name = {}
         for j, name in enumerate(self.names, start=1):
             by_name[name] = j

@@ -65,6 +65,9 @@ BAD = [
     # an exponent too large to allocate
     ("member", "--group", "K2_2_2", "--element",
      "x^99999999999999999999 ; 1"),
+    # generator names the word grammar cannot read back
+    ("area", "--presentation", "< 1, y | 1 y 1 >", "--word", "y"),
+    ("area", "--presentation", "< x^2, y | x^2 y >", "--word", "x y"),
 ]
 
 
@@ -228,6 +231,72 @@ def test_dehn_subcommand(capsys):
                        "--n", "4", "--abelian", "--format", "json")
     data = json.loads(out)
     assert code == 0 and data["value"] == 1 and data["exact"] is True
+
+
+def test_dehn_abelian_needs_every_commutator_as_a_relator(capsys):
+    # the genus-2 relator has zero abelianization, but the group is not Z^4:
+    # a b a^-1 b^-1 is not null there, so the quotient is no oracle
+    code, out, err = run(capsys, "dehn", "--presentation",
+                         "< a, b, c, d | [a,b] [c,d] >", "--n", "4",
+                         "--abelian", "--node-cap", "2000")
+    assert (code, out) == (1, "")
+    assert "a b a^-1 b^-1 is not a relator" in err
+
+
+@pytest.mark.parametrize("text,n,value,witness", [
+    ("< x, y | [x,y] >", 10, 6, "x^3 y^2 x^-3 y^-2"),
+    # rotated and inverted commutators count
+    ("< a, b, c | [a,b], c b c^-1 b^-1, a^-1 c^-1 a c >", 6, 3,
+     "a b c a^-1 b^-1 c^-1"),
+])
+def test_dehn_abelian_over_free_abelian_groups(capsys, text, n, value,
+                                               witness):
+    code, out, _ = run(capsys, "dehn", "--presentation", text, "--n", str(n),
+                       "--abelian", "--format", "json")
+    data = json.loads(out)
+    assert code == 0
+    assert (data["value"], data["witness"], data["exact"]) == \
+        (value, witness, True)
+
+
+def test_area_reports_an_obstruction_from_a_kernel_combination(capsys):
+    # no generator is left unmoved, but (1, -2) kills the relator's exponent
+    # sums (2, 1) and is -2 on y: the kernel basis decides it at the root
+    code, out, _ = run(capsys, "area", "--presentation", "< g, y | g y g >",
+                       "--word", "y", "--format", "json")
+    data = json.loads(out)
+    assert code == 1
+    assert data["stop_reason"] == ("abelianization obstruction: no"
+                                   " expression exists at any length")
+    assert (data["nodes"], data["pushes"], data["regime_empty"]) == \
+        (0, 0, True)
+
+
+# run in a child limited to 1 GB of address space: without the limit these
+# argvs could take the machine's memory
+_LIMITED = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from kgroups.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+
+
+@pytest.mark.parametrize("argv", [
+    # 199,997 generators of 99,999 factors each
+    ("metric", "--group", "K99999_2_2", "--target", "h(1)"),
+    # a list of 10^12 factor maps
+    ("member", "--group", "K999999999999_2_2", "--element", "1"),
+    # factor maps of 10^10 entries each
+    ("member", "--group", "K2_100000_100000", "--element", "1 ; 1"),
+], ids=lambda a: a[2])
+def test_group_descriptors_too_large_to_build_exit_one(argv):
+    src = os.path.dirname(os.path.dirname(kgroups.__file__))
+    proc = subprocess.run([sys.executable, "-c", _LIMITED, *argv],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_toy_amalgam_report_shape(capsys):

@@ -514,3 +514,17 @@ def test_orbit_ball_memory_per_explored_element():
         tracemalloc.stop()
     assert (res.found, res.explored) == (False, 23285)
     assert peak / res.explored < 80
+
+
+def test_unreduced_ball_memory_per_key():
+    # _ball_search stores one joined key per element, as distance_map and
+    # the meet's sides do: about 127 traced bytes per key
+    ident = ball_key(identity_element(2, 2))
+    tracemalloc.start()
+    try:
+        depths, hit, explored = _ball_search(ident, _moves(B), 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (hit, explored, len(depths)) == (None, 23285, 23285)
+    assert peak / explored < 160
