@@ -32,15 +32,16 @@ insertion reduces.  With step = max |I(v)| over the variants, the term
 ceil(|I(w)| / step) changes by at most 1 per unit-cost move and vanishes
 at the goal, so it is consistent and admissible, and so is the maximum of
 several such terms.  A term that no variant moves (step 0) is conserved,
-and presentations._heuristic_for settles all of them by one rule: the
+and presentations._root_bound settles all of them by one rule: the
 integer kernel basis of the relators' exponent sums spans the conserved
 linear functionals, a basis functional nonzero on the start word (or a
 conserved plane term that the word moves) is an obstruction, and no
-conserved term is kept.  The search computes a state's invariant values
-once, when it settles the state; each child's bound is then a table
-lookup by variant index, and no child is rescanned.  The greedy probe
-scans only its start: down the dive, a child's values are its parent's
-plus the inserted variant's.
+conserved term is kept.  plane_value is the one z_L loop, used both to
+choose the plane and by the search.  The search computes a state's
+invariant values once, when it settles the state; each child's bound is
+then a table lookup by variant index, and no child is rescanned.  The
+greedy probe scans only its start: down the dive, a child's values are
+its parent's plus the inserted variant's.
 
 Root bound: unsigned winding.  Take a coordinate plane (i, j) whose two
 generators have exponent sum 0 in every relator; a null-homotopic word
@@ -98,13 +99,28 @@ from . import _wordops_py as ops
 _MARK = [bytes(x) + b"\x01" + bytes(255 - x) for x in range(256)]
 
 
+def plane_value(word: bytes, plane: Tuple[Sequence[int], Sequence[int]]
+                ) -> int:
+    """z_L(word), the package's one z_L loop; plane = (lx, ly) gives L of
+    each letter byte (module docstring)."""
+    lx, ly = plane
+    px = py = z = 0
+    for b in word:
+        dx = lx[b]
+        dy = ly[b]
+        z += px * dy - py * dx
+        px += dx
+        py += dy
+    return z
+
+
 class AdditiveHeuristic:
     """h(w) = max over terms of ceil(|I(w)| / step); see module docstring.
 
     gens lists the 0-based generators whose exponent sums are terms; plane
-    is None or the pair (lx, ly) giving L(letter) for every letter byte.
-    values holds the package's one z_L loop.  bound and child_bounds need
-    every step nonzero: a conserved term is settled before the search.
+    is None or the pair (lx, ly) giving L(letter) for every letter byte,
+    whose term plane_value computes.  bound and child_bounds need every
+    step nonzero: a conserved term is settled before the search.
     """
 
     __slots__ = ("gens", "plane", "steps", "deltas")
@@ -121,15 +137,7 @@ class AdditiveHeuristic:
         """The invariant values of `word`, one per term."""
         out = [word.count(2 * j) - word.count(2 * j + 1) for j in self.gens]
         if self.plane is not None:
-            lx, ly = self.plane
-            px = py = z = 0
-            for b in word:
-                dx = lx[b]
-                dy = ly[b]
-                z += px * dy - py * dx
-                px += dx
-                py += dy
-            out.append(z)
+            out.append(plane_value(word, self.plane))
         return out
 
     def bound(self, values: Sequence[int]) -> int:

@@ -267,8 +267,9 @@ _BUDGETS = {
                        "intermediate words may exceed the input by this"
                        " many relator lengths"),
     "radius": ("--radius", 6, 0, "ball radius for subgroup-metric searches"),
-    "jobs": ("--jobs", 1, 1, "worker processes for embarrassingly parallel"
-                             " searches"),
+    "jobs": ("--jobs", 1, 1, "limit on worker processes for the searches:"
+                             " min(this, word classes, usable CPUs) start,"
+                             " and none when that is 1"),
 }
 
 

@@ -321,7 +321,7 @@ def _ball_search(
 
 
 def _meet(plan: Plan, ident: Key, target: Key, radius: int
-          ) -> Tuple[Optional[int], int, _Side]:
+          ) -> Tuple[Optional[int], int]:
     """Meet-in-the-middle distance from ``ident`` to ``target``.
 
     Two ``_Side`` searches use the same right-multiplication moves, as
@@ -345,23 +345,23 @@ def _meet(plan: Plan, ident: Key, target: Key, radius: int
     ``radius``, which proves ``d > radius``, or when either frontier
     empties, which proves ``target`` unreachable.
 
-    Returns ``(hit, explored, forward)``: ``hit`` is the distance, or
-    ``None`` without a meeting; ``explored`` counts the distinct elements
-    the two sides stored, ``len(forward) + len(backward) - 1`` at a
-    meeting, since the two share only the meeting element, and 1 when
-    ``target`` is ``ident``; ``forward`` is the identity's side.
+    Returns ``(hit, explored)``: ``hit`` is the distance, or ``None``
+    without a meeting; ``explored`` counts the distinct elements the two
+    sides stored, ``len(forward) + len(backward) - 1`` at a meeting, since
+    the two share only the meeting element, and 1 when ``target`` is
+    ``ident``.
     """
     fwd, bwd = _Side(plan, ident, radius), _Side(plan, target, radius)
     if target == ident:
-        return 0, 1, fwd
+        return 0, 1
     while fwd.depth + bwd.depth < radius and fwd.frontier and bwd.frontier:
         side, other = ((fwd, bwd) if len(fwd.frontier) <= len(bwd.frontier)
                        else (bwd, fwd))
         hit = side.expand(other.depths)
         if hit is not None:
             return (side.depth + other.depths[hit],
-                    len(fwd.depths) + len(bwd.depths) - 1, fwd)
-    return None, len(fwd.depths) + len(bwd.depths), fwd
+                    len(fwd.depths) + len(bwd.depths) - 1)
+    return None, len(fwd.depths) + len(bwd.depths)
 
 
 def _identity_key(gens: GeneratingSet) -> Key:
@@ -389,8 +389,8 @@ def distance(
     if target.n != gens.group.n or target.m != gens.group.m:
         raise ValueError("target has the wrong ambient product shape")
     ident = _identity_key(gens)
-    hit, explored, _ = _meet(_step_plan(ident, _moves(gens), max_radius),
-                             ident, ball_key(target), max_radius)
+    hit, explored = _meet(_step_plan(ident, _moves(gens), max_radius),
+                          ident, ball_key(target), max_radius)
     if hit is not None:
         return DistanceResult(True, hit, max_radius, explored)
     return DistanceResult(False, max_radius, max_radius,

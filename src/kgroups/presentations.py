@@ -19,10 +19,11 @@ import functools
 import itertools
 import math
 import operator
+import os
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .areasearch import (AdditiveHeuristic, greedy_probe, run_search,
-                         winding_sum)
+from .areasearch import (AdditiveHeuristic, greedy_probe, plane_value,
+                         run_search, winding_sum)
 from . import _wordops_py as ops
 from .abelian import FactorHom, ab_image
 from .kernels import ProductElement, evaluate
@@ -268,20 +269,21 @@ def _plane_term(relators: Sequence[bytes], basis: Sequence[Sequence[int]],
                 w: bytes) -> Optional[Tuple[Tuple[List[int], List[int]], int]]:
     """Choose the Heisenberg map L for searching from w, with its step.
 
-    basis is _heuristic_for's _kernel_basis of the relators' exponent
-    sums: L's two coordinates f, g range over the integer functionals that
-    kill every relator's abelianization, and in coordinates of the basis,
-    L = (x, y).  Entry (i, j) of w's pair-area matrix is z_L(w) for the
-    unit plane L = (e_i, e_j).  The candidates are the first basis pair
-    (e_0, e_1) and, for the _ROWS rows i of that matrix with the largest l1
-    norm, (e_i, sign of row i), the choice that maximizes z_L(w) for that x.
-    AdditiveHeuristic evaluates each on w and on the relators, and its
-    score is |z_L(w)| / step, step = max |z_L(relator)| = max |z_L(variant)|
-    (see _heuristic_for): the best root bound wins and the first wins ties.
-    A candidate that no relator moves is a conserved term: it wins outright
-    when w moves it, with step 0, which _heuristic_for reports as an
-    obstruction, and is skipped when w does not.  At dim K = 2 every
-    candidate is a multiple of (e_0, e_1).
+    basis is _root_bound's _kernel_basis of the relators' exponent sums:
+    L's two coordinates f, g range over the integer functionals that kill
+    every relator's abelianization, and in coordinates of the basis,
+    L = (x, y).  Row i of w's pair-area matrix holds z_L(w) for the unit
+    planes L = (e_i, e_j).  The candidates are the first basis pair
+    (e_0, e_1) and, for the _ROWS rows i with the largest l1 norm,
+    (e_i, sign of row i), the choice that maximizes z_L(w) for that x.
+    z_L is bilinear in (x, y), so a candidate's |z_L(w)| is |row 0's
+    entry 1| or row i's l1 norm, and its step is max |z_L(relator)| =
+    max |z_L(variant)| (see _root_bound), one plane_value pass per
+    relator.  The score is |z_L(w)| / step: the best root bound wins and
+    the first wins ties.  A candidate that no relator moves is a conserved
+    term: it wins outright when w moves it, with step 0, which _root_bound
+    reports as an obstruction, and is skipped when w does not.  At
+    dim K = 2 every candidate is a multiple of (e_0, e_1).
 
     Returns (L, step) with L of each letter byte as the pair (lx, ly), or
     None when the kernel has dimension < 2 or no candidate gives a term.
@@ -305,24 +307,23 @@ def _plane_term(relators: Sequence[bytes], basis: Sequence[Sequence[int]],
         return [int(k == i) for k in range(d)]
 
     rows = [[0] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(i + 1, d):
-            z = AdditiveHeuristic((), plane=plane(unit(i), unit(j))).values(w)[0]
-            rows[i][j], rows[j][i] = z, -z
+    for i, j in itertools.combinations(range(d), 2):
+        z = plane_value(w, plane(unit(i), unit(j)))
+        rows[i][j], rows[j][i] = z, -z
+    norms = [sum(map(abs, row)) for row in rows]
 
-    candidates = [(unit(0), unit(1))]
-    order = sorted(range(d), key=lambda i: (-sum(map(abs, rows[i])), i))
-    for i in order[:_ROWS]:
-        if any(rows[i]):
-            candidates.append((unit(i), [(v > 0) - (v < 0) for v in rows[i]]))
+    candidates = [(unit(0), unit(1), abs(rows[0][1]))]
+    for i in sorted(range(d), key=lambda i: (-norms[i], i))[:_ROWS]:
+        if norms[i]:
+            candidates.append((unit(i), [(v > 0) - (v < 0) for v in rows[i]],
+                               norms[i]))
 
     best = None     # (|z(w)|, step, plane)
-    for x, y in candidates:
-        heur = AdditiveHeuristic(relators, plane=plane(x, y))
-        zw = abs(heur.values(w)[0])
-        step = heur.steps[0]
+    for x, y, zw in candidates:
+        L = plane(x, y)
+        step = max((abs(plane_value(r, L)) for r in relators), default=0)
         if (zw or step) and (best is None or zw * best[1] > best[0] * step):
-            best = (zw, step, heur.plane)
+            best = (zw, step, L)
     return None if best is None else (best[2], best[1])
 
 
@@ -334,10 +335,13 @@ def _exponent_sums(data: bytes, rank: int) -> List[int]:
 _OBSTRUCTION = " obstruction: no expression exists at any length"
 
 
-def _heuristic_for(P: Presentation, variants: Sequence[bytes], w: bytes
-                   ) -> Tuple[Optional[AdditiveHeuristic], str]:
-    """The additive heuristic for searching from w, or None and the reason
-    no expression of w exists at any length.
+def _root_bound(P: Presentation, variants: Sequence[bytes], w: bytes
+                ) -> Tuple[Optional[AdditiveHeuristic], int, Optional[dict], str]:
+    """The search's one root lower bound on the area of w, and its heuristic.
+
+    Returns (heuristic, h0, witness, obstruction): the additive heuristic
+    that gives every child's bound, or None with the reason no expression
+    of w exists at any length.
 
     One rule settles every conserved term.  A functional on exponent sums
     that kills each relator's abelianization is moved by no variant, so
@@ -352,6 +356,15 @@ def _heuristic_for(P: Presentation, variants: Sequence[bytes], w: bytes
     obstruction is reported before an area-cocycle one.  A variant is a
     conjugate of a relator or its inverse, and each term sends relators to
     the centre, so the variants' steps are the relators'.
+
+    h0 is the larger of the heuristic's bound on w and the winding bound
+    ceil(W(w) / step) over every coordinate plane of two generators the
+    heuristic leaves out, which are those with exponent sum 0 in each
+    relator (areasearch module docstring); both hold at any word length.
+    w's exponent sums lie in the span of the relators' by then, so those
+    generators' sums are 0 on w too and w's projections onto the planes
+    are closed.  witness is the winding term's evidence for
+    verify_lower_bound when that term attains h0, else None.
     """
     rank = P.group.rank
     relators = [r.data for r in P.relators]
@@ -359,43 +372,15 @@ def _heuristic_for(P: Presentation, variants: Sequence[bytes], w: bytes
     basis = _kernel_basis(rows, rank)
     sums = _exponent_sums(w, rank)
     if any(sum(map(operator.mul, f, sums)) for f in basis):
-        return None, "abelianization" + _OBSTRUCTION
+        return None, 0, None, "abelianization" + _OBSTRUCTION
     plane, step = _plane_term(relators, basis, w) or (None, None)
     if step == 0:
-        return None, "area-cocycle" + _OBSTRUCTION
+        return None, 0, None, "area-cocycle" + _OBSTRUCTION
     gens = [j for j in range(rank) if any(row[j] for row in rows)]
-    return AdditiveHeuristic(variants, gens, plane), ""
-
-
-def _free_generators(words: Sequence[bytes], rank: int) -> List[int]:
-    """The 0-based generators whose exponent sum is 0 in every word."""
-    return [j for j in range(rank)
-            if all(d.count(2 * j) == d.count(2 * j + 1) for d in words)]
-
-
-def _root_bound(P: Presentation, variants: Sequence[bytes], w: bytes
-                ) -> Tuple[Optional[AdditiveHeuristic], int, Optional[dict], str]:
-    """The search's one root lower bound on the area of w.
-
-    Returns (heuristic, h0, witness, obstruction).  heuristic is
-    _heuristic_for's additive one, which also gives every child's bound, or
-    None with the obstruction when no expression exists.  h0 is the larger
-    of its bound on w and the winding bound ceil(W(w) / step) over every
-    coordinate plane of two generators the heuristic leaves out, which are
-    those with exponent sum 0 in each relator (areasearch module
-    docstring); both hold at any word length.  witness is the winding
-    term's evidence for verify_lower_bound when that term attains h0, else
-    None.  _heuristic_for has found w's exponent sums in the span of the
-    relators' by then, so those generators' sums are 0 on w too and w's
-    projections onto the planes are closed.
-    """
-    heur, obstruction = _heuristic_for(P, variants, w)
-    if heur is None:
-        return None, 0, None, obstruction
+    heur = AdditiveHeuristic(variants, gens, plane)
     h0 = heur.bound(heur.values(w))
-    relators = [r.data for r in P.relators]
-    free = [j for j in range(P.group.rank) if j not in heur.gens]
-    planes = list(itertools.combinations(free, 2))
+    planes = list(itertools.combinations(
+        [j for j in range(rank) if j not in gens], 2))
     step = max((winding_sum(r, planes) for r in relators), default=0)
     if step:
         value = winding_sum(w, planes)
@@ -421,7 +406,8 @@ def verify_lower_bound(P: Presentation, w: Word, witness: dict) -> bool:
         return False
     planes = [tuple(p) for p in witness.get("planes", ())]
     relators = [r.data for r in P.relators]
-    free = set(_free_generators(relators + [w.data], P.group.rank))
+    sums = [_exponent_sums(d, P.group.rank) for d in relators + [w.data]]
+    free = {j for j in range(P.group.rank) if not any(s[j] for s in sums)}
     if not planes or planes != sorted(set(planes)) or any(
             len(p) != 2 or p[0] >= p[1] or not free.issuperset(p)
             for p in planes):
@@ -689,7 +675,9 @@ def dehn_function(P: Presentation, n: int, *, node_cap: int = DEFAULT_NODE_CAP,
 
     Exact only when every inner search came back exact; any exhaustion
     demotes the result to a lower bound.  Enumeration cost is exponential
-    in n -- this is a desk instrument for single digits.
+    in n -- this is a desk instrument for single digits.  The searches run
+    in min(jobs, classes, usable CPUs) worker processes, in this process
+    when that is 1.
     """
     if n < 0:
         raise ValueError("n must be at least 0")
@@ -700,9 +688,12 @@ def dehn_function(P: Presentation, n: int, *, node_cap: int = DEFAULT_NODE_CAP,
     unconditional = True
     area = functools.partial(area_search, P, node_cap=node_cap,
                              len_cap_factor=len_cap_factor)
-    if jobs > 1 and len(words) > 1:
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(jobs, len(words), cpus)
+    if workers > 1:
         import concurrent.futures   # here: it costs every other run 0.6 MB
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(area, words, chunksize=8))
     else:
         results = list(map(area, words))

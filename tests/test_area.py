@@ -1,4 +1,5 @@
 import ast
+import concurrent.futures
 import json
 import os
 import random
@@ -12,8 +13,8 @@ import kgroups
 from kgroups.certificates import toy_scenario
 from kgroups.kernels import ProductElement
 from kgroups.presentations import (Evaluation, NullExpression, Presentation,
-                                   _canonical_class, _heuristic_for,
-                                   _null_classes, _variants, area_search,
+                                   _canonical_class, _null_classes,
+                                   _root_bound, _variants, area_search,
                                    dehn_function, is_null_homotopic,
                                    parse_presentation, verify_null_expression)
 from kgroups.words import Word, inv, mul, parse_word, to_text
@@ -137,6 +138,36 @@ def test_dehn_function_parallel_matches_serial(zz):
         (parallel.n, parallel.value, parallel.exact)
 
 
+@pytest.mark.parametrize("cpus,n,workers", [(64, 6, 3), (2, 6, 2), (1, 6, None),
+                                             (64, 4, None)])
+def test_dehn_function_caps_its_worker_count(zz, monkeypatch, cpus, n, workers):
+    # jobs = 10^6 must not ask for 10^6 processes: the pool gets one worker
+    # per class and per usable CPU at most, and no pool starts when that is
+    # 1.  The stand-in pool records its size and maps in this process.
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    got = dehn_function(zz, n, jobs=10 ** 6)
+    assert sizes == ([] if workers is None else [workers])
+    assert got.to_json() == dehn_function(zz, n).to_json()
+
+
 def _null_classes_by_evaluation(P, n):
     """The null classes found by evaluating every prefix from scratch."""
     reps = set()
@@ -225,7 +256,7 @@ def test_root_bound_never_exceeds_the_exact_area(text):
         w = random_null_word(rng, P, rng.randint(1, 2), 2)
         if not w:
             continue
-        heur, obstruction = _heuristic_for(P, variants, w.data)
+        heur, _, _, obstruction = _root_bound(P, variants, w.data)
         assert heur is not None, obstruction
         h0 = heur.bound(heur.values(w.data))
         plain = area_search(P, w, heuristic=False, stop_at_bound=h0)
@@ -256,7 +287,7 @@ def test_term_selection_at_rank_six_is_fast():
     w = P.word("[a b c, d e f]")
     variants, _ = _variants(P)
     started = time.perf_counter()
-    heur, _ = _heuristic_for(P, variants, w.data)
+    heur = _root_bound(P, variants, w.data)[0]
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0
     # any two of a, b, c against any two of d, e, f: 9 unit commutators

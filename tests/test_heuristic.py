@@ -3,16 +3,20 @@
 `reference_heuristic` is an independent copy of the earlier term chooser,
 which scanned every word for its exponent sums and its pair-area matrix
 and scored each candidate plane by dotting 2x2 minors with those areas.
-`_heuristic_for` must choose the same terms, with the same steps, root
-bound and obstruction reason, from AdditiveHeuristic's one z_L loop.
+`_root_bound` must choose the same terms, with the same steps, additive
+root bound and obstruction reason, reading each candidate's |z_L(w)| off
+the word's pair-area rows and its step off one `plane_value` pass per
+relator.  `plane_value` is the package's one z_L loop; the rows suffice
+because z_L is bilinear in L, which is tested here too.
 """
 
 import random
 
 import pytest
 
+from kgroups.areasearch import plane_value
 from kgroups.certificates import toy_scenario
-from kgroups.presentations import (_heuristic_for, _kernel_basis, _variants,
+from kgroups.presentations import (_kernel_basis, _root_bound, _variants,
                                    area_search, parse_presentation)
 from kgroups.words import inv, mul
 
@@ -158,13 +162,48 @@ def seeded_words(P, seed):
     return words
 
 
+def basis_plane(basis, x, y):
+    """L = (x, y) in coordinates of the basis, as (lx, ly) per letter byte."""
+    lx, ly = [], []
+    for j in range(len(basis[0])):
+        f = sum(xi * row[j] for xi, row in zip(x, basis))
+        g = sum(yi * row[j] for yi, row in zip(y, basis))
+        lx += (f, -f)
+        ly += (g, -g)
+    return lx, ly
+
+
+@pytest.mark.parametrize("name", ["Z3", "genus 2", "toy", "rank 6"])
+def test_plane_value_is_bilinear_in_the_plane(name):
+    # z_L(w) = sum over a, b of x_a y_b Z_ab(w), Z being the unit planes'
+    # values: _plane_term reads every candidate's |z_L(w)| off Z's rows
+    P = CHOICE_PRESENTATIONS[name]
+    rank = P.group.rank
+    basis = _kernel_basis([exponent_sums(r.data, rank) for r in P.relators],
+                          rank)
+    d = len(basis)
+    unit = [[int(k == i) for k in range(d)] for i in range(d)]
+    rng = random.Random(5)
+    moved = 0
+    for w in seeded_words(P, 5):
+        Z = [[plane_value(w.data, basis_plane(basis, unit[a], unit[b]))
+              for b in range(d)] for a in range(d)]
+        moved += any(map(any, Z))
+        for _ in range(4):
+            x = [rng.randint(-3, 3) for _ in range(d)]
+            y = [rng.randint(-3, 3) for _ in range(d)]
+            want = sum(x[a] * y[b] * Z[a][b] for a in range(d) for b in range(d))
+            assert plane_value(w.data, basis_plane(basis, x, y)) == want, w
+    assert moved
+
+
 @pytest.mark.parametrize("name", CHOICE_PRESENTATIONS)
 def test_term_choice_matches_the_minors_reference(name):
     P = CHOICE_PRESENTATIONS[name]
     variants, _ = _variants(P)
     for w in seeded_words(P, 11):
         gens, plane, steps, h0, reason = reference_heuristic(P, variants, w.data)
-        heur, got_reason = _heuristic_for(P, variants, w.data)
+        heur, _, _, got_reason = _root_bound(P, variants, w.data)
         assert got_reason == reason, w
         if heur is None:
             assert reason
@@ -183,7 +222,7 @@ def test_a_conserved_term_nonzero_on_the_word_is_an_obstruction(text, word, reas
     P = parse_presentation(text)
     assert _variants(P) == ([], [])
     w = P.word(word)
-    assert _heuristic_for(P, [], w.data) == (None, reason)
+    assert _root_bound(P, [], w.data) == (None, 0, None, reason)
     res = area_search(P, w)
     assert res.stop_reason == reason
     assert res.regime_empty and res.nodes == 0
@@ -195,7 +234,7 @@ def test_a_conserved_term_zero_on_the_word_is_dropped():
     P = parse_presentation("< x, y, t | x^2, [x,y] >")
     variants, _ = _variants(P)
     w = P.word("t x^2 t^-1")
-    heur, reason = _heuristic_for(P, variants, w.data)
+    heur, _, _, reason = _root_bound(P, variants, w.data)
     assert reason == ""
     assert (heur.gens, heur.plane, heur.steps) == ((0,), None, (2,))
     res = area_search(P, w)

@@ -330,7 +330,7 @@ def _check_meet(ident, moves, radius, targets, ref, product_moves):
     reference distances, having stored what the reference meet stores."""
     found = 0
     for target in targets:
-        hit, explored, _ = _run_meet(ident, moves, radius, ball_key(target))
+        hit, explored = _run_meet(ident, moves, radius, ball_key(target))
         if target.key() in ref:
             want = _reference_meet(product_moves, target, radius)
             assert want[0] == ref[target.key()]
@@ -380,13 +380,13 @@ def test_meet_edge_cases():
     moves = _moves(B)
     h1 = ball_key(h_family(1))
     # radius 0: only the identity is at distance 0
-    assert _run_meet(ident, moves, 0, ident)[:2] == (0, 1)
-    assert _run_meet(ident, moves, 0, h1)[:2] == (None, 2)
+    assert _run_meet(ident, moves, 0, ident) == (0, 1)
+    assert _run_meet(ident, moves, 0, h1) == (None, 2)
     assert distance(B, h_family(1), 0) == (False, 0, 0, 1)
     assert distance(B, identity_element(2, 2), 0) == (True, 0, 0, 1)
     # the identity as target stores nothing beyond itself, at any radius
     for radius in (1, 2, 5):
-        assert _run_meet(ident, moves, radius, ident)[:2] == (0, 1)
+        assert _run_meet(ident, moves, radius, ident) == (0, 1)
     # odd radii: a meeting at odd distance, and the radius just below it
     g = B.realization["a1_2"] * B.realization["c1_2"] * B.realization["a2_2"]
     assert distance(B, g, 3).found and distance(B, g, 3).value == 3
@@ -394,12 +394,10 @@ def test_meet_edge_cases():
     res = distance(B, g, 2)
     assert not res.found and res.explored == 37
     # h_1 is the fifth move, met before the first shell is complete
-    assert _run_meet(ident, moves, 1, h1)[:2] == (1, 6)
+    assert _run_meet(ident, moves, 1, h1) == (1, 6)
     # no moves: the identity's frontier empties at once, with no meeting
-    hit, explored, fwd = _run_meet(ident, [], 5, h1)
-    assert (hit, explored, fwd.depth) == (None, 2, 1)
-    assert fwd.grow(()) is None and fwd.depths == {ident: 0}
-    assert _run_meet(ident, [], 5, ident)[:2] == (0, 1)
+    assert _run_meet(ident, [], 5, h1) == (None, 2)
+    assert _run_meet(ident, [], 5, ident) == (0, 1)
     assert _ball_search(ident, [], 5) == ({ident: 0}, None, 1)
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from kgroups.areasearch import greedy_probe, seam_ranked
 from kgroups import _wordops_py as ops
-from kgroups.presentations import (DEFAULT_LEN_CAP_FACTOR, _heuristic_for,
+from kgroups.presentations import (DEFAULT_LEN_CAP_FACTOR, _root_bound,
                                    _variants, parse_presentation)
 
 RANKING_PRESENTATIONS = (
@@ -130,7 +130,7 @@ def test_probe_path_matches_the_parent_probe(text, word):
     P = parse_presentation(text)
     w = P.word(word)
     variants, _ = _variants(P)
-    heur, _ = _heuristic_for(P, variants, w.data)
+    heur = _root_bound(P, variants, w.data)[0]
     h0 = heur.bound(heur.values(w.data))
     len_cap = len(w.data) + DEFAULT_LEN_CAP_FACTOR * max(map(len, variants))
     # area_search's budget, and budgets small enough to run out mid-dive

@@ -9,7 +9,7 @@ the path.
 import pytest
 
 from kgroups.areasearch import AdditiveHeuristic, run_search
-from kgroups.presentations import _heuristic_for, _variants, parse_presentation
+from kgroups.presentations import _root_bound, _variants, parse_presentation
 
 Z2 = "< x, y | [x,y] >"
 # area 3 over h0 = 1: the greedy probe fails on it, so area_search searches
@@ -49,7 +49,7 @@ def test_run_search_outcome_is_pinned(text, word, caps, expected, heuristic):
     P = parse_presentation(text)
     w = P.word(word).data
     variants, _ = _variants(P)
-    heur = (_heuristic_for(P, variants, w)[0] if heuristic
+    heur = (_root_bound(P, variants, w)[0] if heuristic
             else AdditiveHeuristic(variants))
     kw = {"node_cap": 10 ** 6, "push_cap": 10 ** 6, **caps}
     out = run_search(w, variants, len_cap=len(w) + max(map(len, variants)),

@@ -21,10 +21,9 @@ import kgroups
 from kgroups.areasearch import run_search, winding_sum
 from kgroups.cli import main
 from kgroups.presentations import (DEFAULT_LEN_CAP_FACTOR, Evaluation,
-                                   Presentation, _heuristic_for, _null_classes,
-                                   _root_bound, _variants, area_search,
-                                   parse_presentation, verify_lower_bound,
-                                   verify_null_expression)
+                                   Presentation, _null_classes, _root_bound,
+                                   _variants, area_search, parse_presentation,
+                                   verify_lower_bound, verify_null_expression)
 from kgroups.words import inv, mul, to_text
 
 Z2 = "< x, y | [x,y] >"
@@ -82,7 +81,7 @@ def test_winding_equals_the_area_on_every_z2_class_up_to_length_10():
                        "value": res.area}, to_text(w)
         assert verify_lower_bound(P, w, wit)
         assert verify_null_expression(P, w, res.witness)
-        heur, _ = _heuristic_for(P, variants, w.data)
+        heur = _root_bound(P, variants, w.data)[0]
         below += heur.bound(heur.values(w.data)) < res.area
     # the signed plane area alone falls short on a third of the classes
     assert below == 32
@@ -129,7 +128,7 @@ def test_winding_never_exceeds_the_area(text):
         w = seeded_word(rng, P)
         if not w:
             continue
-        heur, _ = _heuristic_for(P, variants, w.data)
+        heur = _root_bound(P, variants, w.data)[0]
         signed = heur.bound(heur.values(w.data))
         hw = winding_bound(P, w)
         assert _root_bound(P, variants, w.data)[1] == max(hw, signed)
