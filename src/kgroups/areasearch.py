@@ -99,6 +99,11 @@ from . import _wordops_py as ops
 _MARK = [bytes(x) + b"\x01" + bytes(255 - x) for x in range(256)]
 
 
+def exponent_sums(word: bytes, gens: Sequence[int]) -> List[int]:
+    """The signed exponent sum in `word` of each 0-based generator in gens."""
+    return [word.count(2 * j) - word.count(2 * j + 1) for j in gens]
+
+
 def plane_value(word: bytes, plane: Tuple[Sequence[int], Sequence[int]]
                 ) -> int:
     """z_L(word), the package's one z_L loop; plane = (lx, ly) gives L of
@@ -135,7 +140,7 @@ class AdditiveHeuristic:
 
     def values(self, word: bytes) -> List[int]:
         """The invariant values of `word`, one per term."""
-        out = [word.count(2 * j) - word.count(2 * j + 1) for j in self.gens]
+        out = exponent_sums(word, self.gens)
         if self.plane is not None:
             out.append(plane_value(word, self.plane))
         return out

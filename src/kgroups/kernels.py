@@ -81,9 +81,6 @@ class ProductElement:
     def __repr__(self):
         return "(" + ", ".join(to_text(w) for w in self.factors) + ")"
 
-    def to_json(self) -> dict:
-        return {"factors": [to_text(w) for w in self.factors]}
-
 
 def identity_element(n: int, m: int) -> ProductElement:
     F = FreeGroup(m)
@@ -183,7 +180,8 @@ class GeneratingSet:
 class KernelGroup:
     """Descriptor of K(n, m, r), optionally with non-standard factor maps."""
 
-    __slots__ = ("n", "m", "r", "homs", "_gens", "_basis_changes")
+    __slots__ = ("n", "m", "r", "homs", "is_standard", "_gens",
+                 "_basis_changes")
 
     def __init__(self, n: int, m: int, r: int,
                  homs: Optional[Sequence[FactorHom]] = None):
@@ -200,19 +198,18 @@ class KernelGroup:
         homs = tuple(homs)
         if len(homs) != n:
             raise ValueError(f"expected {n} factor maps, got {len(homs)}")
-        for h in homs:
+        # factors often share one map: check each distinct map once
+        distinct = dict.fromkeys(homs)
+        for h in distinct:
             if h.rank != m or h.target_rank != r:
                 raise ValueError("factor map shape must be m x r")
             if not is_surjective(h):
                 raise ValueError("every factor map must be surjective onto Z^r")
         self.n, self.m, self.r = n, m, r
         self.homs = homs
+        self.is_standard = all(h.is_standard() for h in distinct)
         self._gens = None
         self._basis_changes = None
-
-    @property
-    def is_standard(self) -> bool:
-        return all(h.is_standard() for h in self.homs)
 
     def factor_group(self) -> FreeGroup:
         return FreeGroup(self.m)
@@ -226,7 +223,8 @@ class KernelGroup:
 
     def basis_changes(self) -> Tuple[BasisChange, ...]:
         if self._basis_changes is None:
-            self._basis_changes = tuple(normalize_basis(h) for h in self.homs)
+            change = {h: normalize_basis(h) for h in dict.fromkeys(self.homs)}
+            self._basis_changes = tuple(change[h] for h in self.homs)
         return self._basis_changes
 
     def __repr__(self):

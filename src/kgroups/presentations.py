@@ -22,8 +22,8 @@ import operator
 import os
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .areasearch import (AdditiveHeuristic, greedy_probe, plane_value,
-                         run_search, winding_sum)
+from .areasearch import (AdditiveHeuristic, SearchOutcome, exponent_sums,
+                         greedy_probe, plane_value, run_search, winding_sum)
 from . import _wordops_py as ops
 from .abelian import FactorHom, ab_image
 from .kernels import ProductElement, evaluate
@@ -327,11 +327,6 @@ def _plane_term(relators: Sequence[bytes], basis: Sequence[Sequence[int]],
     return None if best is None else (best[2], best[1])
 
 
-def _exponent_sums(data: bytes, rank: int) -> List[int]:
-    """The signed exponent sum of each 0-based generator in a word."""
-    return [data.count(2 * j) - data.count(2 * j + 1) for j in range(rank)]
-
-
 _OBSTRUCTION = " obstruction: no expression exists at any length"
 
 
@@ -368,9 +363,9 @@ def _root_bound(P: Presentation, variants: Sequence[bytes], w: bytes
     """
     rank = P.group.rank
     relators = [r.data for r in P.relators]
-    rows = [_exponent_sums(r, rank) for r in relators]
+    rows = [exponent_sums(r, range(rank)) for r in relators]
     basis = _kernel_basis(rows, rank)
-    sums = _exponent_sums(w, rank)
+    sums = exponent_sums(w, range(rank))
     if any(sum(map(operator.mul, f, sums)) for f in basis):
         return None, 0, None, "abelianization" + _OBSTRUCTION
     plane, step = _plane_term(relators, basis, w) or (None, None)
@@ -395,26 +390,33 @@ def _root_bound(P: Presentation, variants: Sequence[bytes], w: bytes
 def verify_lower_bound(P: Presentation, w: Word, witness: dict) -> bool:
     """Recheck a winding witness from P and w alone, in integers.
 
-    The planes must be distinct pairs 0 <= i < j < rank in ascending
+    The witness must be a dict whose planes are lists of two ints, and
+    whose step and value are ints (bools and floats are rejected).  The
+    planes must be distinct pairs 0 <= i < j < rank in ascending
     order whose generators have exponent sum 0 in every relator and in w,
     so each projection is a closed path; step must be the largest W of a
     relator over those planes, and nonzero, and value the W of w.  The
     witness then proves area(w) >= ceil(value / step); any set of such
-    planes does.
+    planes does.  A malformed witness gives False, never an exception.
     """
-    if witness.get("kind") != "winding":
+    if not isinstance(witness, dict) or witness.get("kind") != "winding":
         return False
-    planes = [tuple(p) for p in witness.get("planes", ())]
+    planes = witness.get("planes")
+    if not (isinstance(planes, list)
+            and all(isinstance(p, list) and len(p) == 2 for p in planes)
+            and {type(v) for v in itertools.chain(      # no bool, no float
+                (witness.get("step"), witness.get("value")), *planes)} == {int}):
+        return False
+    planes = [tuple(p) for p in planes]
     relators = [r.data for r in P.relators]
-    sums = [_exponent_sums(d, P.group.rank) for d in relators + [w.data]]
+    sums = [exponent_sums(d, range(P.group.rank)) for d in relators + [w.data]]
     free = {j for j in range(P.group.rank) if not any(s[j] for s in sums)}
     if not planes or planes != sorted(set(planes)) or any(
-            len(p) != 2 or p[0] >= p[1] or not free.issuperset(p)
-            for p in planes):
+            p[0] >= p[1] or not free.issuperset(p) for p in planes):
         return False
     step = max((winding_sum(r, planes) for r in relators), default=0)
-    return (witness.get("step") == step != 0
-            and witness.get("value") == winding_sum(w.data, planes))
+    return (witness["step"] == step != 0
+            and witness["value"] == winding_sum(w.data, planes))
 
 
 class AreaResult:
@@ -474,15 +476,23 @@ class AreaResult:
 
 def area_search(P: Presentation, w: Word, *, node_cap: int = DEFAULT_NODE_CAP,
                 len_cap_factor: int = DEFAULT_LEN_CAP_FACTOR,
-                heuristic: bool = True,
                 stop_at_bound: Optional[int] = None) -> AreaResult:
     """Minimal-area search for a null expression of w.
 
     When the presentation carries an evaluation, non-null-homotopic words
-    are rejected up front.  stop_at_bound turns the run into a lower-bound
-    certificate: it halts once every cheaper state is settled.  The search
-    also stops after 8 * node_cap pushes; on presentations whose states
-    have many children, that push cap is the budget that binds first.
+    are rejected up front.  _root_bound then gives the root bound h0 and
+    the one additive heuristic of the run, or an obstruction, which ends
+    it with no search.  Otherwise the greedy probe hunts for an expression
+    of area h0 within 50 * h0 + 200 expansions, and A* (run_search) runs
+    when the probe finds none.  Either path is replayed into a verified
+    witness; an exact area equal to h0 is unconditional.
+
+    stop_at_bound turns the run into a lower-bound certificate: the probe
+    is skipped and A* halts once every cheaper state is settled.  A* also
+    stops after 8 * node_cap pushes; on presentations whose states have
+    many children, that push cap is the budget that binds first.  The
+    uniform-cost search with no heuristic terms is
+    run_search(..., heuristic=AdditiveHeuristic(variants)).
     """
     if w.group != P.group:
         raise ValueError("word is not over the presentation's alphabet")
@@ -493,32 +503,26 @@ def area_search(P: Presentation, w: Word, *, node_cap: int = DEFAULT_NODE_CAP,
     len_cap = len(w.data) + len_cap_factor * maxlen
     push_cap = 8 * node_cap
     caps = {"node_cap": node_cap, "push_cap": push_cap, "len_cap": len_cap,
-            "len_cap_factor": len_cap_factor, "heuristic": heuristic}
+            "len_cap_factor": len_cap_factor}
 
     heur, h0, lb_witness, obstruction = _root_bound(P, variants, w.data)
     if heur is None:
         return AreaResult("exhausted", None, None, None, 0, 0, caps, True,
                           obstruction)
-    if not heuristic:
-        heur, h0, lb_witness = AdditiveHeuristic(variants), 0, None
 
-    if heuristic and stop_at_bound is None and w.data:
-        probe_path = greedy_probe(w.data, variants, len_cap=len_cap,
-                                  node_budget=50 * h0 + 200, heuristic=heur,
-                                  target=h0)
-        if probe_path is not None:
-            witness = _witness_from_path(P, w, probe_path, variants, meta)
-            if witness.area != h0:
-                raise CertificateError("greedy probe: witness area %d differs"
-                                       " from the bound %d" % (witness.area, h0))
-            return AreaResult("exact", h0, witness, None, 0, 0, caps, False,
-                              "greedy probe matched the heuristic lower bound",
-                              unconditional=True,
-                              lower_bound_witness=lb_witness)
-
-    out = run_search(w.data, variants, len_cap=len_cap, node_cap=node_cap,
-                     push_cap=push_cap, heuristic=heur,
-                     stop_at_bound=stop_at_bound)
+    out = None
+    if stop_at_bound is None:
+        # None at once when h0 is 0, the empty word among them
+        path = greedy_probe(w.data, variants, len_cap=len_cap,
+                            node_budget=50 * h0 + 200, heuristic=heur,
+                            target=h0)
+        if path is not None:
+            out = SearchOutcome(h0, path, None, 0, 0, False, "greedy probe"
+                                " matched the heuristic lower bound")
+    if out is None:
+        out = run_search(w.data, variants, len_cap=len_cap, node_cap=node_cap,
+                         push_cap=push_cap, heuristic=heur,
+                         stop_at_bound=stop_at_bound)
     if out.cost is None:
         # the search's bound holds within the length cap, h0 at any length
         bound = None if out.lower_bound is None else max(out.lower_bound, h0)

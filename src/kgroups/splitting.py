@@ -129,10 +129,6 @@ class SyllableForm:
     def __repr__(self):
         return f"SyllableForm(m_part={self.m_part!r}, blocks={self.blocks})"
 
-    def to_json(self) -> dict:
-        return {"m_part": self.m_part.to_json(),
-                "blocks": [[k, e] for k, e in self.blocks]}
-
 
 def syllable_form(D: SplittingData, gamma: ProductElement) -> SyllableForm:
     """Blocks = maximal same-index runs of the hat word."""

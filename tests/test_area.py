@@ -10,9 +10,11 @@ import time
 import pytest
 
 import kgroups
+from kgroups.areasearch import AdditiveHeuristic, run_search
 from kgroups.certificates import toy_scenario
 from kgroups.kernels import ProductElement
-from kgroups.presentations import (Evaluation, NullExpression, Presentation,
+from kgroups.presentations import (DEFAULT_LEN_CAP_FACTOR, DEFAULT_NODE_CAP,
+                                   Evaluation, NullExpression, Presentation,
                                    _canonical_class, _null_classes,
                                    _root_bound, _variants, area_search,
                                    dehn_function, is_null_homotopic,
@@ -88,22 +90,69 @@ def test_obstruction_precheck_without_oracle():
     assert res.nodes == 0
 
 
+def plain_search(P, w, stop_at_bound=None):
+    """Uniform-cost search for w (run_search with no heuristic terms), at
+    area_search's default caps; cost None means no expression was found."""
+    variants, _ = _variants(P)
+    len_cap = len(w.data) + DEFAULT_LEN_CAP_FACTOR * max(map(len, variants))
+    return run_search(w.data, variants, len_cap=len_cap,
+                      node_cap=DEFAULT_NODE_CAP, push_cap=8 * DEFAULT_NODE_CAP,
+                      heuristic=AdditiveHeuristic(variants),
+                      stop_at_bound=stop_at_bound)
+
+
 def test_stop_at_bound_certificate(zz):
     w = zz.word("[x^2, y^2]")
-    res = area_search(zz, w, heuristic=False, stop_at_bound=3)
-    assert res.status == "exhausted"
-    assert not res.regime_empty
-    assert res.lower_bound >= 3
+    plain = plain_search(zz, w, stop_at_bound=3)
+    assert plain.cost is None
+    assert not plain.regime_empty
+    assert plain.lower_bound >= 3
+    assert plain.stop_reason == "reached requested bound"
+    # area_search stops at the same request, with its root bound 4 folded in
+    res = area_search(zz, w, stop_at_bound=3)
+    assert res.status == "exhausted" and not res.regime_empty
+    assert res.lower_bound == 4
     assert res.stop_reason == "reached requested bound"
 
 
 def test_plain_search_agrees_with_heuristic_on_small_words(zz):
     for text in ("[x,y]", "y [x,y] y^-1", "[x,y]^2", "[x,y^2]"):
         w = zz.word(text)
-        plain = area_search(zz, w, heuristic=False)
+        plain = plain_search(zz, w)
         fancy = area_search(zz, w)
-        assert plain.status == fancy.status == "exact"
-        assert plain.area == fancy.area
+        assert plain.cost is not None and fancy.status == "exact"
+        assert plain.cost == fancy.area
+
+
+@pytest.fixture
+def heuristic_builds(monkeypatch):
+    """A list that grows by one for every AdditiveHeuristic built."""
+    builds = []
+    init = AdditiveHeuristic.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(AdditiveHeuristic, "__init__", counted)
+    return builds
+
+
+@pytest.mark.parametrize("text,stop_at_bound,builds,reason", [
+    ("[x^2, y^2]", None, 1, "greedy probe matched the heuristic lower bound"),
+    # area 3: the probe fails and A* settles 290 states
+    ("x^-2 y^2 x y^-1 x^-1 y^-1 x^4 y x^-2 y^-1", None, 1, "goal"),
+    ("[x^2, y^2]", 3, 1, "reached requested bound"),
+    ("x y", None, 0, "abelianization obstruction: no expression exists at"
+                     " any length"),
+])
+def test_area_search_builds_at_most_one_heuristic(heuristic_builds, text,
+                                                  stop_at_bound, builds,
+                                                  reason):
+    P = parse_presentation("< x, y | [x,y] >")
+    res = area_search(P, P.word(text), stop_at_bound=stop_at_bound)
+    assert res.stop_reason == reason
+    assert len(heuristic_builds) == builds
 
 
 def test_torus_relator_of_higher_genus():
@@ -259,8 +308,8 @@ def test_root_bound_never_exceeds_the_exact_area(text):
         heur, _, _, obstruction = _root_bound(P, variants, w.data)
         assert heur is not None, obstruction
         h0 = heur.bound(heur.values(w.data))
-        plain = area_search(P, w, heuristic=False, stop_at_bound=h0)
-        assert plain.status == "exhausted", (to_text(w), h0, plain.area)
+        plain = plain_search(P, w, stop_at_bound=h0)
+        assert plain.cost is None, (to_text(w), h0, plain.cost)
         assert plain.stop_reason == "reached requested bound"
         assert plain.lower_bound >= h0
         checked += 1

@@ -4,6 +4,7 @@ import types
 
 import pytest
 
+from kgroups import kernels
 from kgroups.abelian import FactorHom
 from kgroups.kernels import (GenWord, KernelGroup, ProductElement, contains,
                              identity_element, random_kernel_element,
@@ -129,6 +130,29 @@ def test_mixed_homs_across_factors():
         g = random_kernel_element(G, 10, seed)
         assert contains(G, g)
         assert rewrite_in_generators(G, g).eval() == g
+
+
+def test_shared_factor_maps_are_checked_and_normalized_once(monkeypatch):
+    calls = {"is_surjective": 0, "normalize_basis": 0}
+    for name in calls:
+        def counted(h, _orig=getattr(kernels, name), _name=name):
+            calls[_name] += 1
+            return _orig(h)
+        monkeypatch.setattr(kernels, name, counted)
+    h1 = FactorHom(2, 1, [(1,), (1,)])
+    h2 = FactorHom(2, 1, [(2,), (1,)])
+    G = KernelGroup(64, 2, 1, homs=[h1, h2] * 32)
+    assert calls["is_surjective"] == 2
+    assert not G.is_standard and "custom maps" in repr(G)
+    changes = G.basis_changes()
+    assert calls["normalize_basis"] == 2
+    assert len(changes) == 64
+    assert all(c is changes[k % 2] for k, c in enumerate(changes))
+    # the default maps: one check, and standard without any normalizing
+    std = KernelGroup(1000, 2, 2)
+    assert calls["is_surjective"] == 3
+    assert std.is_standard and repr(std) == "KernelGroup(n=1000, m=2, r=2)"
+    assert calls["normalize_basis"] == 2
 
 
 def test_kernel_group_validation():

@@ -196,7 +196,12 @@ tampered = [dict(good, planes=[[0, 1], [0, 2], [1, 3]]),
             dict(good, planes=[]),
             dict(good, step=2), dict(good, step=0),
             dict(good, value=4), dict(good, value=2),
-            dict(good, kind="form")]
+            dict(good, kind="form"),
+            # malformed: not a dict, a plane that is not a pair of ints,
+            # a step or value that is not an int
+            [good], dict(good, planes=[5]), dict(good, planes=[[0, "a"]]),
+            dict(good, planes=[[0, 1.0], [0, 2], [1, 2]]),
+            dict(good, step=True), dict(good, value=float(good["value"]))]
 for wit in tampered:
     print("ACCEPTED" if verify_lower_bound(P, w, wit) else "rejected")
 # a plane whose generator has nonzero exponent sum in a relator
@@ -214,7 +219,7 @@ def test_verify_lower_bound_rejects_tampering(flags):
                          env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, check=True,
                          timeout=60).stdout
-    assert out.split() == ["good"] + ["rejected"] * 10
+    assert out.split() == ["good"] + ["rejected"] * 16
 
 
 def test_dehn_of_z2_at_length_10_is_exact_and_unconditional(capsys):
