@@ -4,9 +4,14 @@ Encoding: generator j (1-based) with sign +1 is byte 2*(j-1), with sign -1
 byte 2*(j-1)+1, so a letter and its inverse differ exactly in the lowest
 bit and `a ^ b == 1` tests cancellation.
 
-This is the package's only word kernel.  `words`, `presentations`,
-`areasearch`, `metrics` and `kernels` import it as `ops`; perfbench's
-tracer swaps that name for a timing handle in the first three only.
+This is the package's only word kernel.  `words`, `abelian`, `splitting`,
+`presentations`, `areasearch`, `metrics` and `kernels` import it as `ops`;
+perfbench's tracer swaps that name for a timing handle in `words`,
+`presentations` and `areasearch` only.
+
+`exponent_sums(data, gens)` is the package's one exponent-sum count:
+membership, the splitting predicates, the commutator collector and the
+area search's linear terms all read it.
 
 `right_step(w)` builds the map x -> concat(x, w) for one fixed nonempty
 word, so a caller that multiplies by the same word many times (the
@@ -18,7 +23,7 @@ cancels.
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, Iterable, List, Sequence, Tuple
 
 BACKEND = "python"
 
@@ -52,6 +57,11 @@ _FLIP = bytes(c ^ 1 for c in range(256))
 
 def invert(a: bytes) -> bytes:
     return a[::-1].translate(_FLIP)
+
+
+def exponent_sums(data: bytes, gens: Iterable[int]) -> List[int]:
+    """The signed exponent sum in `data` of each 0-based generator in gens."""
+    return [data.count(2 * j) - data.count(2 * j + 1) for j in gens]
 
 
 def concat(a: bytes, b: bytes) -> bytes:

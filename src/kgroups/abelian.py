@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
+from . import _wordops_py as ops
 from .words import FreeGroup, Word, inv, mul, substitute
 
 AbelianVector = Tuple[int, ...]
@@ -75,21 +76,12 @@ def standard_hom(m: int, r: int) -> FactorHom:
 
 
 def ab_image(h: FactorHom, w: Word) -> AbelianVector:
-    """Image of a word: the signed sum of its letters' image vectors.
-
-    Each distinct letter byte is counted once with ``bytes.count``, so the
-    work per letter runs in C.
-    """
+    """Image of a word: its exponent sums times the generator images."""
     if w.group.rank != h.rank:
         raise ValueError(f"rank mismatch: word has {w.group.rank}, hom has {h.rank}")
     out = [0] * h.target_rank
-    data = w.data
-    # letter byte b is generator b // 2 + 1, inverted when b is odd
-    for b in set(data):
-        k = data.count(b)
-        if b & 1:
-            k = -k
-        for c, v in enumerate(h.images[b >> 1]):
+    for k, row in zip(ops.exponent_sums(w.data, range(h.rank)), h.images):
+        for c, v in enumerate(row):
             out[c] += k * v
     return tuple(out)
 

@@ -6,8 +6,8 @@ goal is the empty word.  With heuristic terms this is A* with a
 consistent heuristic, without them plain uniform-cost search; either way
 the first settlement of the goal is optimal within the length-cap regime.
 
-Inserting and reducing happen in the word kernel (`_wordops_py`, imported
-as `ops`); the loop around it is plain Python.
+Inserting, reducing and counting exponent sums happen in the word kernel
+(`_wordops_py`, imported as `ops`); the loop around it is plain Python.
 
 Heuristic: additive invariants.  A move inserts a relator variant and
 freely reduces, and reduction can cancel letters of the *old* word
@@ -99,11 +99,6 @@ from . import _wordops_py as ops
 _MARK = [bytes(x) + b"\x01" + bytes(255 - x) for x in range(256)]
 
 
-def exponent_sums(word: bytes, gens: Sequence[int]) -> List[int]:
-    """The signed exponent sum in `word` of each 0-based generator in gens."""
-    return [word.count(2 * j) - word.count(2 * j + 1) for j in gens]
-
-
 def plane_value(word: bytes, plane: Tuple[Sequence[int], Sequence[int]]
                 ) -> int:
     """z_L(word), the package's one z_L loop; plane = (lx, ly) gives L of
@@ -140,7 +135,7 @@ class AdditiveHeuristic:
 
     def values(self, word: bytes) -> List[int]:
         """The invariant values of `word`, one per term."""
-        out = exponent_sums(word, self.gens)
+        out = ops.exponent_sums(word, self.gens)
         if self.plane is not None:
             out.append(plane_value(word, self.plane))
         return out

@@ -31,8 +31,8 @@ from .kernels import (GenWord, GeneratingSet, KernelGroup, ProductElement,
 from .metrics import _ball_search, ball_key, distance, h_family
 from .presentations import (DEFAULT_NODE_CAP, AreaResult, CertificateError,
                             Evaluation, NullExpression, Presentation,
-                            _root_bound, _variants, area_search,
-                            verify_null_expression)
+                            _canonical_class, _root_bound, _variants,
+                            area_search, verify_null_expression)
 
 
 def _sha256_of(obj) -> str:
@@ -211,20 +211,29 @@ class AmalgamScenario:
             raise ValueError("scenario needs a faithful product evaluation")
         self.edge_element = self._eval(parse_word(presentation.group,
                                                   edge_generator))
+        # the cyclically reduced length of the edge (subgroup_power)
+        self._core = sum(len(_canonical_class(e.data))
+                         for e in self.edge_element.factors)
         self.h = self._eval(w)
 
     def _eval(self, word: Word) -> ProductElement:
         return self.presentation.evaluation.eval_word(word)
 
     def subgroup_power(self, g: ProductElement) -> Optional[int]:
-        """The j with g = edge^j, or None when g is outside the edge group."""
+        """The j with g = edge^j, or None when g is outside the edge group.
+
+        Each factor of the edge reads c k c^-1, reduced with k cyclically
+        reduced, so edge^j reads c k^j c^-1 there with no cancellation.
+        Summed over the factors, |edge^j| = |edge| + (|j| - 1) core, with
+        core the total length of the k's, which gives |j|; evaluating edge^j
+        and edge^-j confirms the sign.
+        """
         if not g:
             return 0
-        le = self.edge_element.total_length()
-        lg = g.total_length()
-        if le == 0 or lg % le != 0:
+        le, core = self.edge_element.total_length(), self._core
+        if core == 0 or (g.total_length() - le) % core:
             return None
-        j = lg // le
+        j = (g.total_length() - le) // core + 1
         for sign in (1, -1):
             if evaluate((self.edge_element,), [(0, sign)] * j, g.n, g.m) == g:
                 return sign * j
@@ -472,7 +481,7 @@ def lower_bound_report(n: int) -> CertificateReport:
 
     # area fact: the deletion expression meets the search's root bound
     P = pair_presentation()
-    target = parse_word(P.group, "[x^%d, y^%d]" % (n, n))
+    target = h.factors[0]       # [x^n, y^n] over P's generators x, y
     root = _root_bound(P, _variants(P)[0], target.data)[1]
     if not root == expr.area == n * n:
         raise CertificateError(

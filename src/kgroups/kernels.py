@@ -361,8 +361,8 @@ def collect_commutators(w: Word, r: int) -> List[Tuple[bytes, int, int, int]]:
     data = w.data
     if any(c >= 2 * r for c in data):
         raise ValueError("letters above r must be peeled off first")
-    for j in range(1, r + 1):
-        if data.count(2 * j - 2) != data.count(2 * j - 1):
+    for j, s in enumerate(ops.exponent_sums(data, range(r)), start=1):
+        if s:
             raise ValueError(f"exponent sum of e{j} must vanish")
     emitted: List[Tuple[bytes, int, int, int]] = []
     cur = data

@@ -22,8 +22,8 @@ import operator
 import os
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .areasearch import (AdditiveHeuristic, SearchOutcome, exponent_sums,
-                         greedy_probe, plane_value, run_search, winding_sum)
+from .areasearch import (AdditiveHeuristic, SearchOutcome, greedy_probe,
+                         plane_value, run_search, winding_sum)
 from . import _wordops_py as ops
 from .abelian import FactorHom, ab_image
 from .kernels import ProductElement, evaluate
@@ -171,8 +171,13 @@ class NullExpression:
 
     @classmethod
     def from_json(cls, P: Presentation, data: Sequence[dict]) -> "NullExpression":
-        return cls([(parse_word(P.group, d["conj"]), int(d["rel"]), int(d["sign"]))
-                    for d in data])
+        """Read to_json's form back: conj must be a string, rel and sign
+        ints (bools and floats are rejected), else ValueError."""
+        items = [(d["conj"], d["rel"], d["sign"]) for d in data]
+        if not all(isinstance(c, str) and type(ri) is type(s) is int
+                   for c, ri, s in items):
+            raise ValueError("malformed null-expression item")
+        return cls([(parse_word(P.group, c), ri, s) for c, ri, s in items])
 
     def __repr__(self):
         return f"NullExpression(area={self.area})"
@@ -363,9 +368,9 @@ def _root_bound(P: Presentation, variants: Sequence[bytes], w: bytes
     """
     rank = P.group.rank
     relators = [r.data for r in P.relators]
-    rows = [exponent_sums(r, range(rank)) for r in relators]
+    rows = [ops.exponent_sums(r, range(rank)) for r in relators]
     basis = _kernel_basis(rows, rank)
-    sums = exponent_sums(w, range(rank))
+    sums = ops.exponent_sums(w, range(rank))
     if any(sum(map(operator.mul, f, sums)) for f in basis):
         return None, 0, None, "abelianization" + _OBSTRUCTION
     plane, step = _plane_term(relators, basis, w) or (None, None)
@@ -409,7 +414,7 @@ def verify_lower_bound(P: Presentation, w: Word, witness: dict) -> bool:
         return False
     planes = [tuple(p) for p in planes]
     relators = [r.data for r in P.relators]
-    sums = [exponent_sums(d, range(P.group.rank)) for d in relators + [w.data]]
+    sums = [ops.exponent_sums(d, range(P.group.rank)) for d in relators + [w.data]]
     free = {j for j in range(P.group.rank) if not any(s[j] for s in sums)}
     if not planes or planes != sorted(set(planes)) or any(
             p[0] >= p[1] or not free.issuperset(p) for p in planes):

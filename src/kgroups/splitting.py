@@ -10,15 +10,19 @@ which generate a free rank-m subgroup meeting M trivially, giving an
 internal semidirect product M x F^.  Every kernel element therefore has a
 unique normal form (m_part, hat word); the run-length blocks of the hat
 word are the amalgam syllables.
+
+The predicates theta_k, p_k, in_Lk and in_M are projections of one
+vector, each generator's exponent sum across all factors, which the word
+kernel's exponent_sums counts; none of them builds a group or a map.
 """
 
 from __future__ import annotations
 
 from typing import List, Tuple
 
-from .abelian import FactorHom
-from .kernels import KernelGroup, ProductElement, contains, evaluate, theta
-from .words import FreeGroup, Word, exponent_sum
+from . import _wordops_py as ops
+from .kernels import KernelGroup, ProductElement, contains, evaluate
+from .words import FreeGroup, Word
 
 
 class SplittingData:
@@ -52,31 +56,33 @@ class SplittingData:
                         self.n, self.m)
 
 
+def _totals(g: ProductElement) -> List[int]:
+    """Each generator's exponent sum across all factors.  Exponent sums
+    add up, so one count over the joined factors gives them."""
+    return ops.exponent_sums(b"".join(w.data for w in g.factors), range(g.m))
+
+
 def theta_k(k: int, g: ProductElement) -> Tuple[int, ...]:
     """The deleted-coordinate map: e_j -> t_j (j < k), 0 (j = k), t_{j-1} (j > k)."""
-    m = g.m
-    if not 1 <= k <= m:
-        raise ValueError(f"k must be in 1..{m}")
-    rows = [[int(c == j) for c in range(m - 1)] for j in range(m - 1)]
-    rows.insert(k - 1, [0] * (m - 1))
-    hom = FactorHom(m, m - 1, rows)
-    return theta(KernelGroup(g.n, m, m - 1, [hom] * g.n), g)
+    if not 1 <= k <= g.m:
+        raise ValueError(f"k must be in 1..{g.m}")
+    return tuple(s for j, s in enumerate(_totals(g), 1) if j != k)
 
 
 def p_k(k: int, g: ProductElement) -> int:
     """Total exponent sum of generator k across all factors."""
     if not 1 <= k <= g.m:
         raise ValueError(f"k must be in 1..{g.m}")
-    return sum(exponent_sum(w, k) for w in g.factors)
+    return _totals(g)[k - 1]
 
 
 def in_Lk(k: int, g: ProductElement) -> bool:
-    return theta_k(k, g) == (0,) * (g.m - 1)
+    return not any(theta_k(k, g))
 
 
 def in_M(g: ProductElement) -> bool:
     """Membership in K(n-1, m, m), i.e. every generator's exponent sum is 0."""
-    return contains(KernelGroup(g.n, g.m, g.m), g)
+    return not any(_totals(g))
 
 
 def semidirect_decompose(D: SplittingData, gamma: ProductElement

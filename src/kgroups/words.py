@@ -215,8 +215,7 @@ def substitute(w: Word, images: Mapping[int, Word],
 def exponent_sum(w: Word, j: int) -> int:
     if not 1 <= j <= w.group.rank:
         raise ValueError(f"generator index {j} out of rank {w.group.rank}")
-    plus, minus = w.data.count(2 * (j - 1)), w.data.count(2 * (j - 1) + 1)
-    return plus - minus
+    return ops.exponent_sums(w.data, (j - 1,))[0]
 
 
 # -- text form --------------------------------------------------------------

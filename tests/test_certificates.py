@@ -10,11 +10,12 @@ from kgroups.certificates import (AmalgamScenario, CertificateError,
                                   lower_bound_report, pair_presentation,
                                   substitution_split, test_word,
                                   toy_amalgam_check, toy_scenario)
-from kgroups.kernels import (GenWord, KernelGroup, random_kernel_element,
-                             rewrite_in_generators, standard_generators)
+from kgroups.kernels import (GenWord, KernelGroup, ProductElement,
+                             random_kernel_element, rewrite_in_generators,
+                             standard_generators)
 from kgroups.metrics import h_family
-from kgroups.presentations import (area_search, parse_presentation,
-                                   verify_null_expression)
+from kgroups.presentations import (Evaluation, Presentation, area_search,
+                                   parse_presentation, verify_null_expression)
 from kgroups.words import FreeGroup, parse_word, to_text
 
 G = KernelGroup(2, 2, 2)
@@ -108,6 +109,19 @@ class TestToyScenario:
         assert scen.subgroup_power(s * s) == 2
         assert scen.subgroup_power(~s) == -1
         assert scen.subgroup_power(a) is None
+
+    def test_power_of_an_edge_that_is_not_cyclically_reduced(self):
+        # edge s = (x y x^-1, 1): |s^j| = 2 + |j|, not |j| times |s|
+        F = FreeGroup(2)
+        images = [ProductElement([F.word(a), F.word(b)])
+                  for a, b in (("x", "1"), ("1", "x"), ("x y x^-1", "1"))]
+        P = Presentation(("a", "b", "s"), [], Evaluation(images))
+        scen = AmalgamScenario(P, ("a",), ("b",), ("s",), P.word("s"),
+                               P.word("a"), P.word("b"), "s")
+        for j in range(-3, 4):
+            assert scen.subgroup_power(scen._eval(P.word("s^%d" % j))) == j
+        for text in ("a", "b", "a s^2", "a^-1 s a", "s b", "s^2 a s^-2"):
+            assert scen.subgroup_power(scen._eval(P.word(text))) is None
 
     def test_powers_of_w(self):
         for k in (1, 2, 3):

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
+from kgroups.abelian import FactorHom
 from kgroups.kernels import (KernelGroup, ProductElement, contains,
-                             random_kernel_element)
+                             random_kernel_element, theta)
 from kgroups.splitting import (SplittingData, amalgam_image, in_Lk, in_M, p_k,
                                reassemble, semidirect_decompose, syllable_form,
                                theta_k)
@@ -53,6 +54,56 @@ def test_predicate_equivalence_randomized():
         g = ProductElement(factors)
         for k in (1, 2):
             assert in_M(g) == (in_Lk(k, g) and p_k(k, g) == 0)
+
+
+def _reference_theta_k(k, g):
+    # the deleted-coordinate map built as a kernel with custom factor maps
+    m = g.m
+    rows = [[int(c == j) for c in range(m - 1)] for j in range(m - 1)]
+    rows.insert(k - 1, [0] * (m - 1))
+    hom = FactorHom(m, m - 1, rows)
+    return theta(KernelGroup(g.n, m, m - 1, [hom] * g.n), g)
+
+
+def _random_elements(seed):
+    rng = random.Random(seed)
+    for m in (1, 2, 3):
+        F = FreeGroup(m)
+        for _ in range(40):
+            n = rng.randint(1, 4)
+            yield ProductElement([
+                reduce_word(F, [(rng.randint(1, m), rng.choice((1, -1)))
+                                for _ in range(rng.randrange(12))])
+                for _ in range(n)])
+
+
+def test_predicates_match_the_kernel_construction():
+    seen_in_m = 0
+    for g in _random_elements(4421):
+        assert in_M(g) == contains(KernelGroup(g.n, g.m, g.m), g)
+        seen_in_m += in_M(g)
+        for k in range(1, g.m + 1):
+            assert theta_k(k, g) == _reference_theta_k(k, g)
+    assert seen_in_m    # the zero case is exercised too
+
+
+def test_predicates_build_no_group_or_map(monkeypatch):
+    elements = list(_random_elements(90))
+    built = []
+    for cls in (KernelGroup, FactorHom):
+        init = cls.__init__
+
+        def counting(self, *args, _init=init, _name=cls.__name__, **kw):
+            built.append(_name)
+            _init(self, *args, **kw)
+        monkeypatch.setattr(cls, "__init__", counting)
+    for g in elements:
+        in_M(g)
+        for k in range(1, g.m + 1):
+            p_k(k, g), theta_k(k, g), in_Lk(k, g)
+    assert built == []
+    KernelGroup(2, 2, 2)    # the counter does see a construction
+    assert {"KernelGroup", "FactorHom"} <= set(built)
 
 
 def test_hat_generators_land_in_the_kernel():

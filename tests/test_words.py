@@ -236,3 +236,15 @@ def test_invert_matches_the_letter_loop(a):
     # the translate table against the generator it replaced, on every
     # letter byte of rank up to 127
     assert ops.invert(a) == bytes(c ^ 1 for c in reversed(a))
+
+
+@given(st.integers(1, 5).flatmap(
+    lambda rank: st.tuples(st.just(rank), st.lists(st.integers(0, 2 * rank - 1),
+                                                   max_size=60))))
+def test_exponent_sums_match_a_per_letter_count(case):
+    rank, data = case
+    want = [0] * rank
+    for b in data:
+        want[b // 2] += -1 if b % 2 else 1
+    assert ops.exponent_sums(bytes(data), range(rank)) == want
+    assert ops.exponent_sums(bytes(data), [rank - 1, 0]) == [want[-1], want[0]]
