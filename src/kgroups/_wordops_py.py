@@ -13,12 +13,11 @@ perfbench's tracer swaps that name for a timing handle in `words`,
 membership, the splitting predicates, the commutator collector and the
 area search's linear terms all read it.
 
-`right_step(w)` builds the map x -> concat(x, w) for one fixed nonempty
-word, so a caller that multiplies by the same word many times (the
-Cayley-ball search, once per move and factor) pays for no general seam
-loop: for a single letter the step drops x's last letter or appends the
-letter, and for a longer word it calls `concat` only when the seam
-cancels.
+`two_sided_step(u, w)` builds the map x -> u * x * w for fixed words u
+and w, so a caller that multiplies by the same words many times (the
+Cayley-ball search, one step per move acting on both ends of a key) pays
+for no general seam loop: a single-letter end drops x's end letter or adds
+the letter, and a longer end calls `concat` only when its seam cancels.
 """
 
 from __future__ import annotations
@@ -73,13 +72,21 @@ def concat(a: bytes, b: bytes) -> bytes:
     return a[:i] + b[j:]
 
 
-def right_step(w: bytes) -> Callable[[bytes], bytes]:
-    """The map x -> concat(x, w) for reduced x, specialised to the nonempty
-    reduced word w."""
-    inv_first = w[0] ^ 1
-    if len(w) == 1:
-        return lambda x: x[:-1] if x and x[-1] == inv_first else x + w
-    return lambda x: concat(x, w) if x and x[-1] == inv_first else x + w
+def two_sided_step(u: bytes, w: bytes) -> Callable[[bytes], bytes]:
+    """The map x -> concat(concat(u, x), w) for reduced x, specialised to
+    the reduced words u and w, in one Python frame per call."""
+    # an empty side cancels nothing: its letter -1 equals no byte
+    ui = u[-1] ^ 1 if u else -1
+    wi = w[0] ^ 1 if w else -1
+    if len(u) <= 1 and len(w) <= 1:
+        def step(x: bytes) -> bytes:
+            x = x[1:] if x and x[0] == ui else u + x
+            return x[:-1] if x and x[-1] == wi else x + w
+    else:
+        def step(x: bytes) -> bytes:
+            x = concat(u, x) if x and x[0] == ui else u + x
+            return concat(x, w) if x and x[-1] == wi else x + w
+    return step
 
 
 def insert_reduce(word: bytes, pos: int, rv: bytes) -> bytes:

@@ -193,8 +193,9 @@ class KernelGroup:
             raise ValueError(f"need n <= {_MAX_LETTERS} and m <= {_MAX_RANK}")
         if not 0 <= r <= m:
             raise ValueError("need 0 <= r <= m")
+        std = standard_hom(m, r)
         if homs is None:
-            homs = [standard_hom(m, r)] * n
+            homs = [std] * n
         homs = tuple(homs)
         if len(homs) != n:
             raise ValueError(f"expected {n} factor maps, got {len(homs)}")
@@ -207,7 +208,7 @@ class KernelGroup:
                 raise ValueError("every factor map must be surjective onto Z^r")
         self.n, self.m, self.r = n, m, r
         self.homs = homs
-        self.is_standard = all(h.is_standard() for h in distinct)
+        self.is_standard = all(h == std for h in distinct)
         self._gens = None
         self._basis_changes = None
 

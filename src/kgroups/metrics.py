@@ -2,12 +2,17 @@
 
 The intrinsic metric ``d_B`` on a subgroup is computed by breadth-first
 search over the implicit Cayley graph: a state is one ``bytes`` key, the
-element's reduced factor words joined by the separator byte ``SEP``, and
-an edge is right multiplication by a generator or its inverse.  Each
-search first builds a step plan: for every move, the factors it changes,
-each with a step specialised to the move's word there (the word kernel's
-``right_step``), so an edge touches only those factors and builds no group
-objects.  Moves come in inverse pairs, ``moves[i ^ 1]`` undoing
+element's reduced factor words joined by the separator byte ``SEP`` with
+the first one inverted (``ball_key``), and an edge is right multiplication
+by a generator or its inverse.  With the first factor inverted, a move
+acts on the key's two ends: right-multiplying the first factor by ``w``
+left-multiplies the key by ``w``'s inverse, and the last factor's word
+right-multiplies the key.  ``SEP`` cancels against no letter, so each end
+stops at it.  Each search first builds a step plan: one step per move,
+key to child key, both ends in one call (the word kernel's
+``two_sided_step``), so an edge builds no group objects and, unless the
+move changes a middle factor (three or more factors), does not split the
+key.  Moves come in inverse pairs, ``moves[i ^ 1]`` undoing
 ``moves[i]``; the search checks this and never takes the move back to a
 node's parent, whose result it has already seen.  Equality of states is
 componentwise free equality, which is exact and cheap, so no quotient
@@ -61,16 +66,28 @@ from .kernels import (
     standard_generators,
 )
 
-# A ball key: the reduced factor words joined by SEP.  Letter bytes are at
-# most 2 * words._MAX_RANK - 1 = 253, so SEP is never a letter and the join
-# is injective.
+# A ball key: the reduced factor words joined by SEP, the first inverted.
+# Letter bytes are at most 2 * words._MAX_RANK - 1 = 253, so SEP is never a
+# letter, the join is injective, and no letter c cancels SEP (c ^ 255 != 1).
 Key = bytes
 SEP = b"\xff"
 
 
 def ball_key(g: ProductElement) -> Key:
-    """The ball search's key for ``g``."""
-    return SEP.join(g.key())
+    """The ball search's key for ``g``: ``invert(f0) + SEP + f1 [+ SEP +
+    ...]`` for its reduced factor words ``f0, f1, ...``.  Inverting the
+    first factor puts both ends of the key where moves act on it (see
+    ``_step_plan``)."""
+    f = g.key()
+    return SEP.join((ops.invert(f[0]),) + f[1:])
+
+
+def _key_factors(key: Key) -> Tuple[bytes, ...]:
+    """The reduced factor words of a ball key, ``ProductElement.key()``'s
+    tuple; the inverse of ``ball_key``."""
+    f = key.split(SEP)
+    f[0] = ops.invert(f[0])
+    return tuple(f)
 
 
 class DistanceResult(NamedTuple):
@@ -111,9 +128,9 @@ def _moves(gens: GeneratingSet) -> List[Tuple[bytes, ...]]:
     return out
 
 
-# per move: its index and, for each factor it changes, the factor's index
-# and the step that right-multiplies that factor by the move's word
-Plan = List[Tuple[int, List[Tuple[int, Callable[[bytes], bytes]]]]]
+# per move: its index and its step, which maps a ball key to the key of the
+# element times the move
+Plan = List[Tuple[int, Callable[[Key], Key]]]
 
 
 def _step_plan(ident: Key, moves: Sequence[Tuple[bytes, ...]], radius: int
@@ -123,10 +140,16 @@ def _step_plan(ident: Key, moves: Sequence[Tuple[bytes, ...]], radius: int
     A move is a tuple of factor words, one per factor of ``ident``, and the
     child of ``g`` along it replaces each factor ``f`` by the reduced
     ``f * w``.  Moves come in inverse pairs: ``moves[i ^ 1]`` must be the
-    factorwise inverse of ``moves[i]``, else ``ValueError``.  The plan
-    lists, for each move, only the factors it changes, each with an
-    ``ops.right_step`` for the move's word there, so an edge builds no
-    group objects.
+    factorwise inverse of ``moves[i]``, else ``ValueError``.
+
+    The plan holds one step per move, ``ball_key(g)`` to
+    ``ball_key(g * move)``.  In the key the first factor is inverted, so
+    its word ``w0`` acts as the left factor ``invert(w0)`` on the key's
+    left end, and the last factor's word on its right end:
+    ``ops.two_sided_step`` does both in one call, and ``SEP`` keeps the
+    two ends apart.  Only a move that changes a middle factor (a key of
+    three or more factors) splits the key, steps those factors and joins
+    it again (``_middle_step``).
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
@@ -140,8 +163,27 @@ def _step_plan(ident: Key, moves: Sequence[Tuple[bytes, ...]], radius: int
         if tuple(map(ops.invert, mv)) != tuple(moves[i ^ 1]):
             raise ValueError("move %d is not the inverse of move %d"
                              % (i ^ 1, i))
-    return [(i, [(k, ops.right_step(w)) for k, w in enumerate(mv) if w])
-            for i, mv in enumerate(moves)]
+    plan: Plan = []
+    for i, mv in enumerate(moves):
+        step = ops.two_sided_step(ops.invert(mv[0]),
+                                  mv[-1] if width > 1 else b"")
+        middle = [(k, ops.two_sided_step(b"", w))
+                  for k, w in enumerate(mv[1:-1], 1) if w]
+        plan.append((i, _middle_step(step, middle) if middle else step))
+    return plan
+
+
+def _middle_step(ends: Callable[[Key], Key],
+                 middle: List[Tuple[int, Callable[[bytes], bytes]]]
+                 ) -> Callable[[Key], Key]:
+    """A step that applies ``ends`` to the key's two ends, then each
+    ``(k, step)`` of ``middle`` to the key's factor ``k``."""
+    def step(key: Key) -> Key:
+        f = ends(key).split(SEP)
+        for k, right in middle:
+            f[k] = right(f[k])
+        return SEP.join(f)
+    return step
 
 
 # the largest rank whose 2^m m! signed letter permutations _symmetries tries
@@ -205,6 +247,9 @@ class _Side:
     so the skip changes no outcome.  A shell at ``radius`` is never
     expanded, so it is not kept.
 
+    Each child is one call of its move's step (``_step_plan``) on the
+    parent's key.
+
     With symmetries (``_symmetries`` of the moves, and ``root`` the
     identity, which they fix), the search stores one element per orbit:
     each child ``h`` is replaced by its least image ``s(h)`` over the
@@ -218,7 +263,9 @@ class _Side:
     r * t^-1(m)`` is a child of ``r``, so expanding the stored elements
     alone reaches every orbit of shell ``k + 1``.  The move from ``s(h)``
     back to ``s(r)`` is ``s(moves[i ^ 1])``, index ``perm[i] ^ 1``, and is
-    skipped as before.
+    skipped as before.  A map acts on a key by ``bytes.translate``: a
+    signed letter map commutes with ``invert``, so the translated key is
+    the image's key, its first factor still inverted.
     """
 
     __slots__ = ("plan", "radius", "syms", "depths", "depth", "frontier",
@@ -245,20 +292,15 @@ class _Side:
         grow = depth < self.radius
         plan, depths, syms = self.plan, self.depths, self.syms
         order = len(syms) + 1
-        join = SEP.join
         seen = len(depths)
         size = 0
         nxt: List[Key] = []
         nxt_backs = array(self.backs.typecode)
         for g, back in zip(self.frontier, self.backs):
-            factors = g.split(SEP)
-            for i, steps in plan:
+            for i, step in plan:
                 if i == back:
                     continue
-                f = factors.copy()
-                for k, step in steps:
-                    f[k] = step(f[k])
-                h = join(f)
+                h = step(g)
                 if syms:
                     # the least image c, the move index leading to it, and
                     # how many maps send h to c
@@ -303,7 +345,7 @@ def _ball_search(
 ) -> Tuple[Dict[Key, int], Optional[int], int]:
     """Breadth-first enumeration of the ball around ``ident``.
 
-    States are joined keys (see ``SEP``), and ``moves`` are checked and
+    States are ball keys (``ball_key``), and ``moves`` are checked and
     planned by ``_step_plan``.  Returns ``(depths, hit, explored)``:
     ``depths`` maps every element seen to its exact distance, in discovery
     order, and ``explored`` is its size.  A search with targets stops at
@@ -423,7 +465,7 @@ def distance_map(gens: GeneratingSet, radius: int
     distances at once rather than one target.
     """
     depths = _ball_search(_identity_key(gens), _moves(gens), radius)[0]
-    return {tuple(key.split(SEP)): d for key, d in depths.items()}
+    return {_key_factors(key): d for key, d in depths.items()}
 
 
 def ambient_length(g: ProductElement) -> int:

@@ -28,14 +28,13 @@ from .words import FreeGroup, Word
 class SplittingData:
     """Shape bookkeeping for the splitting of K(n, m, m)."""
 
-    __slots__ = ("n", "m", "group", "m_group", "hat_group", "hat_generators")
+    __slots__ = ("n", "m", "group", "hat_group", "hat_generators")
 
     def __init__(self, n: int, m: int):
         if n < 2:
             raise ValueError("splitting needs at least two factors")
         self.n, self.m = n, m
         self.group = KernelGroup(n, m, m)
-        self.m_group = KernelGroup(n - 1, m, m)
         self.hat_group = FreeGroup(m, names=[f"g{k}" for k in range(1, m + 1)])
         F = FreeGroup(m)
         one = F.identity

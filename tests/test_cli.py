@@ -531,3 +531,19 @@ def test_python_dash_m_kgroups_exits_with_the_cli_code():
     assert proc.returncode == 2, proc.stderr
     assert "certificate = distance > 6" in proc.stdout.splitlines()
     assert "explored = 23285" in proc.stdout.splitlines()
+
+
+def test_metric_json_under_python_dash_o_keeps_the_exit_code():
+    # with asserts stripped, the ball search still certifies d > 6 from
+    # the whole ball and exits 2
+    src = os.path.dirname(os.path.dirname(kgroups.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "kgroups", "metric", "--group",
+         "K2_2_2", "--target", "h(2)", "--radius", "6", "--format", "json"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    report = json.loads(proc.stdout)
+    assert (report["certificate"], report["explored"]) == ("distance > 6",
+                                                           23285)

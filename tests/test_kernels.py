@@ -132,6 +132,23 @@ def test_mixed_homs_across_factors():
         assert rewrite_in_generators(G, g).eval() == g
 
 
+def test_kernel_group_builds_the_standard_map_once(monkeypatch):
+    # the default factor maps and the is_standard test share one map
+    built = []
+    init = FactorHom.__init__
+
+    def counting(self, *args, **kw):
+        built.append(args)
+        init(self, *args, **kw)
+    monkeypatch.setattr(FactorHom, "__init__", counting)
+    G = KernelGroup(2, 2, 2)
+    assert G.is_standard and len(built) == 1
+    h = FactorHom(2, 1, [(2,), (1,)])
+    built.clear()
+    G = KernelGroup(2, 2, 1, homs=[h, h])
+    assert not G.is_standard and len(built) == 1
+
+
 def test_shared_factor_maps_are_checked_and_normalized_once(monkeypatch):
     calls = {"is_surjective": 0, "normalize_basis": 0}
     for name in calls:

@@ -5,13 +5,14 @@ import tracemalloc
 import pytest
 
 from kgroups.certificates import toy_scenario
-from kgroups.kernels import (GenWord, KernelGroup, identity_element,
-                             standard_generators)
+from kgroups.kernels import (GenWord, KernelGroup, ProductElement,
+                             identity_element, standard_generators)
 from kgroups import metrics
-from kgroups.metrics import (SEP, _ball_search, _meet, _moves, _step_plan,
-                             _symmetries, ambient_length, ball_key,
-                             ball_profile, distance, distance_map,
+from kgroups.metrics import (_ball_search, _key_factors, _meet, _moves,
+                             _step_plan, _symmetries, ambient_length,
+                             ball_key, ball_profile, distance, distance_map,
                              distortion_table, h_family)
+from kgroups.words import FreeGroup, reduce
 
 G = KernelGroup(2, 2, 2)
 B = standard_generators(G)
@@ -280,7 +281,8 @@ def test_distortion_table_matches_one_search_per_n():
 
 
 def test_edge_power_search_matches_the_product_search():
-    # the toy scenario's search: one move pair, its words longer than a letter
+    # the toy scenario's search: one move pair, the one-letter edge and its
+    # inverse
     ident = ball_key(identity_element(2, 2))
     for k in (1, 2, 3):
         scen = toy_scenario(k)
@@ -288,8 +290,8 @@ def test_edge_power_search_matches_the_product_search():
         moves = [edge.key(), (~edge).key()]
         ref = _reference_search([edge, ~edge], k + 2)
         depths, hit, explored = _ball_search(ident, moves, k + 2)
-        assert list(depths.items()) == [(SEP.join(key), d)
-                                        for key, d in ref.items()]
+        assert [(_key_factors(h), d) for h, d in depths.items()] == list(
+            ref.items())
         assert (hit, explored) == (None, 2 * k + 5)
         assert _ball_search(ident, moves, k + 2, (ball_key(scen.h),))[1] == k
 
@@ -308,6 +310,82 @@ def test_ball_search_rejects_moves_without_inverse_pairs():
         _ball_search(ident, moves[:4] + [moves[4], moves[4]], 2)
     with pytest.raises(ValueError, match="factors"):
         _ball_search(ball_key(identity_element(3, 2)), moves, 2)
+
+
+# -- one step per move --------------------------------------------------------
+
+def _random_elements(n, m, gens, count, seed):
+    """Seeded elements of the product of ``n`` rank-``m`` free groups, each
+    factor a reduced word of up to 8 letters over the 1-based ``gens``."""
+    rng = random.Random(seed)
+    F = FreeGroup(m)
+    for _ in range(count):
+        yield ProductElement([
+            reduce(F, [(rng.choice(gens), rng.choice((1, -1)))
+                       for _ in range(rng.randrange(9))])
+            for _ in range(n)])
+
+
+def _check_steps(moves, elements):
+    """Each planned step maps ``ball_key(g)`` to ``ball_key(g * move)``, on
+    ``g`` and on ``g * move^-1``, whose key cancels against the move."""
+    ident = ball_key(identity_element(moves[0].n, moves[0].m))
+    plan = _step_plan(ident, [mv.key() for mv in moves], 0)
+    assert [i for i, _ in plan] == list(range(len(moves)))
+    for g in elements:
+        assert _key_factors(ball_key(g)) == g.key()
+        for (_, step), mv in zip(plan, moves):
+            assert step(ball_key(g)) == ball_key(g * mv)
+            assert step(ball_key(g * ~mv)) == ball_key(g)
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 2), (3, 2, 1), (3, 2, 2),
+                                   (2, 127, 1)],
+                         ids=["K2_2_2", "K3_2_1", "K3_2_2", "K2_127_1"])
+def test_steps_match_product_arithmetic(shape):
+    # K3_2_1 and K3_2_2 have moves on the middle factor; K2_127_1 puts
+    # letters on bytes up to 253, next to the separator
+    n, m, _ = shape
+    gens = standard_generators(KernelGroup(*shape))
+    moves = _product_moves(gens)
+    if m == 2:
+        elements = _random_elements(n, m, [1, 2], 200, 4417)
+    else:
+        # the 506 moves of the top rank are slow to multiply out
+        elements = _random_elements(n, m, [1, 2, m - 1, m], 20, 4417)
+    _check_steps(moves, list(elements))
+
+
+def test_steps_of_multi_letter_moves_match_product_arithmetic():
+    # the toy edge and its powers (one end), and products of generators
+    # that put words of several letters on both ends and the middle
+    elements = list(_random_elements(2, 2, [1, 2], 200, 4418))
+    edge = toy_scenario(1).edge_element
+    _check_steps([edge, ~edge, edge * edge, ~(edge * edge),
+                  edge * edge * edge, ~(edge * edge * edge)], elements)
+    for shape, words in (
+            ((2, 2, 2), [["a1_2", "c1_2", "a2_2"], ["c1_2", "a1_2"]]),
+            ((3, 2, 2),
+             [["a1_2", "a2_2", "a1_3"], ["a2_3", "c1_2", "a1_2"]])):
+        gens = standard_generators(KernelGroup(*shape))
+        moves = []
+        for syms in words:
+            g = GenWord(gens, [(s, 1) for s in syms]).eval()
+            moves += [g, ~g]
+        assert any(len(w) > 1 for mv in moves for w in mv.key())
+        elements = _random_elements(shape[0], 2, [1, 2], 100, 4419)
+        _check_steps(moves, list(elements))
+
+
+def test_width_one_steps_match_product_arithmetic():
+    # one factor: the key is the inverted word alone, the identity's empty
+    F = FreeGroup(2)
+    x, y = F.gen(1), F.gen(2)
+    moves = [ProductElement([w]) for w in (x, ~x, y * x, ~(y * x))]
+    elements = list(_random_elements(1, 2, [1, 2], 200, 4420))
+    assert identity_element(1, 2) in elements
+    assert ball_key(identity_element(1, 2)) == b""
+    _check_steps(moves, elements)
 
 
 # -- meet in the middle --------------------------------------------------------
@@ -357,8 +435,8 @@ def test_meet_matches_the_reference_ball(shape, radius):
 
 
 def test_meet_over_the_edge_power_moves():
-    # the toy scenario's one move pair, its words longer than a letter; the
-    # targets are powers of the edge, and a generator off its cyclic group
+    # the toy scenario's one move pair, the one-letter edge and its inverse;
+    # the targets are powers of the edge, and a generator off its cyclic group
     ident = ball_key(identity_element(2, 2))
     for k in (1, 2, 3):
         edge = toy_scenario(k).edge_element

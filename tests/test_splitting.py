@@ -118,7 +118,7 @@ def test_decompose_reassemble_round_trip():
         gamma = random_kernel_element(G, 10, seed)
         m_part, hat = semidirect_decompose(D32, gamma)
         assert m_part.n == 2
-        assert contains(D32.m_group, m_part)
+        assert contains(KernelGroup(D32.n - 1, D32.m, D32.m), m_part)
         assert reassemble(D32, m_part, hat) == gamma
 
 

@@ -223,12 +223,14 @@ def test_invert_cancels_on_both_sides(a):
     assert ops.invert(inv_a) == a
 
 
-@given(reduced, reduced.filter(bool))
-def test_right_step_is_concat_by_a_fixed_word(a, w):
-    step = ops.right_step(w)
-    # the second word ends in w's inverse, so the seam cancels
-    for x in (a, ops.concat(a, ops.invert(w))):
-        assert step(x) == ops.concat(x, w)
+@given(reduced, reduced, reduced)
+def test_two_sided_step_is_concat_by_fixed_words(a, u, w):
+    step = ops.two_sided_step(u, w)
+    # the later words start with u's inverse or end with w's, so seams cancel
+    left = ops.concat(ops.invert(u), a)
+    for x in (a, left, ops.concat(a, ops.invert(w)),
+              ops.concat(left, ops.invert(w))):
+        assert step(x) == ops.concat(ops.concat(u, x), w)
 
 
 @given(st.binary(max_size=200).map(lambda b: bytes(c % 254 for c in b)))
