@@ -35,7 +35,7 @@ class FactorHom:
             raise ValueError("need rank >= 1 and target rank >= 0")
         if len(images) != rank:
             raise ValueError(f"expected {rank} generator images, got {len(images)}")
-        rows = tuple(tuple(int(v) for v in row) for row in images)
+        rows = tuple(tuple(map(int, row)) for row in images)
         for row in rows:
             if len(row) != target_rank:
                 raise ValueError(f"image rows must have length {target_rank}")
@@ -79,10 +79,18 @@ def ab_image(h: FactorHom, w: Word) -> AbelianVector:
     """Image of a word: its exponent sums times the generator images."""
     if w.group.rank != h.rank:
         raise ValueError(f"rank mismatch: word has {w.group.rank}, hom has {h.rank}")
+    return data_image(h, w.data)
+
+
+def data_image(h: FactorHom, data: bytes) -> AbelianVector:
+    """Image of the letters in ``data``, reduced or not, under ``h``: the
+    image is additive, so a join of several words maps to the sum of
+    their images."""
     out = [0] * h.target_rank
-    for k, row in zip(ops.exponent_sums(w.data, range(h.rank)), h.images):
-        for c, v in enumerate(row):
-            out[c] += k * v
+    for k, row in zip(ops.exponent_sums(data, range(h.rank)), h.images):
+        if k:
+            for c, v in enumerate(row):
+                out[c] += k * v
     return tuple(out)
 
 

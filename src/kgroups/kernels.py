@@ -26,7 +26,7 @@ import random as _random
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import _wordops_py as ops
-from .abelian import (AbelianVector, BasisChange, FactorHom, ab_image,
+from .abelian import (AbelianVector, BasisChange, FactorHom, data_image,
                       is_surjective, normalize_basis, standard_hom)
 from .words import (_MAX_LETTERS, _MAX_RANK, FreeGroup, Word, commutator,
                     inv, mul, to_text)
@@ -180,8 +180,8 @@ class GeneratingSet:
 class KernelGroup:
     """Descriptor of K(n, m, r), optionally with non-standard factor maps."""
 
-    __slots__ = ("n", "m", "r", "homs", "is_standard", "_gens",
-                 "_basis_changes")
+    __slots__ = ("n", "m", "r", "homs", "is_standard", "_free", "_by_hom",
+                 "_gens", "_basis_changes")
 
     def __init__(self, n: int, m: int, r: int,
                  homs: Optional[Sequence[FactorHom]] = None):
@@ -209,11 +209,20 @@ class KernelGroup:
         self.n, self.m, self.r = n, m, r
         self.homs = homs
         self.is_standard = all(h == std for h in distinct)
+        self._free = FreeGroup(m)
+        # theta joins the factors of each distinct map: (map, factor indices)
+        if len(distinct) == 1:
+            self._by_hom = ((homs[0], range(n)),)
+        else:
+            by_hom: Dict[FactorHom, List[int]] = {h: [] for h in distinct}
+            for i, h in enumerate(homs):
+                by_hom[h].append(i)
+            self._by_hom = tuple(by_hom.items())
         self._gens = None
         self._basis_changes = None
 
     def factor_group(self) -> FreeGroup:
-        return FreeGroup(self.m)
+        return self._free
 
     def element(self, texts: Sequence[str]) -> ProductElement:
         """Build a ProductElement from factor word texts."""
@@ -234,12 +243,22 @@ class KernelGroup:
 
 
 def theta(G: KernelGroup, g: ProductElement) -> AbelianVector:
-    """The defining map: sum of the per-factor abelian images."""
+    """The defining map: sum of the per-factor abelian images.
+
+    The image is additive, so the factors that share one map are joined
+    and their exponent sums counted once.
+    """
     if g.n != G.n or g.m != G.m:
         raise ValueError(f"shape mismatch: element is {g.n}x{g.m}, group wants {G.n}x{G.m}")
+    f = g.factors
     out = [0] * G.r
-    for h, w in zip(G.homs, g.factors):
-        v = ab_image(h, w)
+    for h, idx in G._by_hom:
+        # a bytearray, not b"".join, whose per-piece buffers would cost
+        # more than the words on a product of 2^20 factors
+        letters = bytearray()
+        for i in idx:
+            letters += f[i].data
+        v = data_image(h, letters)
         for c in range(G.r):
             out[c] += v[c]
     return tuple(out)
@@ -268,7 +287,8 @@ def standard_generators(G: KernelGroup) -> GeneratingSet:
     F = G.factor_group()
     one = F.identity
     if G.is_standard:
-        basis = [tuple(F.gen(j) for j in range(1, G.m + 1))] * G.n
+        # one-letter words straight from their bytes
+        basis = [tuple(Word(F, bytes((2 * i,))) for i in range(G.m))] * G.n
     else:
         basis = [bc.new_basis for bc in G.basis_changes()]
 

@@ -62,7 +62,6 @@ from .kernels import (
     KernelGroup,
     ProductElement,
     contains,
-    identity_element,
     standard_generators,
 )
 
@@ -122,9 +121,9 @@ def _moves(gens: GeneratingSet) -> List[Tuple[bytes, ...]]:
     followed by its inverse (the pairing ``_step_plan`` requires)."""
     out: List[Tuple[bytes, ...]] = []
     for sym in gens.symbols:
-        g = gens.realization[sym]
-        out.append(g.key())
-        out.append((~g).key())
+        key = gens.realization[sym].key()
+        out.append(key)
+        out.append(tuple(map(ops.invert, key)))
     return out
 
 
@@ -407,7 +406,8 @@ def _meet(plan: Plan, ident: Key, target: Key, radius: int
 
 
 def _identity_key(gens: GeneratingSet) -> Key:
-    return ball_key(identity_element(gens.group.n, gens.group.m))
+    """``ball_key`` of the identity: ``n`` empty factor words."""
+    return SEP * (gens.group.n - 1)
 
 
 def distance(

@@ -30,32 +30,35 @@ def _default_names(rank: int) -> Tuple[str, ...]:
 class FreeGroup:
     """Rank descriptor for one free factor, with printable generator names."""
 
-    __slots__ = ("rank", "names", "_by_name")
+    __slots__ = ("rank", "names", "_codes")
 
     def __init__(self, rank: int, names: Optional[Sequence[str]] = None):
         if not 1 <= rank <= _MAX_RANK:
             raise ValueError(f"rank must be in 1..{_MAX_RANK}, got {rank}")
         self.rank = rank
-        self.names = tuple(names) if names is not None else _default_names(rank)
-        if len(self.names) != rank:
-            raise ValueError("need exactly one name per generator")
-        if len(set(self.names)) != rank:
-            raise ValueError("generator names must be distinct")
-        for name in self.names:
-            # the word grammar must read every printed name back
-            if name == "1" or not _IDENT_RE.fullmatch(name):
-                raise ValueError(f"generator name {name!r} must be letters,"
-                                 " digits and underscores, and not 1")
-        by_name = {}
-        for j, name in enumerate(self.names, start=1):
-            by_name[name] = j
+        if names is None:
+            self.names = _default_names(rank)
+        else:
+            self.names = tuple(names)
+            if len(self.names) != rank:
+                raise ValueError("need exactly one name per generator")
+            if len(set(self.names)) != rank:
+                raise ValueError("generator names must be distinct")
+            for name in self.names:
+                # the word grammar must read every printed name back
+                if name == "1" or not _IDENT_RE.fullmatch(name):
+                    raise ValueError(f"generator name {name!r} must be"
+                                     " letters, digits and underscores,"
+                                     " and not 1")
+        # the parser's alphabet: each name's one-letter word
+        codes = {name: bytes((2 * j,)) for j, name in enumerate(self.names)}
         # e<j> spellings and the x,y aliases are always accepted on input
-        for j in range(1, rank + 1):
-            by_name.setdefault(f"e{j}", j)
+        for j in range(rank):
+            codes.setdefault(f"e{j + 1}", bytes((2 * j,)))
         if rank >= 2:
-            by_name.setdefault("x", 1)
-            by_name.setdefault("y", 2)
-        self._by_name = by_name
+            codes.setdefault("x", b"\x00")
+            codes.setdefault("y", b"\x02")
+        self._codes = codes
 
     def __eq__(self, other):
         return (isinstance(other, FreeGroup)
@@ -221,12 +224,23 @@ def exponent_sum(w: Word, j: int) -> int:
 # -- text form --------------------------------------------------------------
 #
 # Grammar (whitespace optional between items):
-#   word  := '1' | item*
+#   word  := item*
 #   item  := atom ('^' INT)?
-#   atom  := NAME | '[' word ',' word ']' | '(' word ')'
-# NAME is matched longest-first against the group's generator names (plus the
-# always-available e<j> spellings and x,y aliases for ranks >= 2); INT is a
-# possibly negative decimal integer.  print/parse round-trips exactly.
+#   atom  := '1' | NAME | '[' word ',' word ']' | '(' word ')'
+# A run of name characters [A-Za-z0-9_] that is exactly "1" is the empty
+# atom, so the identity prints and parses as 1.  Any other run is read as
+# its longest prefix that is a generator name (the group's names plus the
+# always-available e<j> spellings and x,y aliases for ranks >= 2), and the
+# rest of the run starts the next item.  INT is a possibly negative
+# decimal integer; leading zeros count for nothing.  print/parse
+# round-trips exactly.
+#
+# One match of _ITEM_RE reads each item's name and exponent.  Each
+# bracketed word is reduced in one pass as its items arrive, cancelling
+# only at the seam with the next item; free reduction has a unique result,
+# so this equals multiplying the items one by one.  Limits: brackets nest
+# at most _MAX_NESTING deep, and no item, commutator or word read so far
+# (each reduced) may pass _MAX_LETTERS letters.
 
 class WordParseError(ValueError):
     def __init__(self, message: str, text: str, pos: int):
@@ -237,108 +251,123 @@ class WordParseError(ValueError):
         self.col = col
 
 
-_INT_RE = re.compile(r"-?\d+")
 _IDENT_RE = re.compile(r"[A-Za-z0-9_]+")
+# an item: whitespace, then a run of name characters with the whitespace
+# after it and its exponent, if any (no run: the next character is read by
+# hand); the exponent's digits are missing when '^' is not followed by one
+_ITEM_RE = re.compile(r"\s*(?:([A-Za-z0-9_]+)\s*(?:(\^)\s*(-?\d+)?)?)?")
+# what follows a bracketed atom
+_EXP_RE = re.compile(r"\s*(?:(\^)\s*(-?\d+)?)?")
 # the parser recurses per bracket: stay far below Python's recursion limit
 _MAX_NESTING = 100
 # letters in any product the parser builds, before reduction
 _MAX_LETTERS = 1 << 20
+_TOO_LONG = f"word too long (limit {_MAX_LETTERS} letters)"
 
 
-class _Parser:
-    def __init__(self, group: FreeGroup, text: str):
-        self.group = group
-        self.text = text
-        self.pos = 0
-        self.depth = 0
-        self.names = sorted(group._by_name, key=len, reverse=True)
+def _exponent(digits: str) -> int:
+    """The value of an exponent's text, an optional '-' and decimal digits,
+    clamped to +-(_MAX_LETTERS + 1).  int() refuses more than 4300 digits,
+    but an exponent of eight or more significant digits passes the letter
+    cap anyway: the last seven digits are read once all before them are
+    zeros (checked in chunks that int() accepts)."""
+    sign = -1 if digits[0] == "-" else 1
+    digits = digits.lstrip("-")
+    head = digits[:-7]
+    if head and any(int(head[i:i + 500]) for i in range(0, len(head), 500)):
+        return sign * (_MAX_LETTERS + 1)
+    return sign * int(digits[-7:])
 
-    def error(self, message):
-        raise WordParseError(message, self.text, self.pos)
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def check_length(self, letters: int):
-        if letters > _MAX_LETTERS:
-            self.error(f"word too long (limit {_MAX_LETTERS} letters)")
-
-    def peek(self):
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def parse_word(self, stop: str = "") -> Word:
-        if self.depth > _MAX_NESTING:
-            self.error(f"brackets nested too deeply (limit {_MAX_NESTING})")
-        self.depth += 1
-        parts = self.group.identity
-        while True:
-            ch = self.peek()
-            if ch == "" or ch in stop:
-                self.depth -= 1
-                return parts
-            item = self.parse_item()
-            self.check_length(len(parts.data) + len(item.data))
-            parts = mul(parts, item)
-
-    def parse_item(self) -> Word:
-        atom = self.parse_atom()
-        self.skip_ws()
-        if self.pos < len(self.text) and self.text[self.pos] == "^":
-            self.pos += 1
-            self.skip_ws()
-            m = _INT_RE.match(self.text, self.pos)
-            if not m:
-                self.error("expected an integer exponent after '^'")
-            self.pos = m.end()
-            k = int(m.group())
-            self.check_length(len(atom.data) * abs(k))
-            return atom ** k
-        return atom
-
-    def parse_atom(self) -> Word:
-        ch = self.peek()
-        if ch == "[":
-            self.pos += 1
-            left = self.parse_word(stop=",")
-            if self.peek() != ",":
-                self.error("expected ',' in commutator")
-            self.pos += 1
-            right = self.parse_word(stop="]")
-            if self.peek() != "]":
-                self.error("expected ']' closing commutator")
-            self.pos += 1
-            self.check_length(2 * (len(left.data) + len(right.data)))
-            return commutator(left, right)
-        if ch == "(":
-            self.pos += 1
-            inner = self.parse_word(stop=")")
-            if self.peek() != ")":
-                self.error("expected ')'")
-            self.pos += 1
-            return inner
-        m = _IDENT_RE.match(self.text, self.pos)
-        if not m:
-            self.error("expected a generator name")
-        run = m.group()
-        if run == "1":
-            self.pos += 1
-            return self.group.identity
-        for name in self.names:
-            if run.startswith(name):
-                self.pos += len(name)
-                return self.group.gen(self.group._by_name[name])
-        self.error(f"unknown generator name {run!r}")
+def _read(codes: Mapping[str, bytes], text: str, pos: int, depth: int,
+          stop: str) -> Tuple[bytes, int]:
+    """Read the word at ``pos`` up to the first ``stop`` character at this
+    bracket depth, or to the end of ``text``; return its reduced bytes and
+    the position where it ended."""
+    if depth > _MAX_NESTING:
+        raise WordParseError(
+            f"brackets nested too deeply (limit {_MAX_NESTING})", text, pos)
+    out = bytearray()
+    match = _ITEM_RE.match
+    while True:
+        m = match(text, pos)
+        run, caret, digits = m.groups()
+        if run is not None:
+            atom = codes.get(run)
+            if atom is None and run == "1":
+                atom = b""
+            if atom is not None:
+                pos = m.end()
+            else:
+                # the longest name the run starts with; no exponent follows
+                start = m.start(1)
+                longest = max(map(len, codes))
+                for cut in range(min(len(run) - 1, longest), 0, -1):
+                    atom = codes.get(run[:cut])
+                    if atom is not None:
+                        break
+                else:
+                    raise WordParseError(f"unknown generator name {run!r}",
+                                         text, start)
+                caret, pos = None, start + cut
+        else:
+            pos = m.end()
+            ch = text[pos:pos + 1]
+            if ch == "[":
+                left, pos = _read(codes, text, pos + 1, depth + 1, ",")
+                if pos == len(text):
+                    raise WordParseError("expected ',' in commutator",
+                                         text, pos)
+                right, pos = _read(codes, text, pos + 1, depth + 1, "]")
+                if pos == len(text):
+                    raise WordParseError("expected ']' closing commutator",
+                                         text, pos)
+                pos += 1
+                if 2 * (len(left) + len(right)) > _MAX_LETTERS:
+                    raise WordParseError(_TOO_LONG, text, pos)
+                atom = ops.free_reduce(left + right + ops.invert(left)
+                                       + ops.invert(right))
+            elif ch == "(":
+                atom, pos = _read(codes, text, pos + 1, depth + 1, ")")
+                if pos == len(text):
+                    raise WordParseError("expected ')'", text, pos)
+                pos += 1
+            elif ch == stop or not ch:
+                return bytes(out), pos
+            else:
+                raise WordParseError("expected a generator name", text, pos)
+            m = _EXP_RE.match(text, pos)
+            caret, digits = m.groups()
+            pos = m.end()
+        if caret:
+            if digits is None:
+                raise WordParseError("expected an integer exponent after '^'",
+                                     text, pos)
+            k = _exponent(digits)
+            if k < 0:
+                atom, k = ops.invert(atom), -k
+            if len(atom) * k > _MAX_LETTERS:
+                raise WordParseError(_TOO_LONG, text, pos)
+            # a power of one letter is reduced; copies of a longer atom may
+            # cancel where they meet
+            atom = (atom * k if len(atom) < 2 or k < 2
+                    else ops.free_reduce(atom * k))
+        if len(out) + len(atom) > _MAX_LETTERS:
+            raise WordParseError(_TOO_LONG, text, pos)
+        if out and atom and out[-1] ^ atom[0] == 1:
+            # cancel across the seam, then append the rest
+            i, n = 1, len(atom)
+            out.pop()
+            while i < n and out and out[-1] ^ atom[i] == 1:
+                out.pop()
+                i += 1
+            out += atom[i:]
+        else:
+            out += atom
 
 
 def parse_word(group: FreeGroup, text: str) -> Word:
-    p = _Parser(group, text)
-    w = p.parse_word()
-    p.skip_ws()
-    if p.pos != len(text):
-        p.error("unexpected trailing input")
-    return w
+    return Word(group, _read(group._codes, text, 0, 0, "")[0])
 
 
 def to_text(w: Word) -> str:

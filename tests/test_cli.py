@@ -146,6 +146,19 @@ def test_parse_errors_name_the_position(capsys):
     assert "line 1" in err and "column" in err
 
 
+def test_exponents_longer_than_int_reads_are_no_error(capsys):
+    # 5001 digits: int() would refuse the string with a bare ValueError
+    code, out, err = run(capsys, "metric", "--group", "K2_2_2", "--target",
+                         "x^-" + "0" * 5000 + "1 x;1", "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["distance"] == 0
+    code, out, err = run(capsys, "member", "--group", "K2_2_2", "--element",
+                         "x^" + "9" * 5000 + "; 1")
+    assert (code, out) == (1, "")
+    assert err == ("error: word too long (limit 1048576 letters) at line 1,"
+                   " column 5003\n")
+
+
 # -- output shapes -------------------------------------------------------------
 
 def test_member_report(capsys):

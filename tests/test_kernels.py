@@ -5,13 +5,13 @@ import types
 import pytest
 
 from kgroups import kernels
-from kgroups.abelian import FactorHom
+from kgroups.abelian import FactorHom, ab_image
 from kgroups.kernels import (GenWord, KernelGroup, ProductElement, contains,
                              identity_element, random_kernel_element,
                              rewrite_in_generators, standard_generators,
                              theta)
 from kgroups.metrics import h_family
-from kgroups.words import FreeGroup, commutator, inv, parse_word
+from kgroups.words import FreeGroup, commutator, inv, parse_word, reduce
 
 
 K222 = KernelGroup(2, 2, 2)
@@ -130,6 +130,46 @@ def test_mixed_homs_across_factors():
         g = random_kernel_element(G, 10, seed)
         assert contains(G, g)
         assert rewrite_in_generators(G, g).eval() == g
+
+
+def _theta_groups():
+    # the custom-hom family's map, shared and next to a second custom map,
+    # two rank-1 maps spread over five factors, and a standard kernel
+    h = FactorHom(3, 2, [(1, 1), (0, 1), (1, 0)])
+    k = FactorHom(3, 2, [(0, 1), (1, 0), (2, -1)])
+    h1 = FactorHom(2, 1, [(1,), (1,)])
+    h2 = FactorHom(2, 1, [(2,), (1,)])
+    return [KernelGroup(2, 3, 2, homs=[h, h]),
+            KernelGroup(3, 3, 2, homs=[h, k, h]),
+            KernelGroup(5, 2, 1, homs=[h1, h2, h1, h1, h2]),
+            KernelGroup(3, 2, 1)]
+
+
+@pytest.mark.parametrize("G", _theta_groups(), ids=repr)
+def test_theta_is_the_sum_of_the_factor_images(G):
+    # theta joins the factors that share a map and counts them once; the
+    # per-factor sum of ab_image is the definition
+    rng = random.Random(23)
+    F = G.factor_group()
+    elements = [random_kernel_element(G, 8, seed) for seed in range(10)]
+    for _ in range(40):
+        elements.append(ProductElement([
+            reduce(F, [(rng.randint(1, G.m), rng.choice((1, -1)))
+                       for _ in range(rng.randint(0, 9))])
+            for _ in range(G.n)]))
+    members = 0
+    for g in elements:
+        want = [0] * G.r
+        for h, w in zip(G.homs, g.factors):
+            want = [a + b for a, b in zip(want, ab_image(h, w))]
+        assert theta(G, g) == tuple(want)
+        assert contains(G, g) == (want == [0] * G.r)
+        members += contains(G, g)
+    assert 10 <= members < len(elements)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        theta(G, ProductElement([F.identity] * (G.n + 1)))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        theta(G, ProductElement([FreeGroup(G.m + 1).identity] * G.n))
 
 
 def test_kernel_group_builds_the_standard_map_once(monkeypatch):

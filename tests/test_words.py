@@ -155,6 +155,27 @@ class TestParser:
             with pytest.raises(WordParseError, match="word too long"):
                 parse_word(F2, text)
 
+    def test_exponents_past_int_digit_limit(self):
+        # int() refuses more than 4300 digits; the parser reads any number
+        # of them, and leading zeros count for nothing
+        zeros = "0" * 5000
+        assert parse_word(F2, "x^-" + zeros + "1 x") == F2.identity
+        assert parse_word(F2, "y^" + zeros) == F2.identity
+        assert parse_word(F2, "(x y)^-" + zeros + "2") == parse_word(
+            F2, "y^-1 x^-1 y^-1 x^-1")
+        assert parse_word(F2, "x^" + zeros + "1048576") == F2.gen(1) ** 1048576
+        # the empty atom to any power is the identity
+        for text in ["1^" + "9" * 5000, "1^-" + "9" * 5000,
+                     "(x x^-1)^" + "7" * 4301]:
+            assert parse_word(F2, text) == F2.identity
+        # a nonempty atom past the letter cap fails at the end of its exponent
+        for digits in ["9" * 5000, "-" + "9" * 5000, zeros + "1048577",
+                       "1" + zeros]:
+            text = "y [x, y]^" + digits + " x"
+            with pytest.raises(WordParseError, match="word too long") as e:
+                parse_word(F2, text)
+            assert (e.value.line, e.value.col) == (1, len(text) - 1)
+
 
 @given(words(2, 25))
 def test_text_round_trip(w):
