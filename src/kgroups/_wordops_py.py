@@ -35,8 +35,8 @@ BACKEND = "python"
 #               ceil(|sum of weights over the word| / maxw).
 #   grid_amax = 0 to disable, else the divisor for the lattice-area term
 #               (only meaningful for rank-2 words, bytes 0..3).
-# expand() is called only by run_search: the greedy probe ranks children by
-# their seam lengths and builds one child per level with insert_reduce.
+# expand() is called only by run_search: the greedy probe builds, with
+# insert_reduce, only the children at seam positions and the ones it enters.
 
 
 def free_reduce(data: bytes) -> bytes:

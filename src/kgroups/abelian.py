@@ -35,10 +35,13 @@ class FactorHom:
             raise ValueError("need rank >= 1 and target rank >= 0")
         if len(images) != rank:
             raise ValueError(f"expected {rank} generator images, got {len(images)}")
-        rows = tuple(tuple(map(int, row)) for row in images)
+        rows = tuple(map(tuple, images))
         for row in rows:
             if len(row) != target_rank:
                 raise ValueError(f"image rows must have length {target_rank}")
+            # int() would truncate 1.5 and read "1"; bools are not entries
+            if not all(type(v) is int for v in row):
+                raise ValueError(f"image entries must be ints, got {list(row)}")
         self.rank = rank
         self.target_rank = target_rank
         self.images = rows
@@ -57,14 +60,6 @@ class FactorHom:
     def is_standard(self) -> bool:
         """True when e_j -> t_j for j <= r and e_j -> 0 for j > r."""
         return self == standard_hom(self.rank, self.target_rank)
-
-    def to_json(self) -> dict:
-        return {"m": self.rank, "r": self.target_rank,
-                "rows": [list(row) for row in self.images]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "FactorHom":
-        return cls(obj["m"], obj["r"], obj["rows"])
 
 
 def standard_hom(m: int, r: int) -> FactorHom:

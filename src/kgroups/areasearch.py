@@ -63,15 +63,11 @@ is a root-only bound: the caller takes the larger of it and the additive
 bound as the start's h0, the probe's target, while children keep their
 additive bounds.
 
-Seam lengths: the probe ranks children by length without building them.
-The state and the variant are reduced, so inserting v at position p can
-cancel letters only across its two seams: a letters of v's head against
-state[:p], then b of v's tail against state[p:].  If a + b = len(v), v is
-gone and state[:p-a] meets state[p+b:], which may cancel on by some run r.
-So len(child) = len(state) + len(v) - 2c with c = a + b + r, and c > 0
-only where state[p-1] = v[0]^-1 or state[p] = v[-1]^-1.  Every other
-position gives length len(state) + len(v), and the dive builds only the
-child it enters.
+Seam lengths: the state and the variant are reduced, so inserting v at
+position p can cancel letters only where state[p-1] = v[0]^-1 or
+state[p] = v[-1]^-1.  Every other position gives a child of length
+len(state) + len(v), so the probe builds only the seam children to rank
+them, and down the dive only the child it enters.
 
 Frontier layout: edge costs are 1 and the heuristic is consistent, so f
 never falls along an edge.  The frontier is a min-heap of (f, h) keys and
@@ -89,14 +85,9 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from heapq import heappop, heappush
-from itertools import compress, groupby
-from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import _wordops_py as ops
-
-# _MARK[x].translate maps byte x to 1 and every other byte to 0
-_MARK = [bytes(x) + b"\x01" + bytes(255 - x) for x in range(256)]
 
 
 def plane_value(word: bytes, plane: Tuple[Sequence[int], Sequence[int]]
@@ -215,58 +206,33 @@ class SearchOutcome:
 
 def seam_ranked(state: bytes, variants: Sequence[bytes], child_h: Sequence[int],
                 h_max: int, len_cap: int) -> List[int]:
-    """The probe's ranking of one state's children, none of them built.
+    """The probe's ranking of one state's children.
 
     Returns the codes vidx * (len(state) + 1) + pos of every child
     insert_reduce(state, pos, variants[vidx]) with h = child_h[vidx] <= h_max
     and length <= len_cap, sorted by (h, length, code): the order a sort of
     ops.expand's children gives, visited or not.  Variants are nonempty and
-    reduced.  A child's length is len(state) + len(v) - 2c for the c letter
-    pairs that cancel (module docstring), and c > 0 only at a seam position,
-    where state[pos-1] = v[0]^-1 or state[pos] = v[-1]^-1.  The other
-    positions are found with byte masks and enter as one ascending run per
-    variant; only seam positions are walked letter by letter.
+    reduced, so a child is shorter than len(state) + len(v) only at a seam
+    position (module docstring), and only those children are built.
     """
     n = len(state)
     width = n + 1
-    every = int.from_bytes(b"\x01" * width, "little")   # one 1 per position
-    out: List[int] = []
-    order = sorted((h, k) for k, h in enumerate(child_h) if h <= h_max)
-    for _, group in groupby(order, key=itemgetter(0)):
-        # length -> codes; variants come in ascending index and each one's
-        # positions ascend, so every list is sorted by code as it grows
-        by_len: Dict[int, List[int]] = {}
-        for _, k in group:
-            v = variants[k]
-            lv = len(v)
-            base = k * width
-            # byte pos of `seam` is 1 where pos is a seam position
-            seam = (int.from_bytes(state.translate(_MARK[v[0] ^ 1]), "little") << 8
-                    | int.from_bytes(state.translate(_MARK[v[-1] ^ 1]), "little"))
-            if n + lv <= len_cap:
-                by_len.setdefault(n + lv, []).extend(compress(
-                    range(base, base + width),
-                    (every ^ seam).to_bytes(width, "little")))
-            for p in compress(range(width), seam.to_bytes(width, "little")):
-                a = 0                       # v's head against state[:p]
-                while a < lv and a < p and state[p - 1 - a] ^ v[a] == 1:
-                    a += 1
-                b = 0                       # v's tail against state[p:]
-                while a + b < lv and p + b < n and state[p + b] ^ v[lv - 1 - b] == 1:
-                    b += 1
-                c = a + b
-                if c == lv:                 # v is gone: the state closes up
-                    i, j = p - a, p + b
-                    while i > 0 and j < n and state[i - 1] ^ state[j] == 1:
-                        i -= 1
-                        j += 1
-                        c += 1
-                length = n + lv - 2 * c
-                if length <= len_cap:
-                    by_len.setdefault(length, []).append(base + p)
-        for length in sorted(by_len):
-            out.extend(by_len[length])
-    return out
+    keys = []
+    for k, (v, h) in enumerate(zip(variants, child_h)):
+        if h > h_max:
+            continue
+        head, tail = v[0] ^ 1, v[-1] ^ 1
+        full = n + len(v)
+        base = k * width
+        for p in range(width):
+            if (p and state[p - 1] == head) or (p < n and state[p] == tail):
+                length = len(ops.insert_reduce(state, p, v))
+            else:
+                length = full
+            if length <= len_cap:
+                keys.append((h, length, base + p))
+    keys.sort()
+    return [code for _, _, code in keys]
 
 
 def greedy_probe(start: bytes, variants: Sequence[bytes], *, len_cap: int,
@@ -286,9 +252,8 @@ def greedy_probe(start: bytes, variants: Sequence[bytes], *, len_cap: int,
 
     The dive is iterative: each level keeps its state, its invariant
     values and the codes vidx * (len(state) + 1) + pos of its children in
-    the shell, best first (seam_ranked, which computes every child's
-    length from the two seams and builds none), in a machine-int array:
-    as a list of int objects they held 18 MB at depth 961.  When the dive reaches a
+    the shell, best first (seam_ranked), in a machine-int array: as a list
+    of int objects they held 18 MB at depth 961.  When the dive reaches a
     code it builds that one child with insert_reduce, skips it if it was
     visited, and gets its values as values(state) + deltas[vidx], the
     additivity of the module docstring, so no state is rescanned.  A

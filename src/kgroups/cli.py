@@ -27,7 +27,7 @@ import re
 import sys
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from .words import WordParseError, to_text
+from .words import WordParseError, parse_factors, to_text
 from .abelian import FactorHom, ab_image, normalize_basis
 from .kernels import (KernelGroup, ProductElement, contains,
                       rewrite_in_generators, standard_generators, theta)
@@ -64,11 +64,11 @@ def _parse_group(text: str) -> KernelGroup:
 
 
 def _parse_element(G: KernelGroup, text: str) -> ProductElement:
-    parts = [p.strip() for p in text.split(";")]
-    if len(parts) != G.n:
+    count = text.count(";") + 1
+    if count != G.n:
         raise ValueError(f"expected {G.n} factor words separated by ';',"
-                         f" got {len(parts)}")
-    return G.element(parts)
+                         f" got {count}")
+    return ProductElement(parse_factors(G.factor_group(), text))
 
 
 def _parse_rows(text: str) -> FactorHom:

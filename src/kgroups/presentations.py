@@ -27,8 +27,8 @@ from .areasearch import (AdditiveHeuristic, SearchOutcome, greedy_probe,
 from . import _wordops_py as ops
 from .abelian import FactorHom, ab_image
 from .kernels import ProductElement, evaluate
-from .words import (FreeGroup, Word, commutator, inv, mul, parse_word,
-                    to_text)
+from .words import (FreeGroup, Word, _read, commutator, inv, mul,
+                    parse_word, to_text)
 
 DEFAULT_NODE_CAP = 200_000
 DEFAULT_LEN_CAP_FACTOR = 4
@@ -62,7 +62,7 @@ class Evaluation:
             self._hom = None
         else:
             self.kind = "abelian"
-            images = tuple(tuple(int(v) for v in row) for row in images)
+            images = tuple(map(tuple, images))
             if len({len(row) for row in images}) > 1:
                 raise ValueError("abelian images must share one length")
             self._hom = FactorHom(len(images), len(images[0]), images)
@@ -92,6 +92,10 @@ class Presentation:
         rels = []
         for rel in relators:
             w = parse_word(self.group, rel) if isinstance(rel, str) else rel
+            if w.group != self.group:
+                raise ValueError(f"relator {to_text(w)} is a word over"
+                                 f" {', '.join(w.group.names)}, not over"
+                                 f" {', '.join(self.group.names)}")
             if not w:
                 raise ValueError("relators must be nonempty")
             rels.append(w)
@@ -115,36 +119,31 @@ class Presentation:
         return f"Presentation({self.to_text()!r})"
 
 
-def _split_top_level(text: str) -> List[str]:
-    parts, depth, cur = [], 0, []
-    for ch in text:
-        if ch in "[(":
-            depth += 1
-        elif ch in "])":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return [p.strip() for p in parts]
-
-
 def parse_presentation(text: str) -> Presentation:
-    """Parse `< a, b | [a,b], a^2 >` style text (commas split at depth 0)."""
+    """Parse `< a, b | [a,b], a^2 >` style text.  Relators are separated
+    by commas outside brackets, and a parse error names its line and
+    column in `text` itself."""
     t = text.strip()
     if not (t.startswith("<") and t.endswith(">")):
         raise ValueError("presentation text must be wrapped in < ... >")
-    body = t[1:-1]
-    if "|" not in body:
+    end = len(text.rstrip()) - 1            # the closing '>'
+    bar = text.find("|", 0, end)
+    if bar < 0:
         raise ValueError("presentation text needs a | between alphabet and relators")
-    alpha, rels = body.split("|", 1)
-    names = _split_top_level(alpha)
-    if any(not n for n in names):
+    names = [n.strip() for n in text[text.index("<") + 1:bar].split(",")]
+    if not all(names):
         raise ValueError("empty alphabet symbol")
-    relator_texts = [r for r in _split_top_level(rels) if r]
-    return Presentation(names, relator_texts)
+    group = FreeGroup(len(names), names=names)
+    body = text[:end]
+    relators = []
+    pos = bar
+    while pos < end:
+        # each relator runs to the next comma outside brackets
+        data, stop = _read(group._codes, body, pos + 1, 0, ",")
+        if body[pos + 1:stop].strip():
+            relators.append(Word(group, data))
+        pos = stop
+    return Presentation(names, relators)
 
 
 class NullExpression:
@@ -171,8 +170,14 @@ class NullExpression:
 
     @classmethod
     def from_json(cls, P: Presentation, data: Sequence[dict]) -> "NullExpression":
-        """Read to_json's form back: conj must be a string, rel and sign
-        ints (bools and floats are rejected), else ValueError."""
+        """Read to_json's form back: a list of dicts whose conj is a string
+        and rel and sign ints (bools and floats are rejected), else
+        ValueError."""
+        if not isinstance(data, (list, tuple)):
+            raise ValueError("null-expression data must be a list of items")
+        if not all(isinstance(d, dict) and d.keys() >= {"conj", "rel", "sign"}
+                   for d in data):
+            raise ValueError("malformed null-expression item")
         items = [(d["conj"], d["rel"], d["sign"]) for d in data]
         if not all(isinstance(c, str) and type(ri) is type(s) is int
                    for c, ri, s in items):

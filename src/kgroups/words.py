@@ -12,7 +12,8 @@ imported as `ops`).
 from __future__ import annotations
 
 import re
-from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import (Iterable, List, Mapping, Optional, Sequence, Tuple,
+                    Union)
 
 from . import _wordops_py as ops
 
@@ -368,6 +369,22 @@ def _read(codes: Mapping[str, bytes], text: str, pos: int, depth: int,
 
 def parse_word(group: FreeGroup, text: str) -> Word:
     return Word(group, _read(group._codes, text, 0, 0, "")[0])
+
+
+def parse_factors(group: FreeGroup, text: str) -> List[Word]:
+    """The words between the ';'s of `text`, read as parse_word reads each
+    one stripped of its surrounding whitespace; a parse error names its
+    line and column in `text` itself."""
+    out = []
+    start = 0
+    for part in text.split(";"):
+        # cut the text after the part's last non-space character, so an
+        # error at the part's end lands where it did in the stripped part
+        end = start + len(part.rstrip())
+        out.append(Word(group, _read(group._codes, text[:end], start, 0,
+                                     "")[0]))
+        start += len(part) + 1
+    return out
 
 
 def to_text(w: Word) -> str:

@@ -44,9 +44,11 @@ def test_hom_validation():
     assert not is_surjective(h)  # image is 2Z
 
 
-def test_json_round_trip():
-    h = FactorHom(3, 2, [(1, 2), (0, 1), (-1, 3)])
-    assert FactorHom.from_json(h.to_json()) == h
+@pytest.mark.parametrize("entry", [1.5, "1", True])
+def test_hom_rejects_entries_that_are_not_ints(entry):
+    # int() used to read these as 1, so [[1.5], [0]] became [[1], [0]]
+    with pytest.raises(ValueError):
+        FactorHom(2, 1, [[entry], [0]])
 
 
 def random_surjective_hom(rng):

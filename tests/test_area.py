@@ -19,7 +19,7 @@ from kgroups.presentations import (DEFAULT_LEN_CAP_FACTOR, DEFAULT_NODE_CAP,
                                    _root_bound, _variants, area_search,
                                    dehn_function, is_null_homotopic,
                                    parse_presentation, verify_null_expression)
-from kgroups.words import Word, inv, mul, parse_word, to_text
+from kgroups.words import FreeGroup, Word, inv, mul, parse_word, to_text
 
 
 @pytest.fixture
@@ -69,6 +69,32 @@ def test_null_expression_json_rejects_malformed_items(zz, bad):
                                   NullExpression.from_json(zz, [good]))
     with pytest.raises(ValueError):
         NullExpression.from_json(zz, [dict(good, **bad)])
+
+
+@pytest.mark.parametrize("data", [
+    [{"conj": "1", "rel": 0}],              # no sign
+    [{"conj": "1", "sign": 1}],             # no rel
+    [["1", 0, 1]],                          # an item that is not a dict
+    None])
+def test_null_expression_json_rejects_malformed_data(zz, data):
+    # these raised KeyError and TypeError, outside the ValueError contract
+    with pytest.raises(ValueError):
+        NullExpression.from_json(zz, data)
+
+
+def test_presentation_refuses_relators_over_another_alphabet():
+    # the rank-3 word used to be printed with the rank-2 names, and the
+    # area search on it died with IndexError
+    with pytest.raises(ValueError, match="not over x, y"):
+        Presentation(("x", "y"), [FreeGroup(3).word("[e1,e3]")])
+    P = parse_presentation("< x, y | [x,y] >")
+    assert Presentation(("x", "y"), P.relators).relators == P.relators
+
+
+def test_abelian_evaluation_keeps_integer_images():
+    # int() used to truncate 1.5 to 1 before the map saw the rows
+    with pytest.raises(ValueError):
+        Evaluation([(1.5, 0), (0, 1)])
 
 
 @pytest.mark.parametrize("n,expected", [(1, 1), (2, 4), (3, 9)])

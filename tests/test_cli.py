@@ -146,6 +146,23 @@ def test_parse_errors_name_the_position(capsys):
     assert "line 1" in err and "column" in err
 
 
+def test_relator_parse_errors_count_columns_in_the_presentation(capsys):
+    # the column used to count from the start of the relator, here 5
+    code, out, err = run(capsys, "area", "--presentation",
+                         "< x, y | [x,y], [x,y >", "--word", "x")
+    assert (code, out) == (1, "")
+    assert err == ("error: expected ']' closing commutator at line 1,"
+                   " column 22\n")
+
+
+def test_factor_parse_errors_count_columns_in_the_element(capsys):
+    # the column used to count from the start of the factor, here 5
+    code, out, err = run(capsys, "member", "--group", "K2_2_2",
+                         "--element", "1 ; x (y")
+    assert (code, out) == (1, "")
+    assert err == "error: expected ')' at line 1, column 9\n"
+
+
 def test_exponents_longer_than_int_reads_are_no_error(capsys):
     # 5001 digits: int() would refuse the string with a bare ValueError
     code, out, err = run(capsys, "metric", "--group", "K2_2_2", "--target",

@@ -2,11 +2,14 @@
 
 Every command here parses words: the 40 first distance queries of
 perfbench's cayley-ball workload at seed 301, `member`, `rewrite` and
-`split` on K3_2_2, `area` over presentations with bracketed relators, and
+`split` on K3_2_2, `area` over presentations with bracketed relators and
+on [x^n, y^n] for n = 8, 16 and 32 (greedy-probe dives of depth n^2), and
 malformed `metric` targets.  The digests were recorded with the parser
 that read text one character at a time (the reference in
 tests/test_parse_reference.py), so a parser or membership change that
-alters one output byte or exit code fails here.
+alters one output byte or exit code fails here.  The three [x^n, y^n]
+digests were recorded with the probe that counted seam cancellations
+letter by letter, so they pin its traversal byte for byte.
 """
 
 import hashlib
@@ -133,6 +136,13 @@ COMMANDS = [
      0, '82638cbfdd8f1416a525c50da83632a471ed93c929ac1f919a6fd5042dcd7a92'),
     (('area', '--presentation', '< a, b | (a b)^2 (b a)^-2 >', '--word', '(a b)^2 (b a)^-2 [a b, b a]', '--node-cap', '2000', '--format', 'json'),
      2, '4112094068ea5a4280272a7d938c5cc89b7a886b38a82aaf44d95c127a0a1d72'),
+    # long greedy-probe dives over dense seams: every witness byte pinned
+    (('area', '--presentation', '< x, y | [x,y] >', '--word', '[x^8, y^8]', '--format', 'json'),
+     0, '9ab29ffdaf10c8094c2d4461c1c16fef9e3c044615c1976e926fb4bc7a80397b'),
+    (('area', '--presentation', '< x, y | [x,y] >', '--word', '[x^16, y^16]', '--format', 'json'),
+     0, 'ef8d9535d6dd32d316d144becd3199bd310aeb20b1c4d11767c5de49814f6f95'),
+    (('area', '--presentation', '< x, y | [x,y] >', '--word', '[x^32, y^32]', '--format', 'json'),
+     0, 'a1731bbcf5b209182b02ec3681ac32ef33850446183349e05d34c20ba9ceba8a'),
 ]
 
 # each: (target, the one line on stderr)
