@@ -10,10 +10,12 @@ the standard shape (e_i -> t_i for i <= r, -> 0 above).
 
 from __future__ import annotations
 
+import itertools
 from typing import List, Sequence, Tuple
 
 from . import _wordops_py as ops
-from .words import FreeGroup, Word, inv, mul, substitute
+from .words import (_MAX_LETTERS, _TOO_LONG, FreeGroup, Word, inv, mul,
+                    substitute)
 
 AbelianVector = Tuple[int, ...]
 
@@ -117,11 +119,7 @@ def _eliminate(rows: List[List[int]], r: int, moves: List[NielsenMove]) -> bool:
             for i in live:
                 if i == p:
                     continue
-                k = rows[i][c] // rows[p][c]
-                for _ in range(abs(k)):
-                    s = -1 if k > 0 else 1
-                    rows[i] = [a + s * b for a, b in zip(rows[i], rows[p])]
-                    moves.append(("mult", i + 1, p + 1, s))
+                _subtract(rows, moves, i, p, rows[i][c] // rows[p][c])
         if rows[p][c] != 1:
             return False
         if p != c:
@@ -130,12 +128,19 @@ def _eliminate(rows: List[List[int]], r: int, moves: List[NielsenMove]) -> bool:
         for i in range(m):
             if i == c or rows[i][c] == 0:
                 continue
-            k = rows[i][c]
-            for _ in range(abs(k)):
-                s = -1 if k > 0 else 1
-                rows[i] = [a + s * b for a, b in zip(rows[i], rows[c])]
-                moves.append(("mult", i + 1, c + 1, s))
+            _subtract(rows, moves, i, c, rows[i][c])
     return True
+
+
+def _subtract(rows: List[List[int]], moves: List[NielsenMove], i: int, p: int,
+              k: int) -> None:
+    """row_i <- row_i - k*row_p, recorded as |k| equal moves
+    b_i <- b_i * b_p^(-sign k).  Past the letter cap b_i would gain a
+    power of b_p longer than any word may be, so that is bad input."""
+    if abs(k) > _MAX_LETTERS:
+        raise ValueError(_TOO_LONG)
+    rows[i] = [a - k * b for a, b in zip(rows[i], rows[p])]
+    moves += [("mult", i + 1, p + 1, -1 if k > 0 else 1)] * abs(k)
 
 
 def is_surjective(h: FactorHom) -> bool:
@@ -144,18 +149,25 @@ def is_surjective(h: FactorHom) -> bool:
 
 
 def apply_moves(group: FreeGroup, moves: Sequence[NielsenMove]) -> Tuple[Word, ...]:
-    """Run a Nielsen move sequence starting from the standard basis."""
+    """Run a Nielsen move sequence starting from the standard basis.
+
+    Each run of t equal moves is applied at once: t copies of
+    ("mult", i, j, s) give b_i * b_j^(s t), and swap and invert, being
+    involutions, apply once when t is odd and not at all when it is even.
+    """
     basis = [group.gen(j) for j in range(1, group.rank + 1)]
-    for move in moves:
+    for move, run in itertools.groupby(moves):
+        t = sum(1 for _ in run)
         if move[0] == "swap":
             _, i, j = move
-            basis[i - 1], basis[j - 1] = basis[j - 1], basis[i - 1]
+            if t % 2:
+                basis[i - 1], basis[j - 1] = basis[j - 1], basis[i - 1]
         elif move[0] == "invert":
-            basis[move[1] - 1] = inv(basis[move[1] - 1])
+            if t % 2:
+                basis[move[1] - 1] = inv(basis[move[1] - 1])
         elif move[0] == "mult":
             _, i, j, s = move
-            bj = basis[j - 1]
-            basis[i - 1] = mul(basis[i - 1], bj if s == 1 else inv(bj))
+            basis[i - 1] = mul(basis[i - 1], basis[j - 1] ** (s * t))
         else:
             raise ValueError(f"unknown move {move!r}")
     return tuple(basis)

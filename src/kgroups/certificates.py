@@ -140,16 +140,14 @@ def substitution_split(w: GenWord) -> Tuple[Word, Word]:
     coordinate, substituting (x^-1, y^-1, nothing) the second; the pair
     is verified against the direct evaluation before being returned.
     """
-    free, first, second = _split_images(w.gens)
-    w1 = free.identity
-    w2 = free.identity
-    for name, sign in w.syms:
-        w1 = mul(w1, first[name] if sign == 1 else inv(first[name]))
-        w2 = mul(w2, second[name] if sign == 1 else inv(second[name]))
-    if ProductElement((w1, w2)) != w.eval():
+    _, first, second = _split_images(w.gens)
+    pairs = {name: ProductElement((first[name], second[name]))
+             for name in first}
+    split = evaluate(pairs, w.syms, 2, 2)
+    if split != w.eval():
         raise CertificateError(
             "substitution-split: coordinate words disagree with evaluation")
-    return w1, w2
+    return split.factors
 
 
 def derive_null_expression(w: GenWord, n: int) -> NullExpression:

@@ -153,11 +153,8 @@ def cmd_rewrite(args) -> _Outcome:
 def cmd_normalize_basis(args) -> _Outcome:
     h = _parse_rows(args.rows)
     change = normalize_basis(h)
-    ok = True
-    for i, w in enumerate(change.new_basis, start=1):
-        want = tuple(1 if i == c + 1 else 0 for c in range(h.target_rank))
-        ok = ok and ab_image(h, w) == (want if i <= h.target_rank
-                                       else (0,) * h.target_rank)
+    ok = FactorHom(h.rank, h.target_rank,
+                   [ab_image(h, w) for w in change.new_basis]).is_standard()
     payload = {"rows": [list(r) for r in h.images],
                "new_basis": [to_text(w) for w in change.new_basis],
                "inverse_basis": [to_text(w) for w in change.inverse_basis],

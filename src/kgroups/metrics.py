@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from array import array
 from itertools import permutations, product
-from typing import (Callable, Collection, Dict, Iterable, List, NamedTuple,
+from typing import (Callable, Collection, Dict, List, NamedTuple,
                     Optional, Sequence, Tuple)
 
 from . import _wordops_py as ops
@@ -474,7 +474,7 @@ def ambient_length(g: ProductElement) -> int:
     Each standard generator moves exactly one coordinate by one letter,
     so the ambient geodesic length is the sum of reduced factor lengths.
     """
-    return sum(len(w.data) for w in g.factors)
+    return g.total_length()
 
 
 def _check_h_index(n: int) -> None:
@@ -512,7 +512,7 @@ class DistortionRow(NamedTuple):
     value: int
 
 
-def distortion_table(n_range: Iterable[int], radius_budget: int
+def distortion_table(n_range: Sequence[int], radius_budget: int
                      ) -> List[DistortionRow]:
     """Distortion evidence for the family ``h_n``.
 
@@ -524,9 +524,12 @@ def distortion_table(n_range: Iterable[int], radius_budget: int
     word-length cap is checked on the largest ``n`` first, so a range past
     it fails at once.
     """
-    n_range = list(n_range)
     if n_range:
-        _check_h_index(max(n_range))
+        # a range's largest element is one of its ends: max() need not
+        # walk (or build) the whole range
+        ends = ((n_range[0], n_range[-1]) if isinstance(n_range, range)
+                else n_range)
+        _check_h_index(max(ends))
     gens = standard_generators(KernelGroup(2, 2, 2))
     ident, moves = _identity_key(gens), _moves(gens)
     plan = _step_plan(ident, moves, radius_budget)

@@ -25,7 +25,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 from .areasearch import (AdditiveHeuristic, SearchOutcome, greedy_probe,
                          plane_value, run_search, winding_sum)
 from . import _wordops_py as ops
-from .abelian import FactorHom, ab_image
+from .abelian import FactorHom, ab_image, standard_hom
 from .kernels import ProductElement, evaluate
 from .words import (FreeGroup, Word, _read, commutator, inv, mul,
                     parse_word, to_text)
@@ -642,8 +642,7 @@ def with_abelian_evaluation(P: Presentation) -> Presentation:
             raise ValueError(f"the commutator {to_text(c)} is not a relator,"
                              " so the free-abelian evaluation is not"
                              " faithful")
-    ev = Evaluation([tuple(int(c == j) for c in range(rank))
-                     for j in range(rank)])
+    ev = Evaluation(standard_hom(rank, rank).images)
     return Presentation(P.group.names, P.relators, ev)
 
 

@@ -22,7 +22,7 @@ from typing import List, Tuple
 
 from . import _wordops_py as ops
 from .kernels import KernelGroup, ProductElement, contains, evaluate
-from .words import FreeGroup, Word
+from .words import FreeGroup, Word, runs
 
 
 class SplittingData:
@@ -138,13 +138,7 @@ class SyllableForm:
 def syllable_form(D: SplittingData, gamma: ProductElement) -> SyllableForm:
     """Blocks = maximal same-index runs of the hat word."""
     m_part, hat_word = semidirect_decompose(D, gamma)
-    blocks: List[Tuple[int, int]] = []
-    for k, s in hat_word.letters:
-        if blocks and blocks[-1][0] == k:
-            blocks[-1] = (k, blocks[-1][1] + s)
-        else:
-            blocks.append((k, s))
-    return SyllableForm(m_part, blocks)
+    return SyllableForm(m_part, runs(hat_word.data))
 
 
 def amalgam_image(D: SplittingData, form: SyllableForm) -> ProductElement:

@@ -128,11 +128,9 @@ class Word:
         return inv(self)
 
     def __pow__(self, k: int):
-        if k == 0:
-            return self.group.identity
-        base = self if k > 0 else inv(self)
-        # free reduction is unique: one pass equals k - 1 products
-        return Word(self.group, ops.free_reduce(base.data * abs(k)))
+        if len(self.data) * abs(k) > _MAX_LETTERS:
+            raise ValueError(_TOO_LONG)
+        return Word(self.group, _power(self.data, k))
 
 
 def _check_same_group(u: Word, v: Word):
@@ -280,6 +278,16 @@ def _exponent(digits: str) -> int:
     return sign * int(digits[-7:])
 
 
+def _power(atom: bytes, k: int) -> bytes:
+    """The reduced bytes of the reduced word ``atom`` to the power ``k``."""
+    if k < 0:
+        atom, k = ops.invert(atom), -k
+    # a power of one letter is reduced; copies of a longer atom may cancel
+    # where they meet, and free reduction is unique, so one pass equals
+    # k - 1 products
+    return atom * k if len(atom) < 2 or k < 2 else ops.free_reduce(atom * k)
+
+
 def _read(codes: Mapping[str, bytes], text: str, pos: int, depth: int,
           stop: str) -> Tuple[bytes, int]:
     """Read the word at ``pos`` up to the first ``stop`` character at this
@@ -345,14 +353,9 @@ def _read(codes: Mapping[str, bytes], text: str, pos: int, depth: int,
                 raise WordParseError("expected an integer exponent after '^'",
                                      text, pos)
             k = _exponent(digits)
-            if k < 0:
-                atom, k = ops.invert(atom), -k
-            if len(atom) * k > _MAX_LETTERS:
+            if len(atom) * abs(k) > _MAX_LETTERS:
                 raise WordParseError(_TOO_LONG, text, pos)
-            # a power of one letter is reduced; copies of a longer atom may
-            # cancel where they meet
-            atom = (atom * k if len(atom) < 2 or k < 2
-                    else ops.free_reduce(atom * k))
+            atom = _power(atom, k)
         if len(out) + len(atom) > _MAX_LETTERS:
             raise WordParseError(_TOO_LONG, text, pos)
         if out and atom and out[-1] ^ atom[0] == 1:
@@ -387,20 +390,26 @@ def parse_factors(group: FreeGroup, text: str) -> List[Word]:
     return out
 
 
+def runs(data: bytes) -> List[Tuple[int, int]]:
+    """The maximal runs of one letter byte in ``data``, as (generator index
+    1..m, exponent) pairs; in a reduced word they are its syllables."""
+    out = []
+    prev, count = None, 0
+    # no letter byte is 255 (rank <= 127), so it ends the last run
+    for c in data + b"\xff":
+        if c == prev:
+            count += 1
+        else:
+            if count:
+                out.append((prev // 2 + 1, -count if prev & 1 else count))
+            prev, count = c, 1
+    return out
+
+
 def to_text(w: Word) -> str:
     """Canonical text: maximal same-generator runs as name^k; identity is 1."""
     if not w.data:
         return "1"
     names = w.group.names
-    parts = []
-    run_j, run_exp = None, 0
-    for j, sign in w.letters:
-        if j == run_j and (run_exp > 0) == (sign > 0):
-            run_exp += sign
-        else:
-            if run_j is not None:
-                parts.append((run_j, run_exp))
-            run_j, run_exp = j, sign
-    parts.append((run_j, run_exp))
-    return " ".join(
-        names[j - 1] if e == 1 else f"{names[j - 1]}^{e}" for j, e in parts)
+    return " ".join(names[j - 1] if e == 1 else f"{names[j - 1]}^{e}"
+                    for j, e in runs(w.data))

@@ -103,6 +103,65 @@ def test_invert_moves_round_trip():
     assert words == tuple(F.gen(j) for j in range(1, 5))
 
 
+def _replay_one_by_one(group, moves):
+    """apply_moves as it ran before runs of equal moves were merged: one
+    product per unit move, kept as a reference."""
+    basis = [group.gen(j) for j in range(1, group.rank + 1)]
+    for move in moves:
+        if move[0] == "swap":
+            _, i, j = move
+            basis[i - 1], basis[j - 1] = basis[j - 1], basis[i - 1]
+        elif move[0] == "invert":
+            basis[move[1] - 1] = inv(basis[move[1] - 1])
+        else:
+            _, i, j, s = move
+            bj = basis[j - 1]
+            basis[i - 1] = mul(basis[i - 1], bj if s == 1 else inv(bj))
+    return tuple(basis)
+
+
+@st.composite
+def move_runs(draw):
+    """A rank and a Nielsen move list made of runs of one repeated move.
+
+    A run of at most 40 moves at most multiplies the longest basis word
+    by 41, and 41^3 < 2^20, so with at most three runs no power passes
+    the letter cap."""
+    rank = draw(st.integers(2, 4))
+    index = st.integers(1, rank)
+    moves = []
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.lists(index, min_size=2, max_size=2, unique=True))
+        move = draw(st.sampled_from([("swap", i, j), ("invert", i),
+                                     ("mult", i, j, 1), ("mult", i, j, -1)]))
+        moves += [move] * draw(st.integers(1, 40))
+    return rank, moves
+
+
+@given(move_runs())
+def test_apply_moves_matches_the_one_by_one_replay(case):
+    rank, moves = case
+    F = FreeGroup(rank)
+    assert apply_moves(F, moves) == _replay_one_by_one(F, moves)
+    assert (apply_moves(F, invert_moves(moves))
+            == _replay_one_by_one(F, invert_moves(moves)))
+
+
+def test_apply_moves_refuses_a_power_past_the_letter_cap():
+    # b_2 = y x^(2^20) has 2^20 + 1 letters, so b_2^2 passes the cap
+    moves = [("mult", 2, 1, 1)] * (1 << 20) + [("mult", 1, 2, 1)] * 2
+    with pytest.raises(ValueError, match="word too long"):
+        apply_moves(FreeGroup(2), moves)
+
+
+def test_normalize_basis_refuses_a_run_of_moves_past_the_letter_cap():
+    # 10^12 equal moves would put a power of 10^12 letters into b_1
+    with pytest.raises(ValueError, match="word too long"):
+        normalize_basis(FactorHom(2, 1, [(10 ** 12,), (1,)]))
+    assert len(normalize_basis(FactorHom(2, 1, [(1 << 20,), (1,)])).moves) \
+        == (1 << 20) + 1
+
+
 def test_normalize_rejects_non_surjective():
     with pytest.raises(ValueError):
         normalize_basis(FactorHom(2, 2, [(1, 0), (2, 0)]))

@@ -16,7 +16,8 @@ from kgroups.kernels import (GenWord, KernelGroup, ProductElement,
 from kgroups.metrics import h_family
 from kgroups.presentations import (Evaluation, Presentation, area_search,
                                    parse_presentation, verify_null_expression)
-from kgroups.words import FreeGroup, parse_word, to_text
+from kgroups.words import (FreeGroup, commutator, inv, mul, parse_word,
+                           to_text)
 
 G = KernelGroup(2, 2, 2)
 B = standard_generators(G)
@@ -57,6 +58,28 @@ def test_substitution_split_on_random_words():
         # substitution_split verifies internally; spot-check the shape too
         ev = w.eval()
         assert (w1, w2) == (ev.factors[0], ev.factors[1])
+
+
+def _split_by_symbols(w):
+    """The symbol-by-symbol product substitution_split used, kept as a
+    reference."""
+    F = G.factor_group()
+    x, y = F.gen(1), F.gen(2)
+    first = {"a1_2": x, "a2_2": y, "c1_2": commutator(x, y)}
+    second = {"a1_2": inv(x), "a2_2": inv(y), "c1_2": F.identity}
+    w1 = w2 = F.identity
+    for name, sign in w.syms:
+        w1 = mul(w1, first[name] if sign == 1 else inv(first[name]))
+        w2 = mul(w2, second[name] if sign == 1 else inv(second[name]))
+    return w1, w2
+
+
+def test_substitution_split_matches_the_symbol_product():
+    rng = random.Random(2524)
+    for seed in range(150):
+        g = random_kernel_element(G, rng.randrange(30), seed)
+        w = rewrite_in_generators(G, g)
+        assert substitution_split(w) == _split_by_symbols(w)
 
 
 def test_substitution_split_requires_standard_triple():

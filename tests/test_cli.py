@@ -329,6 +329,43 @@ def test_group_descriptors_too_large_to_build_exit_one(argv):
     assert "Traceback" not in proc.stderr
 
 
+def _run_limited(argv, timeout):
+    src = os.path.dirname(os.path.dirname(kgroups.__file__))
+    return subprocess.run([sys.executable, "-c", _LIMITED, *argv],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=timeout)
+
+
+@pytest.mark.parametrize("argv, error", [
+    # a list of every n up to the largest would not fit in the limit
+    (("distortion", "--n-max", "100000000", "--radius", "0"),
+     "error: h_100000000 is too long (limit 1048576 letters)\n"),
+    (("distortion", "--n-max", "1000000000", "--radius", "0"),
+     "error: h_1000000000 is too long (limit 1048576 letters)\n"),
+    # the test word's (u v)^n would have 2 * 10^9 letters
+    (("toy-amalgam", "--n", "1000000000"),
+     "error: word too long (limit 1048576 letters)\n"),
+    # 10^12 equal Nielsen moves, each a letter of b_1 y^-(10^12)
+    (("normalize-basis", "--rows", "1000000000000; 1"),
+     "error: word too long (limit 1048576 letters)\n"),
+], ids=["distortion-1e8", "distortion-1e9", "toy-amalgam-1e9",
+        "normalize-basis-1e12"])
+def test_inputs_past_the_letter_cap_exit_one(argv, error):
+    proc = _run_limited(argv, 60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", error)
+
+
+def test_normalize_basis_applies_a_run_of_moves_at_once():
+    # 500,000 equal moves: one product each took quadratic time
+    proc = _run_limited(("normalize-basis", "--rows", "500000; 1"), 10)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ("rows = [[500000], [1]]\n"
+                           'new_basis = ["y", "x y^-500000"]\n'
+                           'inverse_basis = ["y x^500000", "x"]\n'
+                           "moves = 500001\n"
+                           "verified = True\n")
+
+
 def test_toy_amalgam_report_shape(capsys):
     code, out, _ = run(capsys, "toy-amalgam", "--k", "1", "--n", "1")
     data = json.loads(out)

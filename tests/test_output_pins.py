@@ -9,7 +9,10 @@ that read text one character at a time (the reference in
 tests/test_parse_reference.py), so a parser or membership change that
 alters one output byte or exit code fails here.  The three [x^n, y^n]
 digests were recorded with the probe that counted seam cancellations
-letter by letter, so they pin its traversal byte for byte.
+letter by letter, so they pin its traversal byte for byte.  The
+SHARED_HELPERS commands (`certify`, `split`, `normalize-basis`, `dehn
+--abelian`, `toy-amalgam`, `rewrite`) pin every call site of the shared
+word helpers the same way.
 """
 
 import hashlib
@@ -145,6 +148,48 @@ COMMANDS = [
      0, 'a1731bbcf5b209182b02ec3681ac32ef33850446183349e05d34c20ba9ceba8a'),
 ]
 
+# commands whose output passes through the word helpers (`words.runs`
+# and the capped power), the substitution split, the new-basis check and
+# the abelian evaluation rows; the digests were recorded with the per-site
+# copies those helpers replaced.  Each: (argv, exit code, sha256 of
+# stdout, stderr)
+SHARED_HELPERS = [
+    (('certify', '--n', '1'),
+     0, '04b14de00641289ec3593803394986c7f005f42bb50c1da68ce1c0d977ee8011', ''),
+    (('certify', '--n', '2'),
+     0, 'f0862cbb3470942aa52c67f1051e73e8ed93839deb2ada9fe0b871e85ab22086', ''),
+    (('certify', '--n', '3'),
+     0, '914fa6cb4cc84694a68108a2c20a343343463101b13b6f9116175edca612d2ed', ''),
+    (('certify', '--n', '4'),
+     0, '293ab13ae380270dc62d40c06cf8492706cdd345afe6d3d085973c0a01e39ce5', ''),
+    (('split', '--group', 'K3_2_2', '--element', '[x^2, y^3] ; [y, x^-1]^2 ; y^-3 x y^3 x^-1', '--format', 'json'),
+     0, '0b76a5185e54ed068486406b250733abfec95d01079e2bfe84dec059af9bb3ca', ''),
+    (('split', '--group', 'K3_2_2', '--element', '[x^2, y^3] ; [y, x^-1]^2 ; y^-3 x y^3 x^-1', '--format', 'table'),
+     0, 'fa267e3fe1453f0605233cfadde85b38f188f9d059b82b4533ec41f8e81ec5ff', ''),
+    (('split', '--group', 'K3_2_2', '--element', 'x^2 y ; [x, y] y^-1 ; x^-2', '--format', 'json'),
+     0, '94322f7362da1d00afed41dd2a63f2a44c9f74d40f5b0dbceb9c99760e8115b3', ''),
+    (('split', '--group', 'K3_2_2', '--element', 'x^2 y ; [x, y] y^-1 ; x^-2', '--format', 'table'),
+     0, '01f00a3b4609be4ae9e723736af70adf89f33ecdfb78daecc334fc4fd3068f27', ''),
+    (('split', '--group', 'K3_2_2', '--element', '(x y^-1)^3 ; y^2 x^-3 ; x^-2 y x^3 y^-2 x^-1 y^2', '--format', 'json'),
+     0, '9011d4fef21f70047560c5ae8fbe86bb37e2587d8df114372824ad44cb94ecc0', ''),
+    (('split', '--group', 'K3_2_2', '--element', '(x y^-1)^3 ; y^2 x^-3 ; x^-2 y x^3 y^-2 x^-1 y^2', '--format', 'table'),
+     0, 'a5c74ce4db1f97075ff1808fff4758656fa8ff2c32eb07f5863dd5332f124900', ''),
+    (('normalize-basis', '--rows', '0 1; 1 1'),
+     0, '0ffbd6a127aca83b4e26d4686b8e932b97e6857a52f6d1c4dc4cc77a04d9947c', ''),
+    (('normalize-basis', '--rows', '2 3; 1 1; 5 0'),
+     0, '95f89aeeb1e23597b2919f3c2ab502a23a0c5d58913b8d3f7764efee226bfb48', ''),
+    (('normalize-basis', '--rows', '7; 3'),
+     0, '7b12b78bcc1bb7806981be12fd97827e22d3de7ad91c31075c4de4f4947d1b39', ''),
+    (('normalize-basis', '--rows', '2; 4'),
+     1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: homomorphism is not surjective; no normal basis exists\n'),
+    (('dehn', '--presentation', '< x, y | [x,y] >', '--n', '6', '--abelian', '--format', 'json'),
+     0, '63a24f690cb3b75152641afa3cd3cbbeb5653b22115d7150f0e54ce0db14e6fe', ''),
+    (('toy-amalgam', '--k', '3', '--n', '2'),
+     0, 'd1eb5aed8128168e8ba121db6291d650333c78a8763e38ec1c9508625140c22f', ''),
+    (('rewrite', '--group', 'K3_2_2', '--element', '[x^2, y] ; y^-1 x ; x^-1 y'),
+     0, 'e5ab509437bf20ea4608618b322e16498293f48c8c95277e38b5ad42707ca15c', ''),
+]
+
 # each: (target, the one line on stderr)
 MALFORMED = [
     ('x (y ; 1',
@@ -190,6 +235,12 @@ def test_distance_queries_keep_their_output_bytes(capsys):
 def test_word_parsing_commands_keep_their_output_bytes(capsys):
     changed = [argv for argv, code, digest in COMMANDS
                if _run(capsys, argv) != (code, digest, "")]
+    assert changed == []
+
+
+def test_commands_on_the_shared_word_helpers_keep_their_output_bytes(capsys):
+    changed = [argv for argv, code, digest, err in SHARED_HELPERS
+               if _run(capsys, argv) != (code, digest, err)]
     assert changed == []
 
 

@@ -142,6 +142,26 @@ def test_syllable_form_blocks():
     assert reassemble(D32, form.m_part, hat) == gamma
 
 
+def _blocks_by_letters(hat_word):
+    """The block merger syllable_form used over Word.letters, kept as a
+    reference."""
+    blocks = []
+    for k, s in hat_word.letters:
+        if blocks and blocks[-1][0] == k:
+            blocks[-1] = (k, blocks[-1][1] + s)
+        else:
+            blocks.append((k, s))
+    return blocks
+
+
+def test_syllable_form_matches_the_letter_merger():
+    rng = random.Random(2523)
+    for seed in range(300):
+        gamma = random_kernel_element(D32.group, rng.randrange(40), seed)
+        _, hat = semidirect_decompose(D32, gamma)
+        assert syllable_form(D32, gamma).blocks == _blocks_by_letters(hat)
+
+
 def test_amalgam_image_of_short_forms():
     gamma = el(["x", "x^-1", "1"])
     form = syllable_form(D32, gamma)

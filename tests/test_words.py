@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 from kgroups import _wordops_py as ops
 from kgroups.words import (FreeGroup, Word, WordParseError, commutator, conj,
                            exponent_sum, inv, mul, parse_word, reduce,
-                           substitute, to_text)
+                           runs, substitute, to_text)
 
 F2 = FreeGroup(2)
 F3 = FreeGroup(3, names=("a", "b", "c"))
@@ -180,6 +180,62 @@ class TestParser:
 @given(words(2, 25))
 def test_text_round_trip(w):
     assert parse_word(F2, to_text(w)) == w
+
+
+def _to_text_by_letters(w):
+    """The run merger to_text used over Word.letters, kept as a reference."""
+    if not w.data:
+        return "1"
+    names = w.group.names
+    parts = []
+    run_j, run_exp = None, 0
+    for j, sign in w.letters:
+        if j == run_j and (run_exp > 0) == (sign > 0):
+            run_exp += sign
+        else:
+            if run_j is not None:
+                parts.append((run_j, run_exp))
+            run_j, run_exp = j, sign
+    parts.append((run_j, run_exp))
+    return " ".join(
+        names[j - 1] if e == 1 else f"{names[j - 1]}^{e}" for j, e in parts)
+
+
+def _alternating(rank, n):
+    """(e_1 e_2^-1 ... e_rank^(+-1))^n: every run one letter long."""
+    F = FreeGroup(rank)
+    one = " ".join(f"e{j}" if j % 2 else f"e{j}^-1"
+                   for j in range(1, rank + 1))
+    return parse_word(F, f"({one})^{n}")
+
+
+@given(st.one_of(
+    st.integers(2, 4).flatmap(lambda rank: words(rank, 200)),
+    st.builds(_alternating, st.integers(2, 4), st.integers(0, 400)),
+    st.just(F2.identity), st.just(F3.identity)))
+def test_to_text_matches_the_letter_merger(w):
+    assert to_text(w) == _to_text_by_letters(w)
+
+
+def test_runs_are_the_maximal_runs_of_one_letter():
+    w = parse_word(F3, "a^2 b^-1 a c^-3")
+    assert runs(w.data) == [(1, 2), (2, -1), (1, 1), (3, -3)]
+    assert runs(b"") == []
+
+
+@pytest.mark.parametrize("k", [-4, -1, 1])
+def test_power_applies_the_letter_cap(k):
+    # a base whose |k| copies fill the 2^20-letter cap exactly, and the
+    # same base one letter longer
+    cap = 1 << 20
+    base = Word(F2, b"\x00\x02" * (cap // abs(k) // 2))
+    assert len(base ** k) == cap
+    with pytest.raises(ValueError, match=r"word too long \(limit 1048576"):
+        Word(F2, base.data + b"\x00") ** k
+
+
+def test_zeroth_power_of_any_word_is_the_identity():
+    assert Word(F2, b"\x00" * ((1 << 20) + 1)) ** 0 == F2.identity
 
 
 def test_rank_bounds():
