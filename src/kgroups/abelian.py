@@ -11,7 +11,7 @@ the standard shape (e_i -> t_i for i <= r, -> 0 above).
 from __future__ import annotations
 
 import itertools
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from . import _wordops_py as ops
 from .words import (_MAX_LETTERS, _TOO_LONG, FreeGroup, Word, inv, mul,
@@ -23,6 +23,9 @@ AbelianVector = Tuple[int, ...]
 #   ("swap", i, j)        exchange basis elements i and j
 #   ("invert", i)         replace b_i by b_i^-1
 #   ("mult", i, j, s)     replace b_i by b_i * b_j^s   (s = +1 or -1, i != j)
+# apply_moves rejects a move that breaks these rules.  Only normalize_basis
+# checks a run of equal moves against the 2^20-letter cap; apply_moves meets
+# the cap only through the powers it takes (Word.__pow__).
 NielsenMove = Tuple
 
 
@@ -91,61 +94,53 @@ def data_image(h: FactorHom, data: bytes) -> AbelianVector:
     return tuple(out)
 
 
-def _eliminate(rows: List[List[int]], r: int, moves: List[NielsenMove]) -> bool:
-    """Column-by-column gcd elimination, recording Nielsen moves.
+def _eliminate(rows: List[List[int]], r: int) -> Optional[List[Tuple]]:
+    """Column-by-column gcd elimination of ``rows`` in place.
 
-    Row operations correspond to basis moves via
+    Returns the row operations in order as (move, times) runs, read as
+    Nielsen moves via
         row_i <- row_i + s*row_j   <=>   b_i <- b_i * b_j^s
         negate row_i               <=>   b_i <- b_i^-1
         swap rows i, j             <=>   swap b_i, b_j
     (ab_image is a homomorphism, so each of these preserves "rows = images
     of the current basis").  After column c is finished, that column is the
     c-th unit vector; earlier columns stay untouched because row c has
-    zeros there.  Returns False if some column's residual gcd is not 1,
+    zeros there.  Returns None if some column's residual gcd is not 1,
     which is exactly failure of surjectivity.
     """
-    m = len(rows)
+    m, runs = len(rows), []
     for c in range(r):
         while True:
             live = [i for i in range(c, m) if rows[i][c] != 0]
             if not live:
-                return False
+                return None
             p = min(live, key=lambda i: (abs(rows[i][c]), i))
             if rows[p][c] < 0:
                 rows[p] = [-v for v in rows[p]]
-                moves.append(("invert", p + 1))
+                runs.append((("invert", p + 1), 1))
             if len(live) == 1:
                 break
             for i in live:
-                if i == p:
-                    continue
-                _subtract(rows, moves, i, p, rows[i][c] // rows[p][c])
+                if i != p:
+                    k = rows[i][c] // rows[p][c]
+                    rows[i] = [a - k * b for a, b in zip(rows[i], rows[p])]
+                    runs.append((("mult", i + 1, p + 1, -1 if k > 0 else 1), abs(k)))
         if rows[p][c] != 1:
-            return False
+            return None
         if p != c:
             rows[p], rows[c] = rows[c], rows[p]
-            moves.append(("swap", p + 1, c + 1))
-        for i in range(m):
-            if i == c or rows[i][c] == 0:
-                continue
-            _subtract(rows, moves, i, c, rows[i][c])
-    return True
-
-
-def _subtract(rows: List[List[int]], moves: List[NielsenMove], i: int, p: int,
-              k: int) -> None:
-    """row_i <- row_i - k*row_p, recorded as |k| equal moves
-    b_i <- b_i * b_p^(-sign k).  Past the letter cap b_i would gain a
-    power of b_p longer than any word may be, so that is bad input."""
-    if abs(k) > _MAX_LETTERS:
-        raise ValueError(_TOO_LONG)
-    rows[i] = [a - k * b for a, b in zip(rows[i], rows[p])]
-    moves += [("mult", i + 1, p + 1, -1 if k > 0 else 1)] * abs(k)
+            runs.append((("swap", p + 1, c + 1), 1))
+        for i in range(c):   # rows below c are already 0 in column c
+            k = rows[i][c]
+            if k:
+                rows[i] = [a - k * b for a, b in zip(rows[i], rows[c])]
+                runs.append((("mult", i + 1, c + 1, -1 if k > 0 else 1), abs(k)))
+    return runs
 
 
 def is_surjective(h: FactorHom) -> bool:
     """Do the generator images span all of Z^r?"""
-    return _eliminate([list(row) for row in h.images], h.target_rank, [])
+    return _eliminate([list(row) for row in h.images], h.target_rank) is not None
 
 
 def apply_moves(group: FreeGroup, moves: Sequence[NielsenMove]) -> Tuple[Word, ...]:
@@ -158,6 +153,9 @@ def apply_moves(group: FreeGroup, moves: Sequence[NielsenMove]) -> Tuple[Word, .
     basis = [group.gen(j) for j in range(1, group.rank + 1)]
     for move, run in itertools.groupby(moves):
         t = sum(1 for _ in run)
+        # a 0 or negative index would wrap to the end of the basis
+        if not all(1 <= i <= group.rank for i in move[1:3]):
+            raise ValueError(f"move index out of range 1..{group.rank}: {move!r}")
         if move[0] == "swap":
             _, i, j = move
             if t % 2:
@@ -167,6 +165,8 @@ def apply_moves(group: FreeGroup, moves: Sequence[NielsenMove]) -> Tuple[Word, .
                 basis[move[1] - 1] = inv(basis[move[1] - 1])
         elif move[0] == "mult":
             _, i, j, s = move
+            if i == j or s not in (1, -1):
+                raise ValueError(f"not a Nielsen move: {move!r}")
             basis[i - 1] = mul(basis[i - 1], basis[j - 1] ** (s * t))
         else:
             raise ValueError(f"unknown move {move!r}")
@@ -221,8 +221,14 @@ def normalize_basis(h: FactorHom) -> BasisChange:
     index); callers should check the postcondition via ab_image rather
     than expect one particular basis.
     """
-    rows = [list(row) for row in h.images]
-    moves: List[NielsenMove] = []
-    if not _eliminate(rows, h.target_rank, moves):
+    runs = _eliminate([list(row) for row in h.images], h.target_rank)
+    if runs is None:
         raise ValueError("homomorphism is not surjective; no normal basis exists")
+    moves: List[NielsenMove] = []
+    for move, t in runs:
+        # past the letter cap, t equal moves b_i <- b_i * b_j^s would put
+        # a power of b_j longer than any word may be into b_i
+        if t > _MAX_LETTERS:
+            raise ValueError(_TOO_LONG)
+        moves += [move] * t
     return BasisChange(FreeGroup(h.rank), moves)

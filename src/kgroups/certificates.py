@@ -31,8 +31,8 @@ from .kernels import (GenWord, GeneratingSet, KernelGroup, ProductElement,
 from .metrics import _ball_search, ball_key, distance, h_family
 from .presentations import (DEFAULT_NODE_CAP, AreaResult, CertificateError,
                             Evaluation, NullExpression, Presentation,
-                            _canonical_class, _root_bound, _variants,
-                            area_search, verify_null_expression)
+                            _canonical_class, area_search,
+                            verify_lower_bound, verify_null_expression)
 
 
 def _sha256_of(obj) -> str:
@@ -424,9 +424,10 @@ def lower_bound_report(n: int) -> CertificateReport:
 
     The chain: the test word's hypotheses hold; a kernel word for h_n
     splits and deletes into a verified null expression with n^2 items;
-    the area search's root bound for [x^n, y^n] (_root_bound; its
-    Heisenberg and winding terms agree there) is n^2 at any word length,
-    so with no search that expression witnesses the minimal area n^2;
+    [x^n, y^n] winds n^2 times around the unit squares of the (x, y)
+    plane and the relator [x, y] once, so verify_lower_bound accepts the
+    winding witness area >= n^2 at any word length, and with no search
+    that expression witnesses the minimal area n^2;
     therefore every kernel word for h_n carries at least n^2 commutator
     symbols and the subgroup distance is at least n^2, giving the area
     bound 2n * n^2 for the test word.
@@ -477,14 +478,14 @@ def lower_bound_report(n: int) -> CertificateReport:
          "commutator_occurrences": sum(1 for name, _ in wB.syms
                                        if name == "c1_2")}))
 
-    # area fact: the deletion expression meets the search's root bound
+    # area fact: the deletion expression meets the winding lower bound
     P = pair_presentation()
     target = h.factors[0]       # [x^n, y^n] over P's generators x, y
-    root = _root_bound(P, _variants(P)[0], target.data)[1]
-    if not root == expr.area == n * n:
+    bound = {"kind": "winding", "planes": [[0, 1]], "step": 1, "value": n * n}
+    if not (verify_lower_bound(P, target, bound) and expr.area == n * n):
         raise CertificateError(
-            "area-fact: root bound %d and expression area %d do not both"
-            " match n^2 = %d" % (root, expr.area, n * n))
+            "area-fact: the winding bound n^2 = %d fails to verify or"
+            " differs from the expression area %d" % (n * n, expr.area))
     evidence.append(_evidence(
         "area-fact",
         {"presentation": P.to_text(), "word": to_text(target)},

@@ -268,14 +268,10 @@ def _exponent(digits: str) -> int:
     """The value of an exponent's text, an optional '-' and decimal digits,
     clamped to +-(_MAX_LETTERS + 1).  int() refuses more than 4300 digits,
     but an exponent of eight or more significant digits passes the letter
-    cap anyway: the last seven digits are read once all before them are
-    zeros (checked in chunks that int() accepts)."""
+    cap anyway, so only seven or fewer are read."""
     sign = -1 if digits[0] == "-" else 1
-    digits = digits.lstrip("-")
-    head = digits[:-7]
-    if head and any(int(head[i:i + 500]) for i in range(0, len(head), 500)):
-        return sign * (_MAX_LETTERS + 1)
-    return sign * int(digits[-7:])
+    digits = digits.lstrip("-").lstrip("0")
+    return sign * (_MAX_LETTERS + 1 if len(digits) > 7 else int(digits or "0"))
 
 
 def _power(atom: bytes, k: int) -> bytes:

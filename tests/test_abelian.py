@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from kgroups.abelian import (FactorHom, ab_image, apply_moves, invert_moves,
                              is_surjective, normalize_basis, standard_hom)
+from kgroups.kernels import KernelGroup, contains
 from kgroups.words import FreeGroup, inv, mul, parse_word
 
 
@@ -160,6 +161,34 @@ def test_normalize_basis_refuses_a_run_of_moves_past_the_letter_cap():
         normalize_basis(FactorHom(2, 1, [(10 ** 12,), (1,)]))
     assert len(normalize_basis(FactorHom(2, 1, [(1 << 20,), (1,)])).moves) \
         == (1 << 20) + 1
+
+
+def test_is_surjective_is_not_held_to_the_letter_cap():
+    # the elimination takes 10^12 equal row steps; only normalize_basis
+    # turns them into moves, so only it refuses them (see the test above)
+    h = FactorHom(2, 1, [(10 ** 12,), (1,)])
+    assert is_surjective(h)
+    G = KernelGroup(2, 2, 1, homs=[h, h])
+    assert contains(G, G.element(["x", "x^-1"]))
+    assert not contains(G, G.element(["x", "y"]))
+    # a map that is not onto says so, whatever its row steps would cost
+    far = FactorHom(2, 1, [(10 ** 12,), (2,)])
+    assert not is_surjective(far)
+    with pytest.raises(ValueError, match="not surjective"):
+        normalize_basis(far)
+
+
+@pytest.mark.parametrize("move", [
+    # three b_1 <- b_1 * b_1 moves give x^8 one by one and x^4 as one run
+    ("mult", 1, 1, 1), ("mult", 1, 1, -1), ("mult", 1, 2, 2),
+    ("mult", 1, 2, 0), ("mult", 3, 1, 1), ("mult", 1, 0, -1),
+    # index 0 would wrap to b_2
+    ("swap", 0, 1), ("swap", 1, 3), ("invert", 0), ("invert", -1),
+    ("turn", 1)])
+def test_apply_moves_rejects_what_is_not_a_nielsen_move(move):
+    for moves in ([move], [("invert", 1)] + [move] * 3):
+        with pytest.raises(ValueError, match="Nielsen move|out of range|unknown"):
+            apply_moves(FreeGroup(2), moves)
 
 
 def test_normalize_rejects_non_surjective():
