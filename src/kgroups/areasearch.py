@@ -85,7 +85,7 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from heapq import heappop, heappush
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import _wordops_py as ops
 
@@ -186,22 +186,17 @@ def winding_sum(word: bytes, planes: Sequence[Tuple[int, int]]) -> int:
     return total
 
 
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     """Raw result of one search run, before any certificate dressing."""
 
-    __slots__ = ("cost", "path", "lower_bound", "nodes", "pushes",
-                 "regime_empty", "stop_reason")
-
-    def __init__(self, cost: Optional[int], path: Optional[List[Tuple[int, int]]],
-                 lower_bound: Optional[int], nodes: int, pushes: int,
-                 regime_empty: bool, stop_reason: str):
-        self.cost = cost
-        self.path = path            # [(pos, variant_index), ...] start -> empty
-        self.lower_bound = lower_bound
-        self.nodes = nodes
-        self.pushes = pushes
-        self.regime_empty = regime_empty
-        self.stop_reason = stop_reason
+    cost: Optional[int]
+    # [(pos, variant_index), ...] start -> empty
+    path: Optional[List[Tuple[int, int]]]
+    lower_bound: Optional[int]
+    nodes: int
+    pushes: int
+    regime_empty: bool
+    stop_reason: str
 
 
 def seam_ranked(state: bytes, variants: Sequence[bytes], child_h: Sequence[int],

@@ -138,6 +138,8 @@ class GenWord:
                 and self.syms == other.syms)
 
     def __mul__(self, other: "GenWord") -> "GenWord":
+        if other.gens is not self.gens:
+            raise ValueError("words over different generating sets")
         return GenWord(self.gens, self.syms + other.syms)
 
     def __invert__(self) -> "GenWord":

@@ -20,7 +20,8 @@ import itertools
 import math
 import operator
 import os
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
 from .areasearch import (AdditiveHeuristic, SearchOutcome, greedy_probe,
                          plane_value, run_search, winding_sum)
@@ -156,7 +157,11 @@ class NullExpression:
 
     def __init__(self, items: Iterable[Tuple[Word, int, int]]):
         self.items = tuple(items)
-        for _, _, sign in self.items:
+        for conj, ri, sign in self.items:
+            # type() refuses bools: True would verify as relator 1 and
+            # print as "rel": true, which from_json refuses
+            if not (isinstance(conj, Word) and type(ri) is type(sign) is int):
+                raise ValueError("malformed null-expression item")
             if sign not in (1, -1):
                 raise ValueError("signs must be +1 or -1")
 
@@ -176,13 +181,10 @@ class NullExpression:
         if not isinstance(data, (list, tuple)):
             raise ValueError("null-expression data must be a list of items")
         if not all(isinstance(d, dict) and d.keys() >= {"conj", "rel", "sign"}
-                   for d in data):
+                   and isinstance(d["conj"], str) for d in data):
             raise ValueError("malformed null-expression item")
-        items = [(d["conj"], d["rel"], d["sign"]) for d in data]
-        if not all(isinstance(c, str) and type(ri) is type(s) is int
-                   for c, ri, s in items):
-            raise ValueError("malformed null-expression item")
-        return cls([(parse_word(P.group, c), ri, s) for c, ri, s in items])
+        return cls([(parse_word(P.group, d["conj"]), d["rel"], d["sign"])
+                    for d in data])
 
     def __repr__(self):
         return f"NullExpression(area={self.area})"
@@ -429,7 +431,7 @@ def verify_lower_bound(P: Presentation, w: Word, witness: dict) -> bool:
             and witness["value"] == winding_sum(w.data, planes))
 
 
-class AreaResult:
+class AreaResult(NamedTuple):
     """Outcome of area_search: exact with witness, or exhausted with bound.
 
     `lower_bound` (exhausted runs) and exactness both hold within the
@@ -439,28 +441,21 @@ class AreaResult:
     expression at all.
     """
 
-    __slots__ = ("status", "area", "witness", "lower_bound", "nodes",
-                 "pushes", "caps", "regime_empty", "stop_reason",
-                 "unconditional", "lower_bound_witness")
-
-    def __init__(self, status, area, witness, lower_bound, nodes, pushes,
-                 caps, regime_empty, stop_reason, unconditional=False,
-                 lower_bound_witness=None):
-        self.status = status
-        self.area = area
-        self.witness = witness
-        self.lower_bound = lower_bound
-        self.nodes = nodes
-        self.pushes = pushes
-        self.caps = caps
-        self.regime_empty = regime_empty
-        self.stop_reason = stop_reason
-        # exact results matching the root bound carry no length-cap
-        # caveat: the root bound holds regardless of intermediate word
-        # lengths; lower_bound_witness, when the winding term attains the
-        # area, lets verify_lower_bound recheck that bound
-        self.unconditional = unconditional
-        self.lower_bound_witness = lower_bound_witness
+    status: str  # "exact" or "exhausted"
+    area: Optional[int]
+    witness: Optional[NullExpression]
+    lower_bound: Optional[int]
+    nodes: int
+    pushes: int
+    caps: Dict[str, int]
+    regime_empty: bool
+    stop_reason: str
+    # exact results matching the root bound carry no length-cap
+    # caveat: the root bound holds regardless of intermediate word
+    # lengths; lower_bound_witness, when the winding term attains the
+    # area, lets verify_lower_bound recheck that bound
+    unconditional: bool = False
+    lower_bound_witness: Optional[dict] = None
 
     def to_json(self) -> dict:
         out = {"status": self.status, "nodes": self.nodes,
@@ -576,7 +571,7 @@ def _witness_from_path(P: Presentation, w: Word, path, variants, meta
 
 # -- small-n Dehn profiling --------------------------------------------------
 
-class DehnResult:
+class DehnResult(NamedTuple):
     """max Area over the null classes of length <= n.
 
     exact: every inner search came back exact, each within its length-cap
@@ -584,17 +579,12 @@ class DehnResult:
     holds with no length-cap caveat.
     """
 
-    __slots__ = ("n", "value", "exact", "witness", "classes_searched",
-                 "unconditional")
-
-    def __init__(self, n, value, exact, witness, classes_searched,
-                 unconditional=False):
-        self.n = n
-        self.value = value
-        self.exact = exact
-        self.witness = witness
-        self.classes_searched = classes_searched
-        self.unconditional = unconditional
+    n: int
+    value: int
+    exact: bool
+    witness: Optional[Word]
+    classes_searched: int
+    unconditional: bool = False
 
     def to_json(self) -> dict:
         return {"n": self.n, "value": self.value, "exact": self.exact,

@@ -71,6 +71,18 @@ def test_null_expression_json_rejects_malformed_items(zz, bad):
         NullExpression.from_json(zz, [dict(good, **bad)])
 
 
+@pytest.mark.parametrize("make", [
+    lambda P: (P.word("x"), True, 1),   # verified as relator 1, not JSON
+    lambda P: (P.word("x"), 0.0, 1),    # TypeError in verification
+    lambda P: (P.word("x"), 0, -1.0),   # printed as "sign": -1.0
+    lambda P: ("x", 0, 1)],             # AttributeError in verification
+    ids=["bool-index", "float-index", "float-sign", "str-conjugator"])
+def test_null_expression_rejects_malformed_items(zz, make):
+    # the constructor checked only the signs, from_json only the types
+    with pytest.raises(ValueError, match="malformed"):
+        NullExpression([make(zz)])
+
+
 @pytest.mark.parametrize("data", [
     [{"conj": "1", "rel": 0}],              # no sign
     [{"conj": "1", "sign": 1}],             # no rel

@@ -10,9 +10,9 @@ from kgroups.certificates import (AmalgamScenario, CertificateError,
                                   lower_bound_report, pair_presentation,
                                   substitution_split, test_word,
                                   toy_amalgam_check, toy_scenario)
-from kgroups.kernels import (GenWord, KernelGroup, ProductElement,
-                             random_kernel_element, rewrite_in_generators,
-                             standard_generators)
+from kgroups.kernels import (GenWord, GeneratingSet, KernelGroup,
+                             ProductElement, random_kernel_element,
+                             rewrite_in_generators, standard_generators)
 from kgroups.metrics import h_family
 from kgroups.presentations import (Evaluation, Presentation, area_search,
                                    parse_presentation, verify_null_expression)
@@ -87,6 +87,20 @@ def test_substitution_split_requires_standard_triple():
     other = standard_generators(K321)
     with pytest.raises(ValueError):
         substitution_split(GenWord(other, [("a1_2", 1)]))
+
+
+def test_substitution_split_checks_every_realization():
+    # c1_2 realized as ([y, x], 1): the word below does not use it, so its
+    # split and evaluation agree, yet the substitution is not this set's
+    F = G.factor_group()
+    x, y = F.gen(1), F.gen(2)
+    realization = dict(B.realization)
+    realization["c1_2"] = ProductElement((commutator(y, x), F.identity))
+    odd = GeneratingSet(G, B.symbols, realization)
+    w = GenWord(odd, [("a1_2", 1), ("a2_2", -1)])
+    assert ProductElement(substitution_split(GenWord(B, w.syms))) == w.eval()
+    with pytest.raises(CertificateError):
+        substitution_split(w)
 
 
 def test_derive_null_expression_from_rewriter_output():

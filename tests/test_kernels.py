@@ -70,6 +70,22 @@ def test_genword_reduces_symbols():
         GenWord(gens, [("nope", 1)])
 
 
+def test_genword_product_needs_one_generating_set():
+    # the same symbol names, realized differently: the right factor's
+    # symbols must not be read in the left factor's set
+    B1 = standard_generators(K222)
+    h = FactorHom(2, 2, [(1, 0), (1, 1)])
+    B2 = standard_generators(KernelGroup(2, 2, 2, homs=[h, h]))
+    u, v = GenWord(B1, [("a2_2", 1)]), GenWord(B2, [("a2_2", 1)])
+    assert u.eval() * v.eval() != GenWord(B1, u.syms + v.syms).eval()
+    with pytest.raises(ValueError):
+        u * v
+    three = standard_generators(KernelGroup(3, 2, 2))
+    with pytest.raises(ValueError):
+        GenWord(three, [("a1_2", 1)]) * u
+    assert (u * u).eval() == u.eval() * u.eval()
+
+
 def test_rewrite_simple_cases():
     gens = standard_generators(K222)
     for text, expect in [
