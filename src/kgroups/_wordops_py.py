@@ -26,18 +26,6 @@ from typing import Callable, Iterable, List, Sequence, Tuple
 
 BACKEND = "python"
 
-# heuristic() is called by nothing in the package: the area search computes
-# its bounds from additive invariants (areasearch module).  It stays only
-# because perfbench's tracer looks every name in its WORDOPS list up on
-# `ops`.  Its hparams are None (bound 0), or a pair (tables, grid_amax):
-#   tables    = tuple of (tbl, maxw): tbl is 256 bytes holding signed
-#               weights offset by 128, maxw >= 1; the term contributed is
-#               ceil(|sum of weights over the word| / maxw).
-#   grid_amax = 0 to disable, else the divisor for the lattice-area term
-#               (only meaningful for rank-2 words, bytes 0..3).
-# expand() is called only by run_search: the greedy probe builds, with
-# insert_reduce, only the children at seam positions and the ones it enters.
-
 
 def free_reduce(data: bytes) -> bytes:
     """Freely reduce: delete adjacent letter/inverse pairs until none remain."""
@@ -95,38 +83,9 @@ def insert_reduce(word: bytes, pos: int, rv: bytes) -> bytes:
 
 
 def heuristic(state: bytes, hparams) -> int:
-    """Admissible lower bound on the moves still needed to empty `state`."""
-    if hparams is None:
-        return 0
-    tables, grid_amax = hparams
-    h = 0
-    for tbl, maxw in tables:
-        s = 0
-        for b in state:
-            s += tbl[b] - 128
-        if s < 0:
-            s = -s
-        v = -(-s // maxw)
-        if v > h:
-            h = v
-    if grid_amax:
-        cx = 0
-        area = 0
-        for b in state:
-            if b == 0:
-                cx += 1
-            elif b == 1:
-                cx -= 1
-            elif b == 2:
-                area += cx
-            elif b == 3:
-                area -= cx
-        if area < 0:
-            area = -area
-        v = -(-area // grid_amax)
-        if v > h:
-            h = v
-    return h
+    """Always 0.  Nothing in the package calls it: it stays only because
+    perfbench's tracer looks up every name in its WORDOPS list on `ops`."""
+    return 0
 
 
 def expand(state: bytes, variants: Sequence[bytes],

@@ -328,7 +328,7 @@ class ToyAmalgamReport(NamedTuple):
     d_value: int
     required: int
     area: AreaResult
-    status: str  # verified-exact | verified-bound | inconclusive | refuted
+    status: str  # verified-bound | inconclusive | refuted
 
     def to_json(self) -> dict:
         return {
@@ -343,14 +343,14 @@ class ToyAmalgamReport(NamedTuple):
         }
 
 
-def toy_amalgam_check(k: int, n: int, *, node_cap: int = DEFAULT_NODE_CAP,
-                      exact_attempt: bool = False) -> ToyAmalgamReport:
+def toy_amalgam_check(k: int, n: int, *,
+                      node_cap: int = DEFAULT_NODE_CAP) -> ToyAmalgamReport:
     """Brute-force the inequality Area >= 2n * d(1, h) on the toy scenario.
 
-    By default the search runs in certificate mode: it stops as soon as
-    every state cheaper than the required bound is settled, which proves
-    the inequality without finding the exact area.  ``exact_attempt``
-    removes the stop and lets the search run to its caps.  Exhaustion
+    The search runs in certificate mode: it stops as soon as every state
+    cheaper than the required bound is settled, which proves the
+    inequality without finding the exact area.  So it reaches the goal
+    only below the bound, and an exact area is a refutation.  Exhaustion
     below the bound is reported as inconclusive — a budget statement,
     never a refutation.
     """
@@ -367,9 +367,9 @@ def toy_amalgam_check(k: int, n: int, *, node_cap: int = DEFAULT_NODE_CAP,
     required = 2 * n * hit
 
     res = area_search(scen.presentation, tword, node_cap=node_cap,
-                      stop_at_bound=None if exact_attempt else required)
+                      stop_at_bound=required)
     if res.status == "exact":
-        status = "verified-exact" if res.area >= required else "refuted"
+        status = "refuted"
     elif res.lower_bound is not None and res.lower_bound >= required:
         status = "verified-bound"
     else:

@@ -197,9 +197,7 @@ def cmd_area(args) -> _Outcome:
 
 
 def cmd_dehn(args) -> _Outcome:
-    P = parse_presentation(args.presentation)
-    if args.abelian:
-        P = with_abelian_evaluation(P)
+    P = with_abelian_evaluation(parse_presentation(args.presentation))
     res = dehn_function(P, args.n, node_cap=args.node_cap,
                         len_cap_factor=args.len_cap_factor, jobs=args.jobs)
     payload = {"presentation": P.to_text()}
@@ -244,10 +242,9 @@ def cmd_certify(args) -> _Outcome:
 
 
 def cmd_toy_amalgam(args) -> _Outcome:
-    rep = toy_amalgam_check(args.k, args.n, node_cap=args.node_cap,
-                            exact_attempt=args.exact_attempt)
-    codes = {"verified-exact": EXIT_OK, "verified-bound": EXIT_OK,
-             "inconclusive": EXIT_INCONCLUSIVE, "refuted": EXIT_FAIL}
+    rep = toy_amalgam_check(args.k, args.n, node_cap=args.node_cap)
+    codes = {"verified-bound": EXIT_OK, "inconclusive": EXIT_INCONCLUSIVE,
+             "refuted": EXIT_FAIL}
     return _Outcome(rep.to_json(), codes[rep.status], default_format="json")
 
 
@@ -326,14 +323,14 @@ def build_parser() -> _ArgParser:
     p.add_argument("--word", required=True)
 
     p = _command(sub, "dehn", cmd_dehn,
-                 "max area over null-homotopic words of bounded length",
+                 "max area over null-homotopic words of bounded length,"
+                 " for a presentation of Z^rank",
                  "node_cap", "len_cap_factor", "jobs")
-    p.add_argument("--presentation", required=True)
+    p.add_argument("--presentation", required=True,
+                   help="a presentation of Z^rank: every commutator"
+                        " [e_i,e_j] must be a relator, and every relator"
+                        " null in Z^rank")
     p.add_argument("--n", type=int, required=True, help="word-length bound")
-    p.add_argument("--abelian", action="store_true",
-                   help="use the free-abelian quotient as the null-homotopy"
-                        " oracle; every commutator [e_i,e_j] must be a"
-                        " relator, and every relator null in Z^rank")
 
     p = _command(sub, "metric", cmd_metric,
                  "word metric on the subgroup via ball search", "radius")
@@ -355,9 +352,6 @@ def build_parser() -> _ArgParser:
                                                     " generator")
     p.add_argument("--n", type=int, default=1, help="commuting power in the"
                                                     " test word")
-    p.add_argument("--exact-attempt", action="store_true",
-                   help="run the search to its caps instead of stopping at"
-                        " the certified bound")
 
     return parser
 

@@ -175,9 +175,6 @@ class GeneratingSet:
     def eval(self, w: GenWord) -> ProductElement:
         return evaluate(self.realization, w.syms, self.group.n, self.group.m)
 
-    def word(self, syms: Iterable[Tuple[str, int]]) -> GenWord:
-        return GenWord(self, syms)
-
 
 class KernelGroup:
     """Descriptor of K(n, m, r), optionally with non-standard factor maps."""

@@ -55,7 +55,7 @@ BAD = [
     ("certify", "--n", "0"),
     ("area", "--presentation", "< x, y | [x,y] >", "--word", "[x,y]",
      "--node-cap", "0"),
-    ("dehn", "--presentation", "< x, y | [x,y] >", "--n", "-1", "--abelian"),
+    ("dehn", "--presentation", "< x, y | [x,y] >", "--n", "-1"),
     ("distortion", "--n-max", "0"),
     # brackets nested deeper than Python's recursion limit allows
     ("member", "--group", "K2_2_2",
@@ -258,7 +258,7 @@ def test_certify_runs_to_the_end_at_n_32(capsys):
 
 def test_dehn_subcommand(capsys):
     code, out, _ = run(capsys, "dehn", "--presentation", "< x, y | [x,y] >",
-                       "--n", "4", "--abelian", "--format", "json")
+                       "--n", "4", "--format", "json")
     data = json.loads(out)
     assert code == 0 and data["value"] == 1 and data["exact"] is True
 
@@ -268,7 +268,7 @@ def test_dehn_abelian_needs_every_commutator_as_a_relator(capsys):
     # a b a^-1 b^-1 is not null there, so the quotient is no oracle
     code, out, err = run(capsys, "dehn", "--presentation",
                          "< a, b, c, d | [a,b] [c,d] >", "--n", "4",
-                         "--abelian", "--node-cap", "2000")
+                         "--node-cap", "2000")
     assert (code, out) == (1, "")
     assert "a b a^-1 b^-1 is not a relator" in err
 
@@ -282,7 +282,7 @@ def test_dehn_abelian_needs_every_commutator_as_a_relator(capsys):
 def test_dehn_abelian_over_free_abelian_groups(capsys, text, n, value,
                                                witness):
     code, out, _ = run(capsys, "dehn", "--presentation", text, "--n", str(n),
-                       "--abelian", "--format", "json")
+                       "--format", "json")
     data = json.loads(out)
     assert code == 0
     assert (data["value"], data["witness"], data["exact"]) == \
@@ -469,7 +469,7 @@ BASE = {
     "normalize-basis": ("--rows", "0 1; 1 1"),
     "split": ("--group", "K3_2_2", "--element", "x ; x^-1 y ; y^-1"),
     "area": ("--presentation", "< x, y | [x,y] >", "--word", "[x,y]"),
-    "dehn": ("--presentation", "< x, y | [x,y] >", "--n", "2", "--abelian"),
+    "dehn": ("--presentation", "< x, y | [x,y] >", "--n", "2"),
     "metric": ("--group", "K2_2_2", "--target", "h(1)"),
     "distortion": ("--n-max", "1"),
     "certify": ("--n", "1"),
@@ -506,6 +506,19 @@ def test_each_subcommand_takes_only_its_own_flags(capsys):
             assert e.value.code == 1, argv
             assert "unrecognized arguments: " + flag in err, argv
             assert "Traceback" not in err, argv
+
+
+# dehn always takes the free-abelian oracle and toy-amalgam always stops at
+# the required bound, so no flag chooses either
+@pytest.mark.parametrize("command,flag", [("dehn", "--abelian"),
+                                          ("toy-amalgam", "--exact-attempt")])
+def test_mode_flags_are_bad_input(capsys, command, flag):
+    with pytest.raises(SystemExit) as e:
+        main([command, *BASE[command], flag])
+    out, err = capsys.readouterr()
+    assert (e.value.code, out) == (1, "")
+    assert "unrecognized arguments: " + flag in err
+    assert "Traceback" not in err
 
 
 def _readme_flag_table():

@@ -10,8 +10,8 @@ tests/test_parse_reference.py), so a parser or membership change that
 alters one output byte or exit code fails here.  The three [x^n, y^n]
 digests were recorded with the probe that counted seam cancellations
 letter by letter, so they pin its traversal byte for byte.  The
-SHARED_HELPERS commands (`certify`, `split`, `normalize-basis`, `dehn
---abelian`, `toy-amalgam`, `rewrite`) pin every call site of the shared
+SHARED_HELPERS commands (`certify`, `split`, `normalize-basis`, `dehn`,
+`toy-amalgam`, `rewrite`) pin every call site of the shared
 word helpers the same way.
 """
 
@@ -182,7 +182,7 @@ SHARED_HELPERS = [
      0, '7b12b78bcc1bb7806981be12fd97827e22d3de7ad91c31075c4de4f4947d1b39', ''),
     (('normalize-basis', '--rows', '2; 4'),
      1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: homomorphism is not surjective; no normal basis exists\n'),
-    (('dehn', '--presentation', '< x, y | [x,y] >', '--n', '6', '--abelian', '--format', 'json'),
+    (('dehn', '--presentation', '< x, y | [x,y] >', '--n', '6', '--format', 'json'),
      0, '63a24f690cb3b75152641afa3cd3cbbeb5653b22115d7150f0e54ce0db14e6fe', ''),
     (('toy-amalgam', '--k', '3', '--n', '2'),
      0, 'd1eb5aed8128168e8ba121db6291d650333c78a8763e38ec1c9508625140c22f', ''),

@@ -224,7 +224,7 @@ def test_verify_lower_bound_rejects_tampering(flags):
 
 def test_dehn_of_z2_at_length_10_is_exact_and_unconditional(capsys):
     started = time.perf_counter()
-    code = main(["dehn", "--presentation", Z2, "--n", "10", "--abelian",
+    code = main(["dehn", "--presentation", Z2, "--n", "10",
                  "--format", "json"])
     elapsed = time.perf_counter() - started
     rep = json.loads(capsys.readouterr().out)
