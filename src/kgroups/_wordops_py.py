@@ -18,6 +18,11 @@ and w, so a caller that multiplies by the same words many times (the
 Cayley-ball search, one step per move acting on both ends of a key) pays
 for no general seam loop: a single-letter end drops x's end letter or adds
 the letter, and a longer end calls `concat` only when its seam cancels.
+
+`common_prefix(a, b)` is the length of the longest common prefix of two
+words in O(1) Python steps: the kernel rewriter resumes its commutator
+collection there, and cancels a telescoped conjugator pair
+`invert(p) * c` by cutting their common prefix off both.
 """
 
 from __future__ import annotations
@@ -58,6 +63,19 @@ def concat(a: bytes, b: bytes) -> bytes:
         i -= 1
         j += 1
     return a[:i] + b[j:]
+
+
+def common_prefix(a: bytes, b: bytes) -> int:
+    """The length of the longest common prefix of a and b.
+
+    Read the first n = min(len(a), len(b)) bytes of each as one big-endian
+    integer: their XOR x has its highest nonzero byte at the first
+    position where they differ, so the prefix is n minus the byte length
+    of x (x == 0 when one is a prefix of the other).
+    """
+    n = min(len(a), len(b))
+    x = int.from_bytes(a[:n], "big") ^ int.from_bytes(b[:n], "big")
+    return n - (x.bit_length() + 7) // 8
 
 
 def two_sided_step(u: bytes, w: bytes) -> Callable[[bytes], bytes]:

@@ -19,7 +19,6 @@ and the hash of its inputs, so the output bytes are reproducible.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -36,6 +35,7 @@ from .presentations import (DEFAULT_NODE_CAP, AreaResult, CertificateError,
 
 
 def _sha256_of(obj) -> str:
+    import hashlib   # here: only certify hashes, and OpenSSL costs 1-4 MB
     blob = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 

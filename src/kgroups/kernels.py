@@ -14,7 +14,12 @@ symbols constructively: lift factors 2..n letter by letter, peel the
 above-r letters of the factor-1 residual as conjugates, collect what is
 left into conjugated basic commutators by adjacent transpositions, and
 finally translate the conjugators into kernel symbols.  All of it works on
-reduced bytes (see _wordops_py), and the translation telescopes.
+reduced bytes (see _wordops_py), and the translation telescopes.  Both
+loops use `_wordops_py.common_prefix`: the collection resumes its scan
+where a swap changed the word (see collect_commutators), and each
+telescoped seam invert(c_k) c_{k+1} cancels by cutting the pair's common
+prefix.  The rewrite of [x^n, y^n], about 3n^2 symbols, then takes
+O(n^2) Python steps (each of its n^2 swaps still copies the word, in C).
 
 Non-standard surjective maps are supported by changing basis in each free
 factor first (see abelian.normalize_basis) and transporting the result.
@@ -22,7 +27,6 @@ factor first (see abelian.normalize_basis) and transporting the result.
 
 from __future__ import annotations
 
-import random as _random
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import _wordops_py as ops
@@ -377,6 +381,18 @@ def collect_commutators(w: Word, r: int) -> List[Tuple[bytes, int, int, int]]:
     lexicographically and the loop stops.  A sorted reduced word whose
     exponent sums all vanish is empty, which is where it stops.  S is a
     slice of the current word, so every piece stays reduced bytes.
+
+    Each swap is at the first descent (a pair whose first letter has the
+    higher generator), and the scan after it resumes at
+    max(min(k, t) - 1, 0), not at 0, where t is the swap's position and
+    k = common_prefix(old, new).  Proof that it finds the same descent: no
+    pair (s, s+1) of the old word with s < t is a descent, and the new
+    word's pairs with s + 1 < k are old pairs; so the new word has no
+    descent before min(k - 1, t), and the resume point is at or before
+    that.  The min with t matters: when the seam cancels, the new word can
+    agree with the old one past t, where the old word's descents were never
+    scanned.  The swaps and their order, hence the items, are those of a
+    scan from 0.
     """
     data = w.data
     if any(c >= 2 * r for c in data):
@@ -386,14 +402,17 @@ def collect_commutators(w: Word, r: int) -> List[Tuple[bytes, int, int, int]]:
             raise ValueError(f"exponent sum of e{j} must vanish")
     emitted: List[Tuple[bytes, int, int, int]] = []
     cur = data
+    start = 0
     while True:
-        for t in range(len(cur) - 1):
+        for t in range(start, len(cur) - 1):
             a, b = cur[t], cur[t + 1]
             if a >> 1 > b >> 1:
                 suffix = cur[t + 2:]
                 i, j, sign, c = normalize_basic_commutator(a ^ 1, b ^ 1)
                 emitted.append((ops.concat(ops.invert(suffix), c), i, j, sign))
-                cur = ops.concat(ops.concat(cur[:t], bytes((b, a))), suffix)
+                new = ops.concat(ops.concat(cur[:t], bytes((b, a))), suffix)
+                start = max(min(ops.common_prefix(cur, new), t) - 1, 0)
+                cur = new
                 break
         else:
             break
@@ -454,7 +473,10 @@ def _rewrite_standard(G: KernelGroup, g: ProductElement) -> List[Tuple[str, int]
     syms: List[Tuple[str, int]] = []
     prev = b""
     for cw, name, sign in items:
-        syms.extend(_conjugator_symbols(G, ops.concat(ops.invert(prev), cw)))
+        # concat(invert(prev), cw) cancels exactly the common prefix: past
+        # it the first letters differ, so the seam letters do not cancel
+        k = ops.common_prefix(prev, cw)
+        syms.extend(_conjugator_symbols(G, ops.invert(prev[k:]) + cw[k:]))
         syms.append((name, sign))
         prev = cw
     syms.extend(_conjugator_symbols(G, ops.invert(prev)))
@@ -489,8 +511,9 @@ def rewrite_in_generators(G: KernelGroup, g: ProductElement) -> GenWord:
 def random_kernel_element(G: KernelGroup, length_budget: int,
                           seed: int) -> ProductElement:
     """Evaluate a random symbol word; deterministic in the seed."""
+    import random   # here: no CLI command draws random numbers
     gens = standard_generators(G)
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     if not gens.symbols:
         return identity_element(G.n, G.m)
     syms = [(rng.choice(gens.symbols), rng.choice((1, -1)))

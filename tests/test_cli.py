@@ -355,6 +355,58 @@ def test_inputs_past_the_letter_cap_exit_one(argv, error):
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", error)
 
 
+@pytest.mark.parametrize("n", ["257", "262144"])
+def test_certify_refuses_n_past_its_cap_at_once(n):
+    # the report grows like n^2; h_262144 is the longest h_n under the
+    # letter cap, and n = 262145 still exits 1, as
+    # test_h_family_targets_respect_the_word_length_cap checks
+    started = time.perf_counter()
+    proc = _run_limited(("certify", "--n", n), 60)
+    assert time.perf_counter() - started < 10
+    assert (proc.returncode, proc.stderr) == (2, "")
+    report = json.loads(proc.stdout)
+    assert report == {"n": int(n), "max_n": 256, "status": "refused",
+                      "reason": "certify takes n <= 256: its report grows"
+                                " like n^2"}
+
+
+# run in a child with no site packages: the pytest process has loaded the
+# modules this checks for
+_FOOTPRINT = (
+    "import contextlib, io, json, sys\n"
+    "HEAVY = ('hashlib', '_hashlib', 'random', 'csv')\n"
+    "def loaded():\n"
+    "    return [m for m in HEAVY if m in sys.modules]\n"
+    "from kgroups.cli import main\n"
+    "seen = [('import', 0, loaded())]\n"
+    "for argv in json.loads(sys.argv[1]):\n"
+    "    with contextlib.redirect_stdout(io.StringIO()):\n"
+    "        code = main(argv)\n"
+    "    seen.append((argv[0], code, loaded()))\n"
+    "print(json.dumps(seen))\n")
+
+
+def test_only_certify_loads_hashlib_and_only_csv_output_loads_csv():
+    argvs = [["area", "--presentation", "< x, y | [x,y] >", "--word",
+              "[x^2, y^2]"],
+             ["metric", "--group", "K2_2_2", "--target", "h(1)"],
+             ["toy-amalgam"],
+             ["dehn", "--presentation", "< x, y | [x,y] >", "--n", "4"],
+             ["certify", "--n", "1"],
+             ["distortion", "--n-max", "1", "--format", "csv"]]
+    src = os.path.dirname(os.path.dirname(kgroups.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _FOOTPRINT, json.dumps(argvs)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [
+        ["import", 0, []], ["area", 0, []], ["metric", 0, []],
+        ["toy-amalgam", 0, []], ["dehn", 0, []],
+        ["certify", 0, ["hashlib", "_hashlib"]],
+        ["distortion", 0, ["hashlib", "_hashlib", "csv"]]]
+
+
 def test_normalize_basis_applies_a_run_of_moves_at_once():
     # 500,000 equal moves: one product each took quadratic time
     proc = _run_limited(("normalize-basis", "--rows", "500000; 1"), 10)
