@@ -200,7 +200,7 @@ def cmd_area(args) -> _Outcome:
 def cmd_dehn(args) -> _Outcome:
     P = with_abelian_evaluation(parse_presentation(args.presentation))
     res = dehn_function(P, args.n, node_cap=args.node_cap,
-                        len_cap_factor=args.len_cap_factor, jobs=args.jobs)
+                        len_cap_factor=args.len_cap_factor)
     payload = {"presentation": P.to_text()}
     payload.update(res.to_json())
     return _Outcome(payload, EXIT_OK if res.exact else EXIT_INCONCLUSIVE)
@@ -274,9 +274,6 @@ _BUDGETS = {
                        "intermediate words may exceed the input by this"
                        " many relator lengths"),
     "radius": ("--radius", 6, 0, "ball radius for subgroup-metric searches"),
-    "jobs": ("--jobs", 1, 1, "limit on worker processes for the searches:"
-                             " min(this, word classes, usable CPUs) start,"
-                             " and none when that is 1"),
 }
 
 
@@ -337,8 +334,9 @@ def build_parser() -> _ArgParser:
 
     p = _command(sub, "dehn", cmd_dehn,
                  "max area over null-homotopic words of bounded length,"
-                 " for a presentation of Z^rank",
-                 "node_cap", "len_cap_factor", "jobs")
+                 " for a presentation of Z^rank, one search per symmetry"
+                 " orbit",
+                 "node_cap", "len_cap_factor")
     p.add_argument("--presentation", required=True,
                    help="a presentation of Z^rank: every commutator"
                         " [e_i,e_j] must be a relator, and every relator"

@@ -51,12 +51,11 @@ metric of the enclosing product of free groups along the test family
 from __future__ import annotations
 
 from array import array
-from itertools import permutations, product
 from typing import (Callable, Collection, Dict, List, NamedTuple,
                     Optional, Sequence, Tuple)
 
 from . import _wordops_py as ops
-from .words import _MAX_LETTERS, commutator
+from .words import _MAX_LETTERS, commutator, signed_permutations
 from .kernels import (
     GeneratingSet,
     KernelGroup,
@@ -185,9 +184,6 @@ def _middle_step(ends: Callable[[Key], Key],
     return step
 
 
-# the largest rank whose 2^m m! signed letter permutations _symmetries tries
-_SYMMETRY_RANK = 4
-
 # a letter symmetry: its translate table, and the move index each move maps to
 Symmetry = Tuple[bytes, Tuple[int, ...]]
 
@@ -208,30 +204,26 @@ def _symmetries(moves: Sequence[Tuple[bytes, ...]]) -> List[Symmetry]:
     identity is left out.  As ``moves[i ^ 1]`` is the inverse of
     ``moves[i]`` and no move repeats, ``perm[i ^ 1] == perm[i] ^ 1``.
 
-    The rank is read from the moves' largest letter.  Only ranks up to
-    ``_SYMMETRY_RANK`` are tried (2^m m! candidates each); above that, and
-    for a move list with a repeated move, the list is empty, which leaves
-    every count exact.  The moves must be checked by ``_step_plan`` first.
+    The rank is read from the moves' largest letter, and the candidates
+    are ``signed_permutations(rank)``, only the identity above
+    ``words._SYMMETRY_RANK``.  There, and for a move list with a repeated
+    move, the list is empty, which leaves every count exact.  The moves
+    must be checked by ``_step_plan`` first.
     """
     index = {mv: i for i, mv in enumerate(moves)}
     rank = max((c for mv in moves for w in mv for c in w), default=-1) // 2 + 1
-    if rank > _SYMMETRY_RANK or len(index) != len(moves):
+    if len(index) != len(moves):
         return []
     perms = {tuple(range(len(moves)))}
     out: List[Symmetry] = []
-    for images in permutations(range(rank)):
-        for flips in product((0, 1), repeat=rank):
-            table = bytearray(range(256))
-            for j, (k, e) in enumerate(zip(images, flips)):
-                table[2 * j], table[2 * j + 1] = 2 * k + e, 2 * k + (e ^ 1)
-            table = bytes(table)
-            mapped = [tuple(w.translate(table) for w in mv) for mv in moves]
-            if set(mapped) != index.keys():
-                continue
-            perm = tuple(index[mv] for mv in mapped)
-            if perm not in perms:
-                perms.add(perm)
-                out.append((table, perm))
+    for table in signed_permutations(rank):
+        mapped = [tuple(w.translate(table) for w in mv) for mv in moves]
+        if set(mapped) != index.keys():
+            continue
+        perm = tuple(index[mv] for mv in mapped)
+        if perm not in perms:
+            perms.add(perm)
+            out.append((table, perm))
     return out
 
 

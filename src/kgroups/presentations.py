@@ -15,11 +15,9 @@ verify/search but not the membership question.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
-import os
 from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
                     Tuple, Union)
 
@@ -29,7 +27,7 @@ from . import _wordops_py as ops
 from .abelian import FactorHom, ab_image, standard_hom
 from .kernels import ProductElement, evaluate
 from .words import (FreeGroup, Word, _read, commutator, inv, mul,
-                    parse_word, to_text)
+                    parse_word, signed_permutations, to_text)
 
 DEFAULT_NODE_CAP = 200_000
 DEFAULT_LEN_CAP_FACTOR = 4
@@ -576,7 +574,8 @@ class DehnResult(NamedTuple):
 
     exact: every inner search came back exact, each within its length-cap
     regime; unconditional: each also matched its root bound, so the value
-    holds with no length-cap caveat.
+    holds with no length-cap caveat.  classes_searched counts the classes
+    covered, each orbit's by one search (see dehn_function).
     """
 
     n: int
@@ -672,35 +671,38 @@ def _null_classes(P: Presentation, n: int) -> List[Word]:
 
 
 def dehn_function(P: Presentation, n: int, *, node_cap: int = DEFAULT_NODE_CAP,
-                  len_cap_factor: int = DEFAULT_LEN_CAP_FACTOR,
-                  jobs: int = 1) -> DehnResult:
+                  len_cap_factor: int = DEFAULT_LEN_CAP_FACTOR) -> DehnResult:
     """max Area(w) over null-homotopic |w| <= n, by exhaustive enumeration.
 
     Exact only when every inner search came back exact; any exhaustion
     demotes the result to a lower bound.  Enumeration cost is exponential
-    in n -- this is a desk instrument for single digits.  The searches run
-    in min(jobs, classes, usable CPUs) worker processes, in this process
-    when that is 1.
+    in n -- this is a desk instrument for single digits.
+
+    A signed generator permutation (``signed_permutations``) that maps the
+    relator variants (``_variants``) onto themselves maps each insertion
+    path to one with the same word lengths, so it keeps the area, within
+    the length cap and without it.  So only the first class of each orbit in (length, bytes)
+    order is searched, and its result stands for the whole orbit.
     """
     if n < 0:
         raise ValueError("n must be at least 0")
     if P.evaluation is None:
         raise ValueError("dehn_function needs an evaluation oracle")
     words = _null_classes(P, n)
+    variants = set(_variants(P)[0])
+    tables = [t for t in signed_permutations(P.group.rank)
+              if {v.translate(t) for v in variants} == variants]
+    results: Dict[bytes, AreaResult] = {}
+    for w in words:
+        if w.data not in results:
+            res = area_search(P, w, node_cap=node_cap,
+                              len_cap_factor=len_cap_factor)
+            for t in tables:
+                results[_canonical_class(w.data.translate(t))] = res
     value, exact, witness = 0, True, None
     unconditional = True
-    area = functools.partial(area_search, P, node_cap=node_cap,
-                             len_cap_factor=len_cap_factor)
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    workers = min(jobs, len(words), cpus)
-    if workers > 1:
-        import concurrent.futures   # here: it costs every other run 0.6 MB
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(area, words, chunksize=8))
-    else:
-        results = list(map(area, words))
-    for w, res in zip(words, results):
+    for w in words:
+        res = results[w.data]
         if res.status == "exact":
             unconditional = unconditional and res.unconditional
             if res.area > value:

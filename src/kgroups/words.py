@@ -12,12 +12,16 @@ imported as `ops`).
 from __future__ import annotations
 
 import re
-from typing import (Iterable, List, Mapping, Optional, Sequence, Tuple,
-                    Union)
+from itertools import permutations, product
+from typing import (Iterable, Iterator, List, Mapping, Optional, Sequence,
+                    Tuple, Union)
 
 from . import _wordops_py as ops
 
 _MAX_RANK = 127
+
+# the largest rank whose 2^m m! signed permutations are enumerated
+_SYMMETRY_RANK = 4
 
 Letter = Tuple[int, int]  # (generator index 1..m, sign +1/-1)
 
@@ -218,6 +222,26 @@ def exponent_sum(w: Word, j: int) -> int:
     if not 1 <= j <= w.group.rank:
         raise ValueError(f"generator index {j} out of rank {w.group.rank}")
     return ops.exponent_sums(w.data, (j - 1,))[0]
+
+
+def signed_permutations(rank: int) -> Iterator[bytes]:
+    """``bytes.translate`` tables of the signed generator permutations.
+
+    Each sends generator ``j`` to generator ``p(j)`` or its inverse and
+    fixes every other byte: an automorphism of the free group that maps
+    reduced words to reduced words of the same length.  The identity comes
+    first, then the rest in ``permutations x product`` order.  Above
+    ``_SYMMETRY_RANK`` only the identity is yielded.
+    """
+    if rank > _SYMMETRY_RANK:
+        yield bytes(range(256))
+        return
+    for images in permutations(range(rank)):
+        for flips in product((0, 1), repeat=rank):
+            table = bytearray(range(256))
+            for j, (k, e) in enumerate(zip(images, flips)):
+                table[2 * j], table[2 * j + 1] = 2 * k + e, 2 * k + (e ^ 1)
+            yield bytes(table)
 
 
 # -- text form --------------------------------------------------------------

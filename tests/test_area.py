@@ -1,5 +1,4 @@
 import ast
-import concurrent.futures
 import json
 import os
 import random
@@ -10,6 +9,7 @@ import time
 import pytest
 
 import kgroups
+from kgroups import presentations
 from kgroups.areasearch import AdditiveHeuristic, run_search
 from kgroups.certificates import toy_scenario
 from kgroups.kernels import ProductElement
@@ -18,8 +18,10 @@ from kgroups.presentations import (DEFAULT_LEN_CAP_FACTOR, DEFAULT_NODE_CAP,
                                    _canonical_class, _null_classes,
                                    _root_bound, _variants, area_search,
                                    dehn_function, is_null_homotopic,
-                                   parse_presentation, verify_null_expression)
-from kgroups.words import FreeGroup, Word, inv, mul, parse_word, to_text
+                                   parse_presentation, verify_null_expression,
+                                   with_abelian_evaluation)
+from kgroups.words import (FreeGroup, Word, inv, mul, parse_word,
+                           signed_permutations, to_text)
 
 
 @pytest.fixture
@@ -230,41 +232,98 @@ def test_dehn_function_small_values(zz):
     assert res6.classes_searched >= res4.classes_searched
 
 
-def test_dehn_function_parallel_matches_serial(zz):
-    serial = dehn_function(zz, 5, jobs=1)
-    parallel = dehn_function(zz, 5, jobs=2)
-    assert (serial.n, serial.value, serial.exact) == \
-        (parallel.n, parallel.value, parallel.exact)
+def _orbits(P, n):
+    """The classes of length <= n, grouped by the signed generator
+    permutations that map the set of relator classes onto itself."""
+    relators = {_canonical_class(r.data) for r in P.relators}
+    tables = [t for t in signed_permutations(P.group.rank)
+              if {_canonical_class(r.translate(t)) for r in relators}
+              == relators]
+    orbits = {}
+    for w in _null_classes(P, n):
+        images = {_canonical_class(w.data.translate(t)) for t in tables}
+        rep = min(images, key=lambda d: (len(d), d))
+        orbits.setdefault(rep, []).append(w)
+    return orbits, tables
 
 
-@pytest.mark.parametrize("cpus,n,workers", [(64, 6, 3), (2, 6, 2), (1, 6, None),
-                                             (64, 4, None)])
-def test_dehn_function_caps_its_worker_count(zz, monkeypatch, cpus, n, workers):
-    # jobs = 10^6 must not ask for 10^6 processes: the pool gets one worker
-    # per class and per usable CPU at most, and no pool starts when that is
-    # 1.  The stand-in pool records its size and maps in this process.
-    sizes = []
+def _searched_words(monkeypatch, P, n):
+    """dehn_function(P, n), and the words its area searches ran on."""
+    searched = []
 
-    class Pool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def spy(P, w, **caps):
+        searched.append(w.data)
+        return area_search(P, w, **caps)
 
-        def __enter__(self):
-            return self
+    monkeypatch.setattr(presentations, "area_search", spy)
+    return dehn_function(P, n), searched
 
-        def __exit__(self, *exc):
-            return False
 
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
+Z2 = "< x, y | [x,y] >"
+Z3 = "< x, y, z | [x,y], [x,z], [y,z] >"
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
-                        raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    got = dehn_function(zz, n, jobs=10 ** 6)
-    assert sizes == ([] if workers is None else [workers])
-    assert got.to_json() == dehn_function(zz, n).to_json()
+
+@pytest.mark.parametrize("text,n_max", [(Z2, 10), (Z3, 6)])
+def test_dehn_searches_one_class_per_symmetry_orbit(monkeypatch, text, n_max):
+    P = with_abelian_evaluation(parse_presentation(text))
+    assert len(_orbits(P, 0)[1]) == (8 if P.group.rank == 2 else 48)
+    for n in range(n_max + 1):
+        orbits, _ = _orbits(P, n)
+        assert sum(map(len, orbits.values())) == len(_null_classes(P, n))
+        got, searched = _searched_words(monkeypatch, P, n)
+        assert searched == sorted(orbits, key=lambda d: (len(d), d))
+        assert got.classes_searched == len(_null_classes(P, n))
+    # the area is constant on each orbit, and the representative is the
+    # orbit's least class
+    for rep, members in orbits.items():
+        assert members[0].data == rep
+        results = [area_search(P, w) for w in members]
+        assert {(r.status, r.area) for r in results} == \
+            {("exact", results[0].area)}
+
+
+def _dehn_per_class(P, n):
+    """dehn_function's output from one area search on every class."""
+    value, exact, unconditional, witness = 0, True, True, None
+    words = _null_classes(P, n)
+    for w in words:
+        res = area_search(P, w)
+        exact = exact and res.status == "exact"
+        unconditional = exact and unconditional and res.unconditional
+        area = res.area if res.status == "exact" else res.lower_bound
+        if area is not None and area > value:
+            value, witness = area, w
+    return {"n": n, "value": value, "exact": exact,
+            "unconditional": unconditional,
+            "witness": to_text(witness) if witness else None,
+            "classes_searched": len(words)}
+
+
+def test_dehn_keeps_only_the_symmetries_of_the_relators(monkeypatch):
+    # x <-> y sends [x^2,y] to [y^2,x], in no relator class, so only the
+    # four sign flips remain
+    P = with_abelian_evaluation(
+        parse_presentation("< x, y | [x,y], [x^2,y] >"))
+    orbits, tables = _orbits(P, 8)
+    assert [t[:4] for t in tables] == [bytes(f) for f in
+                                       ((0, 1, 2, 3), (0, 1, 3, 2),
+                                        (1, 0, 2, 3), (1, 0, 3, 2))]
+    for n in range(9):
+        got, searched = _searched_words(monkeypatch, P, n)
+        assert got.to_json() == _dehn_per_class(P, n)
+        assert searched == sorted(_orbits(P, n)[0],
+                                  key=lambda d: (len(d), d))
+    assert (got.value, got.exact) == (3, True)
+
+
+def test_dehn_above_rank_four_searches_every_class(monkeypatch):
+    names = "a b c d e".split()
+    rels = [f"[{u},{v}]" for i, u in enumerate(names) for v in names[i + 1:]]
+    P = with_abelian_evaluation(parse_presentation(
+        f"< {', '.join(names)} | {', '.join(rels)} >"))
+    got, searched = _searched_words(monkeypatch, P, 4)
+    assert searched == [w.data for w in _null_classes(P, 4)]
+    assert (got.value, got.exact, got.classes_searched) == (1, True, 10)
 
 
 def _null_classes_by_evaluation(P, n):

@@ -437,8 +437,7 @@ def test_csv_fallback_for_scalar_reports(capsys):
 #
 # Text is joined from tokens, and every token holding a digit ends with a
 # space or "_", so no run of digits (an exponent, a group size) is longer
-# than one: every input stays small.  Budgets are small, and --jobs is never
-# above 1, so no worker process starts.
+# than one: every input stays small.  Budgets are small.
 
 WORD_TOKENS = ("x", "y", "a", "b", "c", "e1", "e3", "z", "^2 ", "^-1 ", "^3 ",
                "^0 ", "^", "1 ", "(", ")", "[", "]", ",", " ")
@@ -501,14 +500,14 @@ _commands = st.one_of(
     st.tuples(st.sampled_from(("", "nope", "--n")), _small))
 
 # the flags each subcommand takes besides its own inputs
-SHARED = ("--node-cap", "--len-cap-factor", "--radius", "--jobs", "--format")
+SHARED = ("--node-cap", "--len-cap-factor", "--radius", "--format")
 OWN_FLAGS = {
     "member": ("--format",),
     "rewrite": ("--format",),
     "normalize-basis": ("--format",),
     "split": ("--format",),
     "area": ("--node-cap", "--len-cap-factor", "--format"),
-    "dehn": ("--node-cap", "--len-cap-factor", "--jobs", "--format"),
+    "dehn": ("--node-cap", "--len-cap-factor", "--format"),
     "metric": ("--radius", "--format"),
     "distortion": ("--radius", "--format"),
     "certify": ("--format",),
@@ -529,9 +528,9 @@ BASE = {
 }
 # a valid value of each shared flag, and one that is out of range
 GOOD_VALUE = {"--node-cap": "50", "--len-cap-factor": "2", "--radius": "1",
-              "--jobs": "1", "--format": "json"}
+              "--format": "json"}
 BAD_VALUE = {"--node-cap": "0", "--len-cap-factor": "0", "--radius": "-1",
-             "--jobs": "0", "--format": "xml"}
+             "--format": "xml"}
 
 
 def _subcommands():
@@ -560,9 +559,11 @@ def test_each_subcommand_takes_only_its_own_flags(capsys):
             assert "Traceback" not in err, argv
 
 
-# dehn always takes the free-abelian oracle and toy-amalgam always stops at
-# the required bound, so no flag chooses either
+# dehn always takes the free-abelian oracle and runs its searches in this
+# process, and toy-amalgam always stops at the required bound, so no flag
+# chooses any of these
 @pytest.mark.parametrize("command,flag", [("dehn", "--abelian"),
+                                          ("dehn", "--jobs"),
                                           ("toy-amalgam", "--exact-attempt")])
 def test_mode_flags_are_bad_input(capsys, command, flag):
     with pytest.raises(SystemExit) as e:
@@ -613,11 +614,10 @@ def _pair(flag):
     return lambda value: (flag, value)
 
 
-# own flags with valid values; --jobs stays 1, so no worker process starts
+# own flags with valid values
 _VALUES = {"--node-cap": st.integers(1, 200).map(str),
            "--len-cap-factor": st.sampled_from(("1", "2")),
            "--radius": st.integers(0, 3).map(str),
-           "--jobs": st.just("1"),
            "--format": st.sampled_from(("table", "csv", "json"))}
 
 

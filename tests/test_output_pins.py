@@ -12,10 +12,13 @@ digests were recorded with the probe that counted seam cancellations
 letter by letter, so they pin its traversal byte for byte.  The
 SHARED_HELPERS commands (`certify`, `split`, `normalize-basis`, `dehn`,
 `toy-amalgam`, `rewrite`) pin every call site of the shared
-word helpers the same way.
+word helpers the same way; the `dehn` digests over Z^2 at n = 10 and Z^3
+at n = 6 were recorded when `dehn` searched every class, not one per
+symmetry orbit.
 """
 
 import hashlib
+import json
 
 from kgroups.cli import main
 
@@ -184,6 +187,14 @@ SHARED_HELPERS = [
      1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: homomorphism is not surjective; no normal basis exists\n'),
     (('dehn', '--presentation', '< x, y | [x,y] >', '--n', '6', '--format', 'json'),
      0, '63a24f690cb3b75152641afa3cd3cbbeb5653b22115d7150f0e54ce0db14e6fe', ''),
+    (('dehn', '--presentation', '< x, y | [x,y] >', '--n', '10', '--format', 'json'),
+     0, 'a6f4970e40b70ce3468adca51f8e6e21eaf0df42afd6e67cce31a74f68629864', ''),
+    (('dehn', '--presentation', '< x, y | [x,y] >', '--n', '10', '--format', 'table'),
+     0, '87c9a443736f19345013c0645333e015c9f13c3cb36875a1a9d5b1523a1a7619', ''),
+    (('dehn', '--presentation', '< x, y, z | [x,y], [x,z], [y,z] >', '--n', '6', '--format', 'json'),
+     0, 'd5ad3d170186fe6609693de9f1be3a355eff1d62d29d58b0e55fd6a4d63af8b8', ''),
+    (('dehn', '--presentation', '< x, y, z | [x,y], [x,z], [y,z] >', '--n', '6', '--format', 'table'),
+     0, '97e3436570c788b522dcbacdefeba92582c96632dd9c681d9b66ae47d09a2542', ''),
     (('toy-amalgam', '--k', '3', '--n', '2'),
      0, 'd1eb5aed8128168e8ba121db6291d650333c78a8763e38ec1c9508625140c22f', ''),
     (('rewrite', '--group', 'K3_2_2', '--element', '[x^2, y] ; y^-1 x ; x^-1 y'),
@@ -242,6 +253,17 @@ def test_commands_on_the_shared_word_helpers_keep_their_output_bytes(capsys):
     changed = [argv for argv, code, digest, err in SHARED_HELPERS
                if _run(capsys, argv) != (code, digest, err)]
     assert changed == []
+
+
+def test_dehn_over_z2_at_n_12_is_exact(capsys):
+    # one search per symmetry orbit closes every one of the 598 classes
+    code = main(["dehn", "--presentation", "< x, y | [x,y] >", "--n", "12",
+                 "--format", "json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert (report["value"], report["exact"], report["unconditional"],
+            report["witness"], report["classes_searched"]) == \
+        (9, True, True, "x^3 y^3 x^-3 y^-3", 598)
 
 
 def test_malformed_targets_exit_1_with_one_line(capsys):

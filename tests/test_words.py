@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 from kgroups import _wordops_py as ops
 from kgroups.words import (FreeGroup, Word, WordParseError, commutator, conj,
                            exponent_sum, inv, mul, parse_word, reduce,
-                           runs, substitute, to_text)
+                           runs, signed_permutations, substitute, to_text)
 
 F2 = FreeGroup(2)
 F3 = FreeGroup(3, names=("a", "b", "c"))
@@ -105,6 +105,21 @@ def test_substitute():
 @given(words(2, 12))
 def test_substituting_generators_is_identity(w):
     assert substitute(w, {1: F2.gen(1), 2: F2.gen(2)}) == w
+
+
+def test_signed_permutations_of_rank_two():
+    tables = list(signed_permutations(2))
+    assert len(set(tables)) == 8
+    assert tables[0] == bytes(range(256))
+    # permutations x product order: x -> y and y -> x^-1 is the sixth
+    x, y = F2.gen(1), F2.gen(2)
+    assert commutator(x, y).data.translate(tables[5]) == \
+        commutator(y, inv(x)).data
+
+
+def test_signed_permutations_above_rank_four_are_the_identity():
+    assert list(signed_permutations(5)) == [bytes(range(256))]
+    assert len(list(signed_permutations(4))) == 2 ** 4 * 24
 
 
 class TestParser:
