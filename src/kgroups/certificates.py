@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+from . import _wordops_py as ops, jsonout
 from .words import (FreeGroup, Word, commutator, inv, mul, parse_word,
                     to_text)
 from .kernels import (GenWord, GeneratingSet, KernelGroup, ProductElement,
@@ -34,10 +35,20 @@ from .presentations import (DEFAULT_NODE_CAP, AreaResult, CertificateError,
                             verify_lower_bound, verify_null_expression)
 
 
+# The interpreter's builtin SHA-256, as `random` takes its SHA-512: hashlib
+# would map OpenSSL (about 3.7 MB of RSS) for a few digests per report.
+try:
+    from _sha256 import sha256            # Python 3.10 and 3.11
+except ImportError:
+    try:
+        from _sha2 import sha256          # Python 3.12 and later
+    except ImportError:
+        from hashlib import sha256
+
+
 def _sha256_of(obj) -> str:
-    import hashlib   # here: only certify hashes, and OpenSSL costs 1-4 MB
     blob = json.dumps(obj, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return sha256(blob.encode("utf-8")).hexdigest()
 
 
 def _evidence(verifier: str, inputs: dict, details: dict) -> dict:
@@ -120,7 +131,10 @@ def letter_length(w: Word, ev: Evaluation) -> int:
 
 # -- substitution and deletion ------------------------------------------------
 
-def _split_images(gens: GeneratingSet):
+def _split_images(gens: GeneratingSet, verifier: str):
+    """The factor group and each kernel symbol's first and second
+    coordinate words, checked against the symbols' realization; the
+    verifier's name heads the CertificateError a mismatch raises."""
     group = gens.group
     if (group.n, group.m, group.r) != (2, 2, 2) or not group.is_standard:
         raise ValueError("expected the standard two-factor rank-2 full kernel")
@@ -130,6 +144,10 @@ def _split_images(gens: GeneratingSet):
     x, y = free.gen(1), free.gen(2)
     first = {"a1_2": x, "a2_2": y, "c1_2": commutator(x, y)}
     second = {"a1_2": inv(x), "a2_2": inv(y), "c1_2": free.identity}
+    if any(ProductElement((first[name], second[name]))
+           != gens.realization[name] for name in first):
+        raise CertificateError(
+            f"{verifier}: substitution disagrees with the realization")
     return free, first, second
 
 
@@ -141,12 +159,9 @@ def substitution_split(w: GenWord) -> Tuple[Word, Word]:
     symbol's pair is checked against its realization first; evaluation
     is a homomorphism, so the split then equals the word's evaluation.
     """
-    _, first, second = _split_images(w.gens)
+    _, first, second = _split_images(w.gens, "substitution-split")
     pairs = {name: ProductElement((first[name], second[name]))
              for name in first}
-    if any(pairs[name] != w.gens.realization[name] for name in pairs):
-        raise CertificateError(
-            "substitution-split: substitution disagrees with the realization")
     return evaluate(pairs, w.syms, 2, 2).factors
 
 
@@ -160,19 +175,34 @@ def derive_null_expression(w: GenWord, n: int) -> NullExpression:
     descending occurrence order, so items are emitted last-to-first.
     The expression verifies over ``pair_presentation`` and its area is
     exactly the number of commutator-symbol occurrences.
+
+    One walk over the symbols reads both coordinates off the checked
+    realization: the reduced first-coordinate prefix at every symbol,
+    which is each conjugator and at the end the first coordinate, and
+    the second coordinate's letters, reduced once.
     """
+    free, first, second = _split_images(w.gens, "commutator-deletion")
     target = h_family(n, w.gens.group)
-    if w.eval() != target:
-        raise ValueError("word does not evaluate to h_%d" % n)
-    free, first, _ = _split_images(w.gens)
-    prefix = free.identity
-    records: List[Tuple[Word, int]] = []
+    pieces = {}     # (symbol, sign) -> its first and second coordinate
+    for name in first:
+        one, two = first[name].data, second[name].data
+        pieces[name, 1] = one, two
+        pieces[name, -1] = ops.invert(one), ops.invert(two)
+    prefix, records, column = bytearray(), [], []
     for name, sign in w.syms:
         if name == "c1_2":
-            records.append((prefix, sign))
-        img = first[name]
-        prefix = mul(prefix, img if sign == 1 else inv(img))
-    expr = NullExpression([(conj, 0, sign) for conj, sign in reversed(records)])
+            records.append((Word(free, bytes(prefix)), 0, sign))
+        one, two = pieces[name, sign]
+        for c in one:
+            if prefix and (prefix[-1] ^ c) == 1:
+                prefix.pop()
+            else:
+                prefix.append(c)
+        column.append(two)
+    if (prefix, ops.free_reduce(b"".join(column))) != tuple(
+            f.data for f in target.factors):
+        raise ValueError("word does not evaluate to h_%d" % n)
+    expr = NullExpression(reversed(records))
     P = pair_presentation()
     if not verify_null_expression(P, target.factors[0], expr):
         raise CertificateError(
@@ -412,8 +442,7 @@ class CertificateReport(NamedTuple):
         }
 
     def to_bytes(self) -> bytes:
-        return json.dumps(self.to_json(), sort_keys=True, indent=2).encode(
-            "utf-8") + b"\n"
+        return jsonout.dumps(self.to_json()).encode("utf-8") + b"\n"
 
 
 def lower_bound_report(n: int) -> CertificateReport:

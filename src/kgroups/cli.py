@@ -26,6 +26,7 @@ import re
 import sys
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
+from . import jsonout
 from .words import WordParseError, parse_factors, to_text
 from .abelian import FactorHom, ab_image, normalize_basis
 from .kernels import (KernelGroup, ProductElement, contains,
@@ -96,7 +97,7 @@ def _cell(value) -> str:
 
 def _render(payload: dict, fmt: str, rows: Optional[Rows] = None) -> str:
     if fmt == "json":
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return jsonout.dumps(payload) + "\n"
     if fmt == "csv":
         import csv   # here: only --format csv reads it
         buf = io.StringIO()
@@ -238,8 +239,8 @@ def cmd_distortion(args) -> _Outcome:
 
 
 # certify's report grows like n^2 (it prints a kernel word of about 3n^2
-# symbols and n^2 conjugated relators): n = 256 prints 9.5 MB, takes 6-9 s
-# and peaks at 131 MB on a 2-vCPU VM, so larger n is refused
+# symbols and n^2 conjugated relators): n = 256 prints 9.5 MB, takes
+# 3-5 s and peaks at 125 MB on a 2-vCPU VM, so larger n is refused
 _CERTIFY_MAX_N = 256
 
 

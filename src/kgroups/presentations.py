@@ -195,7 +195,13 @@ def is_null_homotopic(P: Presentation, w: Word) -> bool:
 
 
 def verify_null_expression(P: Presentation, w: Word, expr: NullExpression) -> bool:
-    """Multiply the certificate out and compare with w, freely."""
+    """Multiply the certificate out and compare with w, freely.
+
+    The walk stays on Word-level `mul` and `inv`: perfbench's tracer
+    patches them here by name, so a bytes-level replay waits for a
+    benchmark change (ROADMAP.md).  Each telescoped seam between
+    consecutive items costs one XOR in `ops.concat`.
+    """
     acc = P.group.identity
     for conj, ri, sign in expr.items:
         if not 0 <= ri < len(P.relators):

@@ -126,6 +126,41 @@ def test_derive_null_expression_from_a_handwritten_word():
         derive_null_expression(GenWord(B, [("a1_2", 1)]), 1)
 
 
+def test_derive_null_expression_refuses_another_realization():
+    # the deletion reads both coordinates off the standard substitution,
+    # so a generating set with the standard symbols but other realizations
+    # is refused, whether or not its word evaluates to h_n
+    F = G.factor_group()
+    x, y = F.gen(1), F.gen(2)
+    wB = rewrite_in_generators(G, h_family(2))
+    flipped = dict(B.realization)
+    flipped["c1_2"] = ProductElement((commutator(y, x), F.identity))
+    swapped = {"a1_2": B.realization["a2_2"], "a2_2": B.realization["a1_2"],
+               "c1_2": ProductElement((commutator(y, x), F.identity))}
+    # under the swap, the word for h_2 with x and y exchanged is one for h_2
+    wS = rewrite_in_generators(
+        G, ProductElement((commutator(y ** 2, x ** 2), F.identity)))
+    for realization, syms in ((flipped, wB.syms), (swapped, wS.syms)):
+        w = GenWord(GeneratingSet(G, B.symbols, realization), syms)
+        with pytest.raises(CertificateError, match="commutator-deletion"):
+            derive_null_expression(w, 2)
+    swapped_word = GenWord(GeneratingSet(G, B.symbols, swapped), wS.syms)
+    assert swapped_word.eval() == h_family(2)
+
+
+def test_derive_null_expression_checks_the_second_coordinate():
+    # c1_2^-1 [a1_2, a2_2] is trivial in the first coordinate and
+    # [x^-1, y^-1] in the second: appended to a word for h_2, the first
+    # coordinate still matches and the word does not evaluate to h_2
+    wB = rewrite_in_generators(G, h_family(2))
+    tail = [("c1_2", -1), ("a1_2", 1), ("a2_2", 1), ("a1_2", -1),
+            ("a2_2", -1)]
+    w = GenWord(B, wB.syms + tuple(tail))
+    assert w.eval().factors[0] == h_family(2).factors[0]
+    with pytest.raises(ValueError, match="does not evaluate to h_2"):
+        derive_null_expression(w, 2)
+
+
 def test_pair_presentation_oracle():
     P = pair_presentation()
     assert P.to_text() == "< x, y | x y x^-1 y^-1 >"

@@ -301,6 +301,48 @@ def test_concat_is_reduced_juxtaposition(a, b):
     assert ops.concat(a, b) == ops.free_reduce(a + b)
 
 
+def ref_concat(a: bytes, b: bytes) -> bytes:
+    """`concat` as it was before long seams took one XOR: the seam walked
+    letter by letter, kept as the reference."""
+    i, j = len(a), 0
+    while i > 0 and j < len(b) and (a[i - 1] ^ b[j]) == 1:
+        i -= 1
+        j += 1
+    return a[:i] + b[j:]
+
+
+# reduced words over rank 2 and over every letter byte of rank 127, long
+# enough that their seams pass the switch from the loop to the XOR count
+long_raw = st.binary(min_size=40, max_size=160)
+long_reduced = st.one_of(
+    long_raw.map(lambda b: bytes(c % 4 for c in b)),
+    long_raw.map(lambda b: bytes(c % 254 for c in b)),
+).map(naive_reduce)
+
+
+@given(long_reduced, long_reduced)
+def test_concat_matches_the_letter_loop_on_every_seam_length(a, c):
+    # b = a[k:]^-1 c meets a in a seam of about len(a) - k letters
+    for k in range(len(a) + 1):
+        b = naive_reduce(ops.invert(a[k:]) + c)
+        assert ops.concat(a, b) == ref_concat(a, b)
+        assert ops.concat(ops.invert(b), ops.invert(a)) == ops.invert(
+            ref_concat(a, b))
+
+
+@given(long_reduced, long_reduced)
+def test_concat_cancels_either_side_completely(a, c):
+    # a cancels whole against a^-1 c, and so does c a^-1 against a,
+    # unless c's own end cancels with a too
+    b = naive_reduce(ops.invert(a) + c)
+    assert ops.concat(a, b) == ref_concat(a, b) == naive_reduce(a + b)
+    d = naive_reduce(c + ops.invert(a))
+    assert ops.concat(d, a) == ref_concat(d, a) == naive_reduce(d + a)
+    assert ops.concat(a, ops.invert(a)) == ops.concat(ops.invert(a), a) == b""
+    assert ops.concat(a, b"") == ops.concat(b"", a) == a
+    assert ops.concat(b"", b"") == b""
+
+
 @given(reduced, reduced, st.data())
 def test_insert_reduce_is_reduced_insertion(w, v, data):
     p = data.draw(st.integers(0, len(w)))
