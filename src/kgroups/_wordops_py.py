@@ -24,10 +24,7 @@ words in O(1) Python steps: the kernel rewriter resumes its commutator
 collection there, and cancels a telescoped conjugator pair
 `invert(p) * c` by cutting their common prefix off both.  `concat` counts
 a long cancelled seam the same way, with one XOR, once its letter loop
-has cancelled `_SEAM_LOOP` letters: a null expression's telescoped
-conjugators meet in seams of tens to hundreds of letters, while the area
-search and the ball steps cancel a few letters at most, where the loop
-is cheaper.
+has cancelled `_SEAM_LOOP` letters.
 """
 
 from __future__ import annotations
@@ -62,9 +59,14 @@ def exponent_sums(data: bytes, gens: Iterable[int]) -> List[int]:
 
 
 # cancelled letters after which concat stops walking a seam letter by
-# letter and counts the rest with one XOR, which costs about as much as a
-# dozen steps of the loop (about 1 us against 80 ns a letter)
-_SEAM_LOOP = 12
+# letter and counts the rest with one XOR.  The XOR costs about 11 steps of
+# the loop, so a seam of s >= _SEAM_LOOP letters gains s - _SEAM_LOOP - 11
+# steps.  Over one round of each perfbench workload the area search and
+# the ball steps never cancel more than 4 letters, while 91% of certify's
+# seams of 2 or more letters run 12 to 64 letters (n <= 32); on certify's
+# calls concat's time falls as the switch moves down from 32 to 5, and 8
+# keeps the loop on seams twice as long as the other workloads make.
+_SEAM_LOOP = 8
 
 
 def concat(a: bytes, b: bytes) -> bytes:
@@ -72,11 +74,11 @@ def concat(a: bytes, b: bytes) -> bytes:
 
     A seam that does not cancel is one test.  Short seams, which the area
     search and the ball steps make, are walked letter by letter.  A seam
-    still cancelling after _SEAM_LOOP letters (a telescoped conjugator
-    pair) is finished as in common_prefix: read the rest of a's end
-    backwards (little-endian) and b's next letters, each flipped, forwards
-    (big-endian) as integers; the letters cancel exactly as far as the
-    bytes agree, so the XOR's byte length is what is left of the window.
+    still cancelling after _SEAM_LOOP letters (in certify, a telescoped
+    conjugator pair) is finished as in common_prefix: read the rest of a's
+    end backwards (little-endian) and b's next letters, each flipped,
+    forwards (big-endian) as integers; the letters cancel exactly as far as
+    the bytes agree, so the XOR's byte length is what is left of the window.
     """
     if not (a and b and (a[-1] ^ b[0]) == 1):
         return a + b

@@ -240,7 +240,7 @@ def cmd_distortion(args) -> _Outcome:
 
 # certify's report grows like n^2 (it prints a kernel word of about 3n^2
 # symbols and n^2 conjugated relators): n = 256 prints 9.5 MB, takes
-# 3-5 s and peaks at 125 MB on a 2-vCPU VM, so larger n is refused
+# 3-5 s and peaks at 125-127 MB on a 2-vCPU VM, so larger n is refused
 _CERTIFY_MAX_N = 256
 
 

@@ -11,8 +11,10 @@ strings and ints that sit in a container inline.  It keeps json's rules:
 * dict items sorted as ``sorted(d.items())``, so keys of mixed types raise
   the same TypeError, then float, bool, None and int keys converted to
   strings;
-* TypeError for a value or key json cannot write, and ValueError for a
-  container that contains itself.
+* TypeError for a value or key json cannot write.
+
+Unlike json it does not look for a container that contains itself: its
+callers write freshly built payloads.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ def _key(k) -> str:
                     % k.__class__.__name__)
 
 
-def _write(o, out: list, nl: str, open_ids: set) -> None:
+def _write(o, out: list, nl: str) -> None:
     """Append o's text to out; nl is a newline and o's indent."""
     if isinstance(o, str):
         out.append(_quote(o))
@@ -63,22 +65,18 @@ def _write(o, out: list, nl: str, open_ids: set) -> None:
     elif isinstance(o, float):
         out.append(_floatstr(o))
     elif isinstance(o, (list, tuple)):
-        _write_list(o, out, nl, open_ids)
+        _write_list(o, out, nl)
     elif isinstance(o, dict):
-        _write_dict(o, out, nl, open_ids)
+        _write_dict(o, out, nl)
     else:
         raise TypeError("Object of type %s is not JSON serializable"
                         % o.__class__.__name__)
 
 
-def _write_list(o, out: list, nl: str, open_ids: set) -> None:
+def _write_list(o, out: list, nl: str) -> None:
     if not o:
         out.append("[]")
         return
-    i = id(o)
-    if i in open_ids:
-        raise ValueError("Circular reference detected")
-    open_ids.add(i)
     inner = nl + "  "
     sep, comma = "[" + inner, "," + inner
     for v in o:
@@ -90,22 +88,17 @@ def _write_list(o, out: list, nl: str, open_ids: set) -> None:
         else:
             out.append(sep)
             if t is dict:
-                _write_dict(v, out, inner, open_ids)
+                _write_dict(v, out, inner)
             else:
-                _write(v, out, inner, open_ids)
+                _write(v, out, inner)
         sep = comma
     out.append(nl + "]")
-    open_ids.discard(i)
 
 
-def _write_dict(o, out: list, nl: str, open_ids: set) -> None:
+def _write_dict(o, out: list, nl: str) -> None:
     if not o:
         out.append("{}")
         return
-    i = id(o)
-    if i in open_ids:
-        raise ValueError("Circular reference detected")
-    open_ids.add(i)
     inner = nl + "  "
     sep, comma = "{" + inner, "," + inner
     for k, v in sorted(o.items()):
@@ -119,16 +112,15 @@ def _write_dict(o, out: list, nl: str, open_ids: set) -> None:
         else:
             out.append(f"{sep}{_quote(k)}: ")
             if t is list:
-                _write_list(v, out, inner, open_ids)
+                _write_list(v, out, inner)
             else:
-                _write(v, out, inner, open_ids)
+                _write(v, out, inner)
         sep = comma
     out.append(nl + "}")
-    open_ids.discard(i)
 
 
 def dumps(obj) -> str:
     """Exactly ``json.dumps(obj, sort_keys=True, indent=2)``."""
     out: list = []
-    _write(obj, out, "\n", set())
+    _write(obj, out, "\n")
     return "".join(out)
