@@ -11,7 +11,9 @@ perfbench's tracer swaps that name for a timing handle in `words`,
 
 `exponent_sums(data, gens)` is the package's one exponent-sum count:
 membership, the splitting predicates, the commutator collector and the
-area search's linear terms all read it.
+area search's linear terms all read it.  `cyclic_reduce(data)` is the
+package's one cyclic reduction: `dehn`'s word classes and the toy
+amalgam's edge-power lengths both start from it.
 
 `two_sided_step(u, w)` builds the map x -> u * x * w for fixed words u
 and w, so a caller that multiplies by the same words many times (the
@@ -93,6 +95,13 @@ def concat(a: bytes, b: bytes) -> bytes:
             k = n - (x.bit_length() + 7) // 8
             return a[:i - k] + b[j + k:]
     return a[:i] + b[j:]
+
+
+def cyclic_reduce(data: bytes) -> bytes:
+    """Strip the first and last letters while they cancel each other."""
+    while len(data) >= 2 and (data[0] ^ data[-1]) == 1:
+        data = data[1:-1]
+    return data
 
 
 def common_prefix(a: bytes, b: bytes) -> int:

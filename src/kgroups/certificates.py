@@ -20,7 +20,7 @@ and the hash of its inputs, so the output bytes are reproducible.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from . import _wordops_py as ops, jsonout
 from .words import (FreeGroup, Word, commutator, inv, mul, parse_word,
@@ -31,8 +31,9 @@ from .kernels import (GenWord, GeneratingSet, KernelGroup, ProductElement,
 from .metrics import _ball_search, ball_key, distance, h_family
 from .presentations import (DEFAULT_NODE_CAP, AreaResult, CertificateError,
                             Evaluation, NullExpression, Presentation,
-                            _canonical_class, area_search,
-                            verify_lower_bound, verify_null_expression)
+                            area_search, parse_presentation,
+                            verify_lower_bound, verify_null_expression,
+                            with_abelian_evaluation)
 
 
 # The interpreter's builtin SHA-256, as `random` takes its SHA-512: hashlib
@@ -63,8 +64,7 @@ def _evidence(verifier: str, inputs: dict, details: dict) -> dict:
 
 def pair_presentation() -> Presentation:
     """``< x, y | [x,y] >`` with its free-abelian evaluation oracle."""
-    return Presentation(("x", "y"), ("[x,y]",),
-                        Evaluation([(1, 0), (0, 1)]))
+    return with_abelian_evaluation(parse_presentation("< x, y | [x,y] >"))
 
 
 # -- test words ---------------------------------------------------------------
@@ -216,31 +216,29 @@ class AmalgamScenario:
     """Two vertex groups glued along a cyclic edge subgroup, with checks.
 
     The presentation's alphabet splits into two vertex-side letter sets
-    and the edge letters; every edge letter carries one relator writing
-    it as a word over each side.  The distinguished words w, u live on
-    the first side, v on the second; h is the evaluation of w and must
-    lie in the edge subgroup, while u and v must evaluate outside it and
-    commute with h.
+    and the one edge letter, which generates the edge subgroup and
+    carries one relator writing it as a word over each side.  The
+    distinguished words w, u live on the first side, v on the second; h
+    is the evaluation of w and must lie in the edge subgroup, while u and
+    v must evaluate outside it and commute with h.
     """
 
     def __init__(self, presentation: Presentation, side1: Sequence[str],
-                 side2: Sequence[str], edge: Sequence[str],
-                 w: Word, u: Word, v: Word, edge_generator: str):
+                 side2: Sequence[str], edge: str,
+                 w: Word, u: Word, v: Word):
         self.presentation = presentation
         self.side1 = tuple(side1)
         self.side2 = tuple(side2)
-        self.edge = tuple(edge)
+        self.edge = edge
         self.w = w
         self.u = u
         self.v = v
-        self.edge_generator = edge_generator
         ev = presentation.evaluation
         if ev is None or ev.kind != "product":
             raise ValueError("scenario needs a faithful product evaluation")
-        self.edge_element = self._eval(parse_word(presentation.group,
-                                                  edge_generator))
+        self.edge_element = self._eval(parse_word(presentation.group, edge))
         # the cyclically reduced length of the edge (subgroup_power)
-        self._core = sum(len(_canonical_class(e.data))
+        self._core = sum(len(ops.cyclic_reduce(e.data))
                          for e in self.edge_element.factors)
         self.h = self._eval(w)
 
@@ -272,7 +270,7 @@ class AmalgamScenario:
             return "1"
         if name in self.side2:
             return "2"
-        if name in self.edge:
+        if name == self.edge:
             return "e"
         raise ValueError(f"symbol {name!r} belongs to no side")
 
@@ -283,10 +281,10 @@ class AmalgamScenario:
     def validate(self) -> None:
         """Check every structural hypothesis; raise naming the first failure."""
         names = self.presentation.group.names
-        if set(self.side1) | set(self.side2) | set(self.edge) != set(names) or \
-                len(self.side1) + len(self.side2) + len(self.edge) != len(names):
+        if set(self.side1) | set(self.side2) | {self.edge} != set(names) or \
+                len(self.side1) + len(self.side2) + 1 != len(names):
             raise ValueError("sides and edge must partition the alphabet")
-        covered: Dict[str, set] = {b: set() for b in self.edge}
+        covered = set()
         for rel in self.presentation.relators:
             sides = self._word_sides(rel)
             if sides <= {"1"} or sides <= {"2"}:
@@ -294,16 +292,15 @@ class AmalgamScenario:
             first_j, first_s = rel.letters[0]
             bname = names[first_j - 1]
             rest = {self._side_of(names[j - 1]) for j, _ in rel.letters[1:]}
-            if bname not in self.edge or first_s != 1 or len(rest) != 1 or \
+            if bname != self.edge or first_s != 1 or len(rest) != 1 or \
                     rest <= {"e"}:
                 raise ValueError(
                     f"relator {to_text(rel)} is neither vertex-sided nor"
                     " edge-letter times an inverse one-side word")
-            covered[bname].add(rest.pop())
-        for b, sides in covered.items():
-            if sides != {"1", "2"}:
-                raise ValueError(f"edge letter {b!r} needs a defining relator"
-                                 " over each side")
+            covered.add(rest.pop())
+        if covered != {"1", "2"}:
+            raise ValueError(f"edge letter {self.edge!r} needs a defining"
+                             " relator over each side")
         if not self._word_sides(self.w) <= {"1"}:
             raise ValueError("w must be a word over the first side")
         if not self._word_sides(self.u) <= {"1"}:
@@ -347,7 +344,7 @@ def toy_scenario(k: int = 1) -> AmalgamScenario:
     w = parse_word(P.group, "(a^-1 c)^%d" % k)
     u = parse_word(P.group, "a")
     v = parse_word(P.group, "b")
-    return AmalgamScenario(P, ("a", "c"), ("b", "d"), ("s",), w, u, v, "s")
+    return AmalgamScenario(P, ("a", "c"), ("b", "d"), "s", w, u, v)
 
 
 class ToyAmalgamReport(NamedTuple):

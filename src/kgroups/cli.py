@@ -32,9 +32,8 @@ from .abelian import FactorHom, ab_image, normalize_basis
 from .kernels import (KernelGroup, ProductElement, contains,
                       rewrite_in_generators, standard_generators, theta)
 from .splitting import SplittingData, reassemble, syllable_form
-from .presentations import (DEFAULT_LEN_CAP_FACTOR, DEFAULT_NODE_CAP,
-                            area_search, dehn_function, parse_presentation,
-                            with_abelian_evaluation)
+from .presentations import (DEFAULT_NODE_CAP, area_search, dehn_function,
+                            parse_presentation, with_abelian_evaluation)
 from .metrics import (_check_h_index, ambient_length, distance,
                       distortion_table, h_family)
 from .certificates import (CertificateError, lower_bound_report,
@@ -90,7 +89,7 @@ Rows = Tuple[Sequence[str], List[Sequence[object]]]
 
 
 def _cell(value) -> str:
-    if isinstance(value, (str, int, float, bool)) or value is None:
+    if isinstance(value, (str, int)) or value is None:
         return str(value)
     return json.dumps(value, sort_keys=True)
 
@@ -185,8 +184,7 @@ def cmd_split(args) -> _Outcome:
 def cmd_area(args) -> _Outcome:
     P = parse_presentation(args.presentation)
     w = P.word(args.word)
-    res = area_search(P, w, node_cap=args.node_cap,
-                      len_cap_factor=args.len_cap_factor)
+    res = area_search(P, w, node_cap=args.node_cap)
     payload = {"presentation": P.to_text(), "word": to_text(w)}
     payload.update(res.to_json())
     if res.status == "exact":
@@ -200,8 +198,7 @@ def cmd_area(args) -> _Outcome:
 
 def cmd_dehn(args) -> _Outcome:
     P = with_abelian_evaluation(parse_presentation(args.presentation))
-    res = dehn_function(P, args.n, node_cap=args.node_cap,
-                        len_cap_factor=args.len_cap_factor)
+    res = dehn_function(P, args.n, node_cap=args.node_cap)
     payload = {"presentation": P.to_text()}
     payload.update(res.to_json())
     return _Outcome(payload, EXIT_OK if res.exact else EXIT_INCONCLUSIVE)
@@ -271,9 +268,6 @@ _BUDGETS = {
                  "search node budget; it also sets the push cap to 8 times"
                  " this value, and the push cap is often the budget that"
                  " stops a search"),
-    "len_cap_factor": ("--len-cap-factor", DEFAULT_LEN_CAP_FACTOR, 1,
-                       "intermediate words may exceed the input by this"
-                       " many relator lengths"),
     "radius": ("--radius", 6, 0, "ball radius for subgroup-metric searches"),
 }
 
@@ -327,8 +321,7 @@ def build_parser() -> _ArgParser:
     p.add_argument("--element", required=True)
 
     p = _command(sub, "area", cmd_area,
-                 "minimal-area null expression for a word",
-                 "node_cap", "len_cap_factor")
+                 "minimal-area null expression for a word", "node_cap")
     p.add_argument("--presentation", required=True,
                    help='e.g. "< x, y | [x,y] >"')
     p.add_argument("--word", required=True)
@@ -336,8 +329,7 @@ def build_parser() -> _ArgParser:
     p = _command(sub, "dehn", cmd_dehn,
                  "max area over null-homotopic words of bounded length,"
                  " for a presentation of Z^rank, one search per symmetry"
-                 " orbit",
-                 "node_cap", "len_cap_factor")
+                 " orbit", "node_cap")
     p.add_argument("--presentation", required=True,
                    help="a presentation of Z^rank: every commutator"
                         " [e_i,e_j] must be a relator, and every relator"

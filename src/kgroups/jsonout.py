@@ -3,15 +3,14 @@
 With an indent, json steps past its C encoder and builds the text from
 nested pure-Python generators, one yield per token.  `dumps` walks the
 value once instead, appending one piece per item to a list, and writes
-strings and ints that sit in a container inline.  It keeps json's rules:
+strings and ints that sit in a container inline.
 
-* the same type tests in the same order (str, None, True, False, int,
-  float, list or tuple, dict), int.__repr__ and float.__repr__ for
-  subclasses, NaN and the infinities spelled as json spells them;
-* dict items sorted as ``sorted(d.items())``, so keys of mixed types raise
-  the same TypeError, then float, bool, None and int keys converted to
-  strings;
-* TypeError for a value or key json cannot write.
+It writes only what the CLI's payloads hold: str, None, bool, int (by
+int.__repr__, so subclasses print as json prints them), lists, and dicts
+with str keys, their items sorted as ``sorted(d.items())``.  A float, a
+tuple or any other value raises TypeError, and so does a key that is not
+a str, where json would convert it: no payload holds one, and a test
+over every subcommand's JSON output keeps it so.
 
 Unlike json it does not look for a container that contains itself: its
 callers write freshly built payloads.
@@ -20,34 +19,6 @@ callers write freshly built payloads.
 from __future__ import annotations
 
 from json.encoder import encode_basestring_ascii as _quote
-
-_INF = float("inf")
-
-
-def _floatstr(o: float) -> str:
-    if o != o:
-        return "NaN"
-    if o == _INF:
-        return "Infinity"
-    if o == -_INF:
-        return "-Infinity"
-    return float.__repr__(o)
-
-
-def _key(k) -> str:
-    """A non-str dict key as json converts it."""
-    if isinstance(k, float):
-        return _floatstr(k)
-    if k is True:
-        return "true"
-    if k is False:
-        return "false"
-    if k is None:
-        return "null"
-    if isinstance(k, int):
-        return int.__repr__(k)
-    raise TypeError("keys must be str, int, float, bool or None, not %s"
-                    % k.__class__.__name__)
 
 
 def _write(o, out: list, nl: str) -> None:
@@ -62,9 +33,7 @@ def _write(o, out: list, nl: str) -> None:
         out.append("false")
     elif isinstance(o, int):
         out.append(int.__repr__(o))
-    elif isinstance(o, float):
-        out.append(_floatstr(o))
-    elif isinstance(o, (list, tuple)):
+    elif isinstance(o, list):
         _write_list(o, out, nl)
     elif isinstance(o, dict):
         _write_dict(o, out, nl)
@@ -102,8 +71,6 @@ def _write_dict(o, out: list, nl: str) -> None:
     inner = nl + "  "
     sep, comma = "{" + inner, "," + inner
     for k, v in sorted(o.items()):
-        if not isinstance(k, str):
-            k = _key(k)
         t = type(v)
         if t is str:
             out.append(f"{sep}{_quote(k)}: {_quote(v)}")

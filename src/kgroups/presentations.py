@@ -4,8 +4,9 @@ Area of a null-homotopic word w: the least T such that w is freely equal
 to a product of T conjugated relators.  The search inserts relator
 variants into reduced words (areasearch module); exactness holds within a
 documented completeness regime: intermediate words are capped at
-|w| + len_cap_factor * (longest relator), and the optimum is only claimed
-for expressions whose intermediate products stay under that cap.
+|w| + DEFAULT_LEN_CAP_FACTOR * (longest relator), that is 4 relator
+lengths past the input, and the optimum is only claimed for expressions
+whose intermediate products stay under that cap.
 
 Null-homotopy itself is decided through an attached evaluation into a
 concrete group (a product of free groups, or free abelian) that the
@@ -484,7 +485,6 @@ class AreaResult(NamedTuple):
 
 
 def area_search(P: Presentation, w: Word, *, node_cap: int = DEFAULT_NODE_CAP,
-                len_cap_factor: int = DEFAULT_LEN_CAP_FACTOR,
                 stop_at_bound: Optional[int] = None) -> AreaResult:
     """Minimal-area search for a null expression of w.
 
@@ -509,10 +509,10 @@ def area_search(P: Presentation, w: Word, *, node_cap: int = DEFAULT_NODE_CAP,
         raise ValueError("word is not null-homotopic")
     variants, meta = _variants(P)
     maxlen = max((len(v) for v in variants), default=0)
-    len_cap = len(w.data) + len_cap_factor * maxlen
+    len_cap = len(w.data) + DEFAULT_LEN_CAP_FACTOR * maxlen
     push_cap = 8 * node_cap
     caps = {"node_cap": node_cap, "push_cap": push_cap, "len_cap": len_cap,
-            "len_cap_factor": len_cap_factor}
+            "len_cap_factor": DEFAULT_LEN_CAP_FACTOR}
 
     heur, h0, lb_witness, obstruction = _root_bound(P, variants, w.data)
     if heur is None:
@@ -609,8 +609,7 @@ def _canonical_class(data: bytes) -> bytes:
     letter, or inverting all its items, is again a null expression of the
     same length), so one representative per class suffices.
     """
-    while len(data) >= 2 and (data[0] ^ data[-1]) == 1:
-        data = data[1:-1]
+    data = ops.cyclic_reduce(data)
     best = None
     for form in (data, ops.invert(data)):
         for t in range(max(len(form), 1)):
@@ -676,8 +675,8 @@ def _null_classes(P: Presentation, n: int) -> List[Word]:
     return [Word(P.group, d) for d in sorted(reps, key=lambda d: (len(d), d))]
 
 
-def dehn_function(P: Presentation, n: int, *, node_cap: int = DEFAULT_NODE_CAP,
-                  len_cap_factor: int = DEFAULT_LEN_CAP_FACTOR) -> DehnResult:
+def dehn_function(P: Presentation, n: int, *,
+                  node_cap: int = DEFAULT_NODE_CAP) -> DehnResult:
     """max Area(w) over null-homotopic |w| <= n, by exhaustive enumeration.
 
     Exact only when every inner search came back exact; any exhaustion
@@ -701,8 +700,7 @@ def dehn_function(P: Presentation, n: int, *, node_cap: int = DEFAULT_NODE_CAP,
     results: Dict[bytes, AreaResult] = {}
     for w in words:
         if w.data not in results:
-            res = area_search(P, w, node_cap=node_cap,
-                              len_cap_factor=len_cap_factor)
+            res = area_search(P, w, node_cap=node_cap)
             for t in tables:
                 results[_canonical_class(w.data.translate(t))] = res
     value, exact, witness = 0, True, None

@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from itertools import permutations, product
 from typing import (Iterable, Iterator, List, Mapping, Optional, Sequence,
-                    Tuple, Union)
+                    Tuple)
 
 from . import _wordops_py as ops
 
@@ -143,30 +143,19 @@ def _check_same_group(u: Word, v: Word):
             f"rank mismatch: {u.group.rank} vs {v.group.rank}")
 
 
-def _encode(group: FreeGroup, letters: Iterable[Union[Letter, int]]) -> bytes:
+def reduce(group: FreeGroup, letters: Iterable[Letter]) -> Word:
+    """Freely reduce a raw sequence of (index, sign) letters.
+
+    Idempotent: reducing a Word's letters gives the word back.
+    """
     raw = bytearray()
-    for item in letters:
-        if isinstance(item, int):
-            j, sign = abs(item), (1 if item > 0 else -1)
-            if item == 0:
-                raise ValueError("0 is not a signed generator index")
-        else:
-            j, sign = item
+    for j, sign in letters:
         if not 1 <= j <= group.rank:
             raise ValueError(f"generator index {j} out of rank {group.rank}")
         if sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {sign}")
         raw.append(2 * (j - 1) + (0 if sign == 1 else 1))
-    return bytes(raw)
-
-
-def reduce(group: FreeGroup, letters: Iterable[Union[Letter, int]]) -> Word:
-    """Freely reduce a raw letter sequence.
-
-    Letters may be (index, sign) pairs or signed integers (+j / -j).
-    Idempotent: reducing a Word's letters gives the word back.
-    """
-    return Word(group, ops.free_reduce(_encode(group, letters)))
+    return Word(group, ops.free_reduce(bytes(raw)))
 
 
 def mul(u: Word, v: Word) -> Word:

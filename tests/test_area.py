@@ -326,6 +326,33 @@ def test_dehn_above_rank_four_searches_every_class(monkeypatch):
     assert (got.value, got.exact, got.classes_searched) == (1, True, 10)
 
 
+# a small node cap leaves some searches exhausted: the value is then the
+# largest exact area or exhausted lower bound, and neither exact nor
+# unconditional.  Over Z^3 an exact search attains it; in the second
+# case only an exhausted one does
+@pytest.mark.parametrize("text,n,cap,value,witness,classes", [
+    ("< a, b, c | [a,b], [b,c], [a,c] >", 8, 1, 5,
+     "a^2 b c a^-2 b^-1 c^-1", 313),
+    ("< x, y | [x,y], [x^2,y^2] >", 6, 30, 2, "x^2 y x^-2 y^-1", 3)])
+def test_dehn_with_an_exhausted_search_reports_a_lower_bound(
+        monkeypatch, text, n, cap, value, witness, classes):
+    P = with_abelian_evaluation(parse_presentation(text))
+    results = []
+
+    def spy(P, w, **caps):
+        results.append(area_search(P, w, **caps))
+        return results[-1]
+
+    monkeypatch.setattr(presentations, "area_search", spy)
+    got = dehn_function(P, n, node_cap=cap)
+    assert {r.status for r in results} == {"exact", "exhausted"}
+    assert got.value == max(r.area if r.status == "exact" else r.lower_bound
+                            for r in results) == value
+    assert (got.exact, got.unconditional, got.classes_searched) == \
+        (False, False, classes)
+    assert to_text(got.witness) == witness
+
+
 def _null_classes_by_evaluation(P, n):
     """The null classes found by evaluating every prefix from scratch."""
     reps = set()

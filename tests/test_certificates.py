@@ -188,8 +188,8 @@ class TestToyScenario:
         images = [ProductElement([F.word(a), F.word(b)])
                   for a, b in (("x", "1"), ("1", "x"), ("x y x^-1", "1"))]
         P = Presentation(("a", "b", "s"), [], Evaluation(images))
-        scen = AmalgamScenario(P, ("a",), ("b",), ("s",), P.word("s"),
-                               P.word("a"), P.word("b"), "s")
+        scen = AmalgamScenario(P, ("a",), ("b",), "s", P.word("s"),
+                               P.word("a"), P.word("b"))
         for j in range(-3, 4):
             assert scen.subgroup_power(scen._eval(P.word("s^%d" % j))) == j
         for text in ("a", "b", "a s^2", "a^-1 s a", "s b", "s^2 a s^-2"):
@@ -203,12 +203,12 @@ class TestToyScenario:
     def test_rejects_malformed_scenarios(self):
         scen = toy_scenario(1)
         bad = AmalgamScenario(scen.presentation, ("a", "c"), ("b", "d"),
-                              ("s",), scen.w, scen.u,
-                              scen.presentation.word("b^-1 d"), "s")
+                              "s", scen.w, scen.u,
+                              scen.presentation.word("b^-1 d"))
         with pytest.raises(ValueError, match="outside the edge"):
             bad.validate()  # b^-1 d evaluates to the edge generator itself
         sideless = AmalgamScenario(scen.presentation, ("a", "c", "b", "d"),
-                                   (), ("s",), scen.w, scen.u, scen.v, "s")
+                                   (), "s", scen.w, scen.u, scen.v)
         with pytest.raises(ValueError, match="each side"):
             sideless.validate()
 

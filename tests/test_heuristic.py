@@ -10,7 +10,10 @@ relator.  `plane_value` is the package's one z_L loop; the rows suffice
 because z_L is bilinear in L, which is tested here too.
 """
 
+import math
+import operator
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -242,3 +245,40 @@ def test_a_conserved_term_zero_on_the_word_is_dropped():
     assert res.stop_reason == "greedy probe matched the heuristic lower bound"
     assert not res.regime_empty and res.nodes == 0
 
+
+
+def rational_rank(rows):
+    """The rank over Q of a list of integer rows, by Fraction elimination."""
+    m = [[Fraction(v) for v in r] for r in rows]
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        p = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        m[rank], m[p] = m[p], m[rank]
+        for i in range(len(m)):
+            if i != rank and m[i][c]:
+                f = m[i][c] / m[rank][c]
+                m[i] = [u - f * v for u, v in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def test_kernel_basis_spans_the_rational_kernel_with_primitive_vectors():
+    # every abelianization obstruction rests on this basis; rows repeat
+    # and combine often, so the elimination's row combinations run
+    rng = random.Random(34)
+    for _ in range(2000):
+        rank = rng.randint(1, 6)
+        span = rng.choice((1, 2, 5))
+        rows = [[rng.randint(-span, span) for _ in range(rank)]
+                for _ in range(rng.randint(0, 5))]
+        if rows and rng.random() < 0.3:
+            a, b = rng.choice(rows), rng.choice(rows)
+            rows.append([2 * u - 3 * v for u, v in zip(a, b)])
+        basis = _kernel_basis(rows, rank)
+        assert all(len(v) == rank and math.gcd(*v) == 1 for v in basis)
+        assert all(sum(map(operator.mul, v, r)) == 0
+                   for v in basis for r in rows)
+        assert len(basis) == rank - rational_rank(rows)
+        assert rational_rank(basis) == len(basis)

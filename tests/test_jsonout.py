@@ -1,9 +1,11 @@
 """`jsonout.dumps` against `json.dumps(v, sort_keys=True, indent=2)`.
 
 The CLI's JSON output and `CertificateReport.to_bytes` go through the
-writer, so it must give json's text on every value json writes, and raise
-the same TypeError with the same message on every value json refuses for
-its type.
+writer, so it must give json's text on every value built from str, int,
+bool, None, lists and str-keyed dicts, and raise the same error with the
+same message on every value json refuses.  Floats, tuples and non-str
+keys, which json writes, are outside what the writer takes: it raises
+TypeError on them.
 """
 
 import enum
@@ -29,22 +31,13 @@ def reference(value):
 # every code point, surrogates and control characters included
 texts = st.text(st.characters(exclude_categories=()), max_size=12)
 scalars = st.one_of(
-    texts, st.booleans(), st.none(), st.floats(),
+    texts, st.booleans(), st.none(),
     st.integers(), st.integers(-10 ** 80, 10 ** 80))
-# json turns float, int, bool and None keys into strings; keys of mixed
-# types fail json's sort
-keys = st.one_of(texts, st.integers(), st.floats(), st.booleans(), st.none())
 values = st.recursive(
     scalars,
     lambda inner: st.one_of(
         st.lists(inner, max_size=5),
-        st.lists(inner, max_size=5).map(tuple),
-        st.dictionaries(texts, inner, max_size=5),
-        st.dictionaries(st.integers(), inner, max_size=4),
-        st.dictionaries(st.floats(), inner, max_size=4),
-        st.dictionaries(st.booleans(), inner, max_size=2),
-        st.dictionaries(st.none(), inner, max_size=1),
-        st.dictionaries(keys, inner, max_size=3)),
+        st.dictionaries(texts, inner, max_size=5)),
     max_leaves=30)
 
 
@@ -52,13 +45,6 @@ values = st.recursive(
 @given(values)
 def test_dumps_matches_json(value):
     assert outcome(jsonout.dumps, value) == outcome(reference, value)
-
-
-def test_special_floats_as_values_and_keys():
-    specials = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0,
-                1e300, 5e-324, 0.1]
-    value = {"floats": specials, "keys": [{f: f} for f in specials]}
-    assert jsonout.dumps(value) == reference(value)
 
 
 class Colour(enum.IntEnum):
@@ -70,24 +56,26 @@ class Name(str):
         return "not this"
 
 
-class Ratio(float):
-    def __repr__(self):
-        return "not this"
-
-
 def test_subclasses_print_as_their_base_type():
-    value = {Name("k"): [Colour.RED, Name("v"), Ratio(0.5)],
-             "n": {Colour.RED: True}}
+    value = {Name("k"): [Colour.RED, Name("v")], "n": {"c": Colour.RED}}
     assert jsonout.dumps(value) == reference(value)
 
 
 def test_unwritable_values_raise_what_json_raises():
     for value in (object(), {1, 2}, b"bytes", [1, {"a": object()}],
-                  {(1, 2): 3}, {1: "a", "b": 2}, {"a": [{None: 1, 2: 3}]},
-                  10 ** 5000):
+                  {1: "a", "b": 2}, {"a": [{None: 1, 2: 3}]}, 10 ** 5000):
         got = outcome(jsonout.dumps, value)
         assert got == outcome(reference, value)
         assert isinstance(got, tuple)
+
+
+def test_floats_tuples_and_non_str_keys_raise_type_error():
+    values = [0.5, float("nan"), -0.0, (), (1, "a")]
+    keys = [1, 0.5, True, False, None, (1, 2), Colour.RED]
+    for value in (values + [[v] for v in values]
+                  + [{"a": v} for v in values]
+                  + [{k: v} for k in keys for v in ("s", 1, [], {}, None)]):
+        assert outcome(jsonout.dumps, value)[0] is TypeError, value
 
 
 def test_certificate_report_bytes_match_json():

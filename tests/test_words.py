@@ -384,3 +384,13 @@ def test_exponent_sums_match_a_per_letter_count(case):
         want[b // 2] += -1 if b % 2 else 1
     assert ops.exponent_sums(bytes(data), range(rank)) == want
     assert ops.exponent_sums(bytes(data), [rank - 1, 0]) == [want[-1], want[0]]
+
+
+@given(words(3))
+def test_cyclic_reduce_strips_cancelling_ends(w):
+    d = w.data
+    r = ops.cyclic_reduce(d)
+    k = (len(d) - len(r)) // 2
+    assert r == d[k:len(d) - k]
+    assert ops.invert(d[:k]) == d[len(d) - k:]
+    assert len(r) < 2 or r[0] ^ r[-1] != 1
