@@ -18,7 +18,10 @@ node's parent, whose result it has already seen.  Equality of states is
 componentwise free equality, which is exact and cheap, so no quotient
 trickery is needed.  One breadth-first core, ``_Side.expand`` (one shell,
 stopping at the first new element in a given collection), serves every
-search.
+search.  No search here finds the toy amalgam's edge power:
+``certificates.toy_amalgam_check`` reads it from
+``AmalgamScenario.subgroup_power`` in O(k) steps and memory, so it
+answers at any k.
 
 ``distance`` and ``distortion_table`` meet in the middle (``_meet``): they
 grow a ball around the identity and one around the target, each a shell
@@ -239,7 +242,9 @@ class _Side:
     expanded, so it is not kept.
 
     Each child is one call of its move's step (``_step_plan``) on the
-    parent's key.
+    parent's key.  ``_meet`` runs two sides; ``ball_profile`` and
+    ``_ball_search`` grow one to its radius.  None serves the toy
+    amalgam, whose edge power comes from ``subgroup_power``.
 
     With symmetries (``_symmetries`` of the moves, and ``root`` the
     identity, which they fix), the search stores one element per orbit:
@@ -318,39 +323,26 @@ class _Side:
         self.shells.append(size if syms else len(depths) - seen)
         return None
 
-    def grow(self, stop: Collection[Key]) -> Optional[Key]:
-        """Expand shells up to ``radius``, or until one is empty; stop at
-        the first new element in ``stop`` and return it."""
+    def grow(self) -> None:
+        """Expand shells up to ``radius``, or until one is empty."""
         while self.depth < self.radius and self.frontier:
-            hit = self.expand(stop)
-            if hit is not None:
-                return hit
-        return None
+            self.expand(())
 
 
-def _ball_search(
-    ident: Key,
-    moves: Sequence[Tuple[bytes, ...]],
-    radius: int,
-    targets: Collection[Key] = (),
-) -> Tuple[Dict[Key, int], Optional[int], int]:
+def _ball_search(ident: Key, moves: Sequence[Tuple[bytes, ...]],
+                 radius: int) -> Dict[Key, int]:
     """Breadth-first enumeration of the ball around ``ident``.
 
     States are ball keys (``ball_key``), and ``moves`` are checked and
-    planned by ``_step_plan``.  Returns ``(depths, hit, explored)``:
-    ``depths`` maps every element seen to its exact distance, in discovery
-    order, and ``explored`` is its size.  A search with targets stops at
-    the first of them it meets, so ``depths`` then holds only part of the
-    last shell; ``hit`` is that target's depth, and ``None`` when there are
-    no targets or none lies in the ball.
-    The enumeration is serial and the move order fixed, so outcomes are
-    deterministic.
+    planned by ``_step_plan``.  Returns ``depths``, which maps every
+    element of the ball to its exact distance, in discovery order.  The
+    enumeration is serial and the move order fixed, so outcomes are
+    deterministic.  ``distance_map`` calls it; the toy amalgam's edge
+    power comes from ``subgroup_power`` instead.
     """
     side = _Side(_step_plan(ident, moves, radius), ident, radius)
-    if ident in targets:
-        return side.depths, 0, 1
-    hit = side.grow(targets)
-    return side.depths, None if hit is None else side.depth, len(side.depths)
+    side.grow()
+    return side.depths
 
 
 def _meet(plan: Plan, ident: Key, target: Key, radius: int
@@ -441,7 +433,7 @@ def ball_profile(gens: GeneratingSet, radius: int) -> List[int]:
     ident, moves = _identity_key(gens), _moves(gens)
     side = _Side(_step_plan(ident, moves, radius), ident, radius,
                  _symmetries(moves))
-    side.grow(())
+    side.grow()
     shells = side.shells
     if shells[-1] == 0:
         shells.pop()
@@ -456,7 +448,7 @@ def distance_map(gens: GeneratingSet, radius: int
     for property checks (symmetry, triangle inequality) that need many
     distances at once rather than one target.
     """
-    depths = _ball_search(_identity_key(gens), _moves(gens), radius)[0]
+    depths = _ball_search(_identity_key(gens), _moves(gens), radius)
     return {_key_factors(key): d for key, d in depths.items()}
 
 

@@ -686,8 +686,9 @@ def dehn_function(P: Presentation, n: int, *,
     A signed generator permutation (``signed_permutations``) that maps the
     relator variants (``_variants``) onto themselves maps each insertion
     path to one with the same word lengths, so it keeps the area, within
-    the length cap and without it.  So only the first class of each orbit in (length, bytes)
-    order is searched, and its result stands for the whole orbit.
+    the length cap and without it.  So only the first class of each orbit
+    in (length, bytes) order is searched, and its result stands for the
+    whole orbit.
     """
     if n < 0:
         raise ValueError("n must be at least 0")

@@ -515,7 +515,7 @@ except CertificateError as e:
 else:
     print("accepted")
 metrics.contains = lambda group, g: False
-certificates._ball_search = lambda ident, moves, radius, target: ({}, None, 0)
+certificates.AmalgamScenario.subgroup_power = lambda self, g: None
 for call in (lambda: metrics.h_family(2),
              lambda: certificates.toy_amalgam_check(1, 1)):
     try:

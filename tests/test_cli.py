@@ -372,6 +372,17 @@ def test_certify_refuses_n_past_its_cap_at_once(n):
                                 " like n^2"}
 
 
+def test_toy_amalgam_answers_at_large_k_within_the_memory_limit():
+    # d comes from the scenario's edge power in O(k); a ball search over
+    # keys of length up to k ran out of the 1 GB limit with a MemoryError
+    proc = _run_limited(("toy-amalgam", "--k", "100000", "--n", "1"), 60)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    report = json.loads(proc.stdout)
+    assert (report["subgroup_distance"], report["status"]) == \
+        (100000, "verified-bound")
+
+
 # run in a child with no site packages: the pytest process has loaded the
 # modules this checks for
 _FOOTPRINT = (

@@ -281,25 +281,27 @@ def test_distortion_table_matches_one_search_per_n():
 
 
 def test_edge_power_search_matches_the_product_search():
-    # the toy scenario's search: one move pair, the one-letter edge and its
-    # inverse
+    # the ball of the toy's edge subgroup: one move pair, the one-letter
+    # edge and its inverse
     ident = ball_key(identity_element(2, 2))
-    for k in (1, 2, 3):
+    for k in range(1, 9):
         scen = toy_scenario(k)
         edge = scen.edge_element
         moves = [edge.key(), (~edge).key()]
         ref = _reference_search([edge, ~edge], k + 2)
-        depths, hit, explored = _ball_search(ident, moves, k + 2)
+        depths = _ball_search(ident, moves, k + 2)
         assert [(_key_factors(h), d) for h, d in depths.items()] == list(
             ref.items())
-        assert (hit, explored) == (None, 2 * k + 5)
-        assert _ball_search(ident, moves, k + 2, (ball_key(scen.h),))[1] == k
+        assert len(depths) == 2 * k + 5
+        # the toy reads d from the scenario; the ball search agrees
+        d = depths[ball_key(scen.h)]
+        assert abs(scen.subgroup_power(scen.h)) == k == d
 
 
 def test_ball_search_rejects_moves_without_inverse_pairs():
     ident = ball_key(identity_element(2, 2))
     moves = _moves(B)
-    assert _ball_search(ident, moves, 2)[2] == 37
+    assert len(_ball_search(ident, moves, 2)) == 37
     with pytest.raises(ValueError, match="inverse pairs"):
         _ball_search(ident, moves[:-1], 2)
     # the same six moves, but no longer each next to its inverse
@@ -476,7 +478,7 @@ def test_meet_edge_cases():
     # no moves: the identity's frontier empties at once, with no meeting
     assert _run_meet(ident, [], 5, h1) == (None, 2)
     assert _run_meet(ident, [], 5, ident) == (0, 1)
-    assert _ball_search(ident, [], 5) == ({ident: 0}, None, 1)
+    assert _ball_search(ident, [], 5) == {ident: 0}
 
 
 def test_distance_rejects_moves_without_inverse_pairs(monkeypatch):
@@ -525,7 +527,7 @@ def _unreduced_shells(gens, radius):
     """Shell sizes of the ball as the unreduced ``_ball_search`` stores it."""
     depths = _ball_search(ball_key(identity_element(gens.group.n,
                                                     gens.group.m)),
-                          _moves(gens), radius)[0]
+                          _moves(gens), radius)
     shells = [0] * (max(depths.values()) + 1)
     for d in depths.values():
         shells[d] += 1
@@ -598,9 +600,9 @@ def test_unreduced_ball_memory_per_key():
     ident = ball_key(identity_element(2, 2))
     tracemalloc.start()
     try:
-        depths, hit, explored = _ball_search(ident, _moves(B), 6)
+        depths = _ball_search(ident, _moves(B), 6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (hit, explored, len(depths)) == (None, 23285, 23285)
-    assert peak / explored < 160
+    assert len(depths) == 23285
+    assert peak / len(depths) < 160
