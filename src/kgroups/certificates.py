@@ -34,7 +34,9 @@ from .presentations import (DEFAULT_NODE_CAP, AreaResult, CertificateError,
                             verify_lower_bound, verify_null_expression,
                             with_abelian_evaluation)
 
-# Not called here: perfbench's tracer patches this name on this module.
+# Not called here: perfbench's tracer patches this name on this module.  Its
+# observer still reads the old (depths, hit, explored) tuple, so nothing may
+# call this name until the tracer entry goes (ROADMAP item 7).
 _ball_search = metrics._ball_search
 
 
@@ -280,8 +282,11 @@ class AmalgamScenario:
         names = self.presentation.group.names
         return {self._side_of(names[j - 1]) for j, _ in word.letters}
 
-    def validate(self) -> None:
-        """Check every structural hypothesis; raise naming the first failure."""
+    def validate(self) -> int:
+        """Check every structural hypothesis; raise naming the first failure.
+
+        Returns the j with h = edge^j (``subgroup_power``).
+        """
         names = self.presentation.group.names
         if set(self.side1) | set(self.side2) | {self.edge} != set(names) or \
                 len(self.side1) + len(self.side2) + 1 != len(names):
@@ -309,7 +314,8 @@ class AmalgamScenario:
             raise ValueError("u must be a word over the first side")
         if not self._word_sides(self.v) <= {"2"}:
             raise ValueError("v must be a word over the second side")
-        if self.subgroup_power(self.h) is None:
+        power = self.subgroup_power(self.h)
+        if power is None:
             raise ValueError("w must evaluate into the edge subgroup")
         for label, word in (("u", self.u), ("v", self.v)):
             g = self._eval(word)
@@ -318,6 +324,7 @@ class AmalgamScenario:
                                  " subgroup")
             if g * self.h != self.h * g:
                 raise ValueError(f"{label} must commute with h")
+        return power
 
 
 def toy_scenario(k: int = 1) -> AmalgamScenario:
@@ -377,7 +384,7 @@ def toy_amalgam_check(k: int, n: int, *,
     """Brute-force the inequality Area >= 2n * d(1, h) on the toy scenario.
 
     d is the word length of h over {edge, edge^-1}, read from the scenario
-    that ``validate`` has checked: h = edge^j with j from
+    as ``validate`` checks it: it returns the j with h = edge^j, from
     ``subgroup_power``, which confirms j by evaluating edge^j.  A nonzero
     power exists only when the edge's core length is positive, and then the
     edge has infinite order, so edge^j has word length exactly |j| over
@@ -391,10 +398,8 @@ def toy_amalgam_check(k: int, n: int, *,
     never a refutation.
     """
     scen = toy_scenario(k)
-    scen.validate()
+    d = abs(scen.validate())
     tword = test_word(scen.w, scen.u, scen.v, n)
-
-    d = abs(scen.subgroup_power(scen.h))
     required = 2 * n * d
 
     res = area_search(scen.presentation, tword, node_cap=node_cap,

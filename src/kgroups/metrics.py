@@ -18,10 +18,8 @@ node's parent, whose result it has already seen.  Equality of states is
 componentwise free equality, which is exact and cheap, so no quotient
 trickery is needed.  One breadth-first core, ``_Side.expand`` (one shell,
 stopping at the first new element in a given collection), serves every
-search.  No search here finds the toy amalgam's edge power:
-``certificates.toy_amalgam_check`` reads it from
-``AmalgamScenario.subgroup_power`` in O(k) steps and memory, so it
-answers at any k.
+search; none finds the toy amalgam's edge power, which comes from
+``AmalgamScenario.subgroup_power``.
 
 ``distance`` and ``distortion_table`` meet in the middle (``_meet``): they
 grow a ball around the identity and one around the target, each a shell
@@ -243,8 +241,7 @@ class _Side:
 
     Each child is one call of its move's step (``_step_plan``) on the
     parent's key.  ``_meet`` runs two sides; ``ball_profile`` and
-    ``_ball_search`` grow one to its radius.  None serves the toy
-    amalgam, whose edge power comes from ``subgroup_power``.
+    ``_ball_search`` grow one to its radius.
 
     With symmetries (``_symmetries`` of the moves, and ``root`` the
     identity, which they fix), the search stores one element per orbit:
@@ -337,8 +334,7 @@ def _ball_search(ident: Key, moves: Sequence[Tuple[bytes, ...]],
     planned by ``_step_plan``.  Returns ``depths``, which maps every
     element of the ball to its exact distance, in discovery order.  The
     enumeration is serial and the move order fixed, so outcomes are
-    deterministic.  ``distance_map`` calls it; the toy amalgam's edge
-    power comes from ``subgroup_power`` instead.
+    deterministic.
     """
     side = _Side(_step_plan(ident, moves, radius), ident, radius)
     side.grow()

@@ -29,7 +29,7 @@ def test_docstrings_comments_and_blank_lines_are_not_code():
     assert codelines.count(SOURCE) == (6, 15)
 
 
-def test_the_default_directory_is_the_package(capsys):
-    codelines.main(["codelines.py"])
+def test_main_counts_the_package(capsys):
+    codelines.main()
     code, total = map(int, capsys.readouterr().out.split())
     assert 2000 < code < total

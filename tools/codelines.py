@@ -5,13 +5,12 @@ a newline, an indent or a dedent, outside docstrings (the first string
 statement of a module, class or function).  A token that spans lines,
 such as a triple-quoted string, makes each of its lines a code line.
 
-Usage: python tools/codelines.py [DIR]   (default: src/kgroups)
-Prints the two counts, code lines first, summed over DIR's *.py files.
+Usage: python tools/codelines.py
+Prints the two counts, code lines first, summed over src/kgroups/*.py.
 """
 
 import ast
 import io
-import sys
 import tokenize
 from pathlib import Path
 
@@ -43,15 +42,16 @@ def count(source):
     return len(code - skip), len(source.splitlines())
 
 
-def main(argv):
-    root = Path(argv[1] if len(argv) > 1 else
-                Path(__file__).resolve().parents[1] / "src" / "kgroups")
+ROOT = Path(__file__).resolve().parents[1] / "src" / "kgroups"
+
+
+def main():
     code = total = 0
-    for path in sorted(root.glob("*.py")):
+    for path in sorted(ROOT.glob("*.py")):
         c, t = count(path.read_text(encoding="utf-8"))
         code, total = code + c, total + t
     print(code, total)
 
 
 if __name__ == "__main__":
-    main(sys.argv)
+    main()
