@@ -5,9 +5,9 @@ byte 2*(j-1)+1, so a letter and its inverse differ exactly in the lowest
 bit and `a ^ b == 1` tests cancellation.
 
 This is the package's only word kernel.  `words`, `abelian`, `splitting`,
-`presentations`, `areasearch`, `metrics` and `kernels` import it as `ops`;
-perfbench's tracer swaps that name for a timing handle in `words`,
-`presentations` and `areasearch` only.
+`presentations`, `areasearch`, `metrics`, `kernels` and `certificates`
+import it as `ops`; perfbench's tracer swaps that name for a timing handle
+in `words`, `presentations` and `areasearch` only.
 
 `exponent_sums(data, gens)` is the package's one exponent-sum count:
 membership, the splitting predicates, the commutator collector and the
@@ -21,12 +21,9 @@ Cayley-ball search, one step per move acting on both ends of a key) pays
 for no general seam loop: a single-letter end drops x's end letter or adds
 the letter, and a longer end calls `concat` only when its seam cancels.
 
-`common_prefix(a, b)` is the length of the longest common prefix of two
-words in O(1) Python steps: the kernel rewriter resumes its commutator
-collection there, and cancels a telescoped conjugator pair
-`invert(p) * c` by cutting their common prefix off both.  `concat` counts
-a long cancelled seam the same way, with one XOR, once its letter loop
-has cancelled `_SEAM_LOOP` letters.
+`concat` counts a long cancelled seam, such as the kernel rewriter's
+telescoped conjugator pairs `invert(p) * c`, with one XOR once its letter
+loop has cancelled `_SEAM_LOOP` letters.
 """
 
 from __future__ import annotations
@@ -77,7 +74,7 @@ def concat(a: bytes, b: bytes) -> bytes:
     A seam that does not cancel is one test.  Short seams, which the area
     search and the ball steps make, are walked letter by letter.  A seam
     still cancelling after _SEAM_LOOP letters (in certify, a telescoped
-    conjugator pair) is finished as in common_prefix: read the rest of a's
+    conjugator pair) is finished in O(1) Python steps: read the rest of a's
     end backwards (little-endian) and b's next letters, each flipped,
     forwards (big-endian) as integers; the letters cancel exactly as far as
     the bytes agree, so the XOR's byte length is what is left of the window.
@@ -102,19 +99,6 @@ def cyclic_reduce(data: bytes) -> bytes:
     while len(data) >= 2 and (data[0] ^ data[-1]) == 1:
         data = data[1:-1]
     return data
-
-
-def common_prefix(a: bytes, b: bytes) -> int:
-    """The length of the longest common prefix of a and b.
-
-    Read the first n = min(len(a), len(b)) bytes of each as one big-endian
-    integer: their XOR x has its highest nonzero byte at the first
-    position where they differ, so the prefix is n minus the byte length
-    of x (x == 0 when one is a prefix of the other).
-    """
-    n = min(len(a), len(b))
-    x = int.from_bytes(a[:n], "big") ^ int.from_bytes(b[:n], "big")
-    return n - (x.bit_length() + 7) // 8
 
 
 def two_sided_step(u: bytes, w: bytes) -> Callable[[bytes], bytes]:

@@ -14,12 +14,13 @@ symbols constructively: lift factors 2..n letter by letter, peel the
 above-r letters of the factor-1 residual as conjugates, collect what is
 left into conjugated basic commutators by adjacent transpositions, and
 finally translate the conjugators into kernel symbols.  All of it works on
-reduced bytes (see _wordops_py), and the translation telescopes.  Both
-loops use `_wordops_py.common_prefix`: the collection resumes its scan
-where a swap changed the word (see collect_commutators), and each
-telescoped seam invert(c_k) c_{k+1} cancels by cutting the pair's common
-prefix.  The rewrite of [x^n, y^n], about 3n^2 symbols, then takes
-O(n^2) Python steps (each of its n^2 swaps still copies the word, in C).
+reduced bytes (see _wordops_py), and the translation telescopes.  The
+collection resumes its scan just before the first letter a swap can have
+changed, found by counting the letters the swap cancelled (see
+collect_commutators), and each telescoped seam invert(c_k) c_{k+1}
+cancels in one `concat`.  The rewrite of [x^n, y^n], about 3n^2 symbols,
+then takes O(n^2) Python steps (each of its n^2 swaps still copies the
+word, in C).
 
 Non-standard surjective maps are supported by changing basis in each free
 factor first (see abelian.normalize_basis) and transporting the result.
@@ -384,15 +385,16 @@ def collect_commutators(w: Word, r: int) -> List[Tuple[bytes, int, int, int]]:
 
     Each swap is at the first descent (a pair whose first letter has the
     higher generator), and the scan after it resumes at
-    max(min(k, t) - 1, 0), not at 0, where t is the swap's position and
-    k = common_prefix(old, new).  Proof that it finds the same descent: no
-    pair (s, s+1) of the old word with s < t is a descent, and the new
-    word's pairs with s + 1 < k are old pairs; so the new word has no
-    descent before min(k - 1, t), and the resume point is at or before
-    that.  The min with t matters: when the seam cancels, the new word can
-    agree with the old one past t, where the old word's descents were never
-    scanned.  The swaps and their order, hence the items, are those of a
-    scan from 0.
+    max(t - d // 2 - 1, 0), not at 0, where t is the swap's position and
+    d = len(old) - len(new) counts the cancelled letters.  Proof that it
+    finds the same descent: the new word is old[:t] times b a times the
+    suffix, freely reduced, and every cancelled pair takes at most one
+    letter of old[:t] (the other comes from b a or the suffix), so the
+    new word keeps old[:t - d // 2] as its prefix.  No pair (s, s+1) of
+    the old word with s < t is a descent, and the new word's pairs with
+    s + 1 < t - d // 2 are such old pairs; so the new word has no descent
+    before t - d // 2 - 1, the resume point.  The swaps and their order,
+    hence the items, are those of a scan from 0.
     """
     data = w.data
     if any(c >= 2 * r for c in data):
@@ -411,7 +413,7 @@ def collect_commutators(w: Word, r: int) -> List[Tuple[bytes, int, int, int]]:
                 i, j, sign, c = normalize_basic_commutator(a ^ 1, b ^ 1)
                 emitted.append((ops.concat(ops.invert(suffix), c), i, j, sign))
                 new = ops.concat(ops.concat(cur[:t], bytes((b, a))), suffix)
-                start = max(min(ops.common_prefix(cur, new), t) - 1, 0)
+                start = max(t - (len(cur) - len(new)) // 2 - 1, 0)
                 cur = new
                 break
         else:
@@ -473,10 +475,7 @@ def _rewrite_standard(G: KernelGroup, g: ProductElement) -> List[Tuple[str, int]
     syms: List[Tuple[str, int]] = []
     prev = b""
     for cw, name, sign in items:
-        # concat(invert(prev), cw) cancels exactly the common prefix: past
-        # it the first letters differ, so the seam letters do not cancel
-        k = ops.common_prefix(prev, cw)
-        syms.extend(_conjugator_symbols(G, ops.invert(prev[k:]) + cw[k:]))
+        syms.extend(_conjugator_symbols(G, ops.concat(ops.invert(prev), cw)))
         syms.append((name, sign))
         prev = cw
     syms.extend(_conjugator_symbols(G, ops.invert(prev)))

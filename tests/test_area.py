@@ -540,20 +540,6 @@ def test_corrupted_path_is_rejected_under_optimize():
     assert all(line.startswith("rejected:") for line in lines[:2] + lines[4:])
 
 
-def test_the_package_has_no_assert_statement():
-    # python -O strips assert statements, so no check may live in one
-    pkg = os.path.dirname(kgroups.__file__)
-    names = sorted(n for n in os.listdir(pkg) if n.endswith(".py"))
-    assert "presentations.py" in names
-    found = []
-    for name in names:
-        with open(os.path.join(pkg, name), encoding="utf-8") as fh:
-            tree = ast.parse(fh.read(), name)
-        found += ["%s:%d" % (name, node.lineno) for node in ast.walk(tree)
-                  if isinstance(node, ast.Assert)]
-    assert found == []
-
-
 def test_the_package_imports_no_unused_name():
     # an import nothing reads is dead weight (and hides a stale seam)
     pkg = os.path.dirname(kgroups.__file__)
@@ -575,3 +561,34 @@ def test_the_package_imports_no_unused_name():
                 if bound not in read:
                     unused.append("%s:%s" % (name[:-3], bound))
     assert unused == []
+
+
+def test_every_word_kernel_function_has_a_caller():
+    # a kernel op nothing calls is dead weight: each top-level function of
+    # _wordops_py is read as `ops.name` or imported by name in another
+    # module, or perfbench's tracer looks it up (spans.WORDOPS)
+    pkg = os.path.dirname(kgroups.__file__)
+    spans = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench", "spans.py")
+
+    def parse(path):
+        with open(path, encoding="utf-8") as fh:
+            return ast.parse(fh.read(), path)
+
+    used = set(next(ast.literal_eval(node.value)
+                    for node in parse(spans).body
+                    if isinstance(node, ast.Assign)
+                    and getattr(node.targets[0], "id", None) == "WORDOPS"))
+    kernel = {node.name for node in parse(os.path.join(pkg, "_wordops_py.py")).body
+              if isinstance(node, ast.FunctionDef)}
+    assert "concat" in kernel
+    for name in sorted(os.listdir(pkg)):
+        if not name.endswith(".py") or name == "_wordops_py.py":
+            continue
+        for node in ast.walk(parse(os.path.join(pkg, name))):
+            if isinstance(node, ast.ImportFrom) and node.module == "_wordops_py":
+                used.update(alias.name for alias in node.names)
+            elif (isinstance(node, ast.Attribute)
+                  and getattr(node.value, "id", None) == "ops"):
+                used.add(node.attr)
+    assert sorted(kernel - used) == []

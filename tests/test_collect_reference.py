@@ -1,17 +1,14 @@
 """The commutator collector against its restart-from-0 reference.
 
 `ref_collect` is the loop `kernels.collect_commutators` ran before it
-resumed its scan where the word changed: after every swap it scans the
-new word again from position 0.  Both make the same swaps in the same
-order, so on every zero-exponent-sum word they must emit equal items.
-The same holds for the telescoped seams of the rewriter's stage 3:
-cutting the common prefix off a conjugator pair is the seam loop of
-`concat`, done in one comparison.
+resumed its scan just before the first letter a swap can have changed:
+after every swap it scans the new word again from position 0.  Both make
+the same swaps in the same order, so on every zero-exponent-sum word they
+must emit equal items.  The corpus holds words on which a later resume
+point misses a descent.
 """
 
 import random
-
-from hypothesis import given, settings, strategies as st
 
 from kgroups import _wordops_py as ops
 from kgroups.kernels import (KernelGroup, ProductElement,
@@ -56,6 +53,13 @@ def _corpus():
     # Y x Y X y x Y X y y: after the swap at t = 2 the seam cancels, and the
     # new word agrees with the old one past t, where a descent is unseen
     words.append((2, bytes((3, 0, 3, 1, 2, 0, 3, 1, 2, 2))))
+    # words on which a resume later than max(t - d // 2 - 1, 0) misses a
+    # descent (d letters cancelled by the swap at t): the first at t - 1,
+    # t - d // 2 and t - d // 4 - 1, the second at t - d // 2, the third at
+    # t - 1 and t - d // 2
+    words += [(3, bytes((5, 1, 2, 2, 0, 2, 1, 3, 4, 3, 0, 3))),
+              (3, bytes((0, 5, 3, 0, 2, 0, 4, 2, 1, 1, 3, 1))),
+              (2, bytes((3, 3, 0, 3, 0, 2, 1, 2, 1, 2)))]
     # [x^n, y^n], the rewriter's main input
     words += [(2, h_family(n).factors[0].data) for n in range(1, 9)]
     return words
@@ -74,38 +78,3 @@ def test_rank_two_corpus_rewrites_round_trip():
         if r == 2:
             g = ProductElement((Word(free, data), free.identity))
             assert rewrite_in_generators(G, g).eval() == g
-
-
-def _letter_loop(a: bytes, b: bytes) -> int:
-    k = 0
-    while k < min(len(a), len(b)) and a[k] == b[k]:
-        k += 1
-    return k
-
-
-_bytes = st.binary(max_size=40)
-# pairs sharing a prefix, so long common prefixes and zero bytes occur
-_pairs = st.one_of(
-    st.tuples(_bytes, _bytes),
-    st.tuples(_bytes, _bytes, _bytes).map(lambda t: (t[0] + t[1], t[0] + t[2])),
-    _bytes.map(lambda a: (a, a)))
-
-
-@settings(max_examples=500, deadline=None)
-@given(_pairs)
-def test_common_prefix_matches_a_letter_loop(pair):
-    a, b = pair
-    assert ops.common_prefix(a, b) == _letter_loop(a, b)
-
-
-_reduced = st.lists(st.integers(0, 5), max_size=20).map(
-    lambda cs: ops.free_reduce(bytes(cs)))
-
-
-@settings(max_examples=500, deadline=None)
-@given(_reduced, _reduced, _reduced)
-def test_cutting_the_common_prefix_is_the_telescoped_product(s, p, c):
-    # prev and cw share the reduced prefix s, as telescoped conjugators do
-    prev, cw = ops.concat(s, p), ops.concat(s, c)
-    k = ops.common_prefix(prev, cw)
-    assert ops.invert(prev[k:]) + cw[k:] == ops.concat(ops.invert(prev), cw)

@@ -253,8 +253,7 @@ def test_collection_residue_is_a_value_error(monkeypatch):
     real = kernels.ops
     monkeypatch.setattr(kernels, "ops", types.SimpleNamespace(
         invert=real.invert, free_reduce=real.free_reduce,
-        exponent_sums=real.exponent_sums, common_prefix=real.common_prefix,
-        concat=lambda a, b: b"\x00"))
+        exponent_sums=real.exponent_sums, concat=lambda a, b: b"\x00"))
     with pytest.raises(ValueError, match="nonempty sorted residue"):
         kernels.collect_commutators(w, 2)
 
