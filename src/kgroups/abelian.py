@@ -10,12 +10,10 @@ the standard shape (e_i -> t_i for i <= r, -> 0 above).
 
 from __future__ import annotations
 
-import itertools
 from typing import List, Optional, Sequence, Tuple
 
 from . import _wordops_py as ops
-from .words import (_MAX_LETTERS, _TOO_LONG, FreeGroup, Word, inv, mul,
-                    substitute)
+from .words import FreeGroup, Word, inv, mul, substitute
 
 AbelianVector = Tuple[int, ...]
 
@@ -23,9 +21,10 @@ AbelianVector = Tuple[int, ...]
 #   ("swap", i, j)        exchange basis elements i and j
 #   ("invert", i)         replace b_i by b_i^-1
 #   ("mult", i, j, s)     replace b_i by b_i * b_j^s   (s = +1 or -1, i != j)
-# apply_moves rejects a move that breaks these rules.  Only normalize_basis
-# checks a run of equal moves against the 2^20-letter cap; apply_moves meets
-# the cap only through the powers it takes (Word.__pow__).
+# Moves travel as runs (move, t): t >= 1 equal moves in a row.  apply_moves
+# rejects a move that breaks these rules or a t that is not a positive int,
+# and meets the 2^20-letter cap through the power it takes for each run
+# (Word.__pow__).
 NielsenMove = Tuple
 
 
@@ -143,16 +142,18 @@ def is_surjective(h: FactorHom) -> bool:
     return _eliminate([list(row) for row in h.images], h.target_rank) is not None
 
 
-def apply_moves(group: FreeGroup, moves: Sequence[NielsenMove]) -> Tuple[Word, ...]:
-    """Run a Nielsen move sequence starting from the standard basis.
+def apply_moves(group: FreeGroup, runs: Sequence[Tuple[NielsenMove, int]]
+                ) -> Tuple[Word, ...]:
+    """Run a sequence of Nielsen move runs from the standard basis.
 
-    Each run of t equal moves is applied at once: t copies of
-    ("mult", i, j, s) give b_i * b_j^(s t), and swap and invert, being
-    involutions, apply once when t is odd and not at all when it is even.
+    Each run (move, t) is applied at once: t copies of ("mult", i, j, s)
+    give b_i * b_j^(s t), and swap and invert, being involutions, apply
+    once when t is odd and not at all when it is even.
     """
     basis = [group.gen(j) for j in range(1, group.rank + 1)]
-    for move, run in itertools.groupby(moves):
-        t = sum(1 for _ in run)
+    for move, t in runs:
+        if type(t) is not int or t < 1:     # no bool, no float
+            raise ValueError(f"run count must be a positive int, got {t!r}")
         # a 0 or negative index would wrap to the end of the basis
         if not all(1 <= i <= group.rank for i in move[1:3]):
             raise ValueError(f"move index out of range 1..{group.rank}: {move!r}")
@@ -173,34 +174,37 @@ def apply_moves(group: FreeGroup, moves: Sequence[NielsenMove]) -> Tuple[Word, .
     return tuple(basis)
 
 
-def invert_moves(moves: Sequence[NielsenMove]) -> List[NielsenMove]:
-    """The move sequence undoing `moves`: reversed, each move inverted."""
+def invert_moves(runs: Sequence[Tuple[NielsenMove, int]]
+                 ) -> List[Tuple[NielsenMove, int]]:
+    """The runs undoing `runs`: reversed, each mult's sign flipped."""
     out = []
-    for move in reversed(moves):
-        if move[0] == "mult":
+    for move, t in reversed(runs):
+        if move[0] == "mult":   # swap and invert are involutions
             _, i, j, s = move
-            out.append(("mult", i, j, -s))
-        else:
-            out.append(move)  # swap and invert are involutions
+            move = ("mult", i, j, -s)
+        out.append((move, t))
     return out
 
 
 class BasisChange:
-    """Result of normalize_basis: the audit trail plus both bases.
+    """Result of normalize_basis: the move runs plus both bases.
 
-    new_basis[i] is a word in the *old* generators; on it the homomorphism
-    reads e_i -> t_i (i <= r), -> 0 (i > r).  inverse_basis expresses the
-    automorphism's inverse the same way, so that substituting new_basis
-    into inverse_basis (or vice versa) gives back the identity map.
+    runs are the (move, t) pairs apply_moves reads, one pair per run
+    whatever its t.  new_basis[i] is a word in the *old* generators; on
+    it the homomorphism reads e_i -> t_i (i <= r), -> 0 (i > r).
+    inverse_basis expresses the automorphism's inverse the same way, so
+    that substituting new_basis into inverse_basis (or vice versa) gives
+    back the identity map.
     """
 
-    __slots__ = ("group", "moves", "new_basis", "inverse_basis")
+    __slots__ = ("group", "runs", "new_basis", "inverse_basis")
 
-    def __init__(self, group: FreeGroup, moves: Sequence[NielsenMove]):
+    def __init__(self, group: FreeGroup,
+                 runs: Sequence[Tuple[NielsenMove, int]]):
         self.group = group
-        self.moves = list(moves)
-        self.new_basis = apply_moves(group, self.moves)
-        self.inverse_basis = apply_moves(group, invert_moves(self.moves))
+        self.runs = list(runs)
+        self.new_basis = apply_moves(group, self.runs)
+        self.inverse_basis = apply_moves(group, invert_moves(self.runs))
 
     def apply(self, w: Word) -> Word:
         """The basis-change automorphism: e_i -> new_basis[i]."""
@@ -219,16 +223,12 @@ def normalize_basis(h: FactorHom) -> BasisChange:
     Raises ValueError unless h is surjective.  The returned basis is one
     valid choice (elimination pivots: smallest absolute value, then lowest
     index); callers should check the postcondition via ab_image rather
-    than expect one particular basis.
+    than expect one particular basis.  The elimination's (move, t) runs
+    go to BasisChange as they are; a run whose power would pass the
+    2^20-letter cap raises ValueError("word too long ...") from
+    Word.__pow__.
     """
     runs = _eliminate([list(row) for row in h.images], h.target_rank)
     if runs is None:
         raise ValueError("homomorphism is not surjective; no normal basis exists")
-    moves: List[NielsenMove] = []
-    for move, t in runs:
-        # past the letter cap, t equal moves b_i <- b_i * b_j^s would put
-        # a power of b_j longer than any word may be into b_i
-        if t > _MAX_LETTERS:
-            raise ValueError(_TOO_LONG)
-        moves += [move] * t
-    return BasisChange(FreeGroup(h.rank), moves)
+    return BasisChange(FreeGroup(h.rank), runs)

@@ -159,7 +159,7 @@ def cmd_normalize_basis(args) -> _Outcome:
     payload = {"rows": [list(r) for r in h.images],
                "new_basis": [to_text(w) for w in change.new_basis],
                "inverse_basis": [to_text(w) for w in change.inverse_basis],
-               "moves": len(change.moves), "verified": ok}
+               "moves": sum(t for _, t in change.runs), "verified": ok}
     return _Outcome(payload, EXIT_OK if ok else EXIT_FAIL)
 
 

@@ -407,7 +407,9 @@ def _root_bound(P: Presentation, variants: Sequence[bytes], w: bytes
 def verify_lower_bound(P: Presentation, w: Word, witness: dict) -> bool:
     """Recheck a winding witness from P and w alone, in integers.
 
-    The witness must be a dict whose planes are lists of two ints, and
+    w must be over P's alphabet (w.group == P.group, as area_search
+    requires), else its letters would be read as P's.  The witness must
+    be a dict whose planes are lists of two ints, and
     whose step and value are ints (bools and floats are rejected).  The
     planes must be distinct pairs 0 <= i < j < rank in ascending
     order whose generators have exponent sum 0 in every relator and in w,
@@ -416,7 +418,8 @@ def verify_lower_bound(P: Presentation, w: Word, witness: dict) -> bool:
     witness then proves area(w) >= ceil(value / step); any set of such
     planes does.  A malformed witness gives False, never an exception.
     """
-    if not isinstance(witness, dict) or witness.get("kind") != "winding":
+    if (w.group != P.group or not isinstance(witness, dict)
+            or witness.get("kind") != "winding"):
         return False
     planes = witness.get("planes")
     if not (isinstance(planes, list)

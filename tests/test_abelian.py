@@ -99,16 +99,17 @@ def test_invert_moves_round_trip():
     h = FactorHom(4, 2, [(0, 1), (1, 1), (2, -1), (1, 0)])
     change = normalize_basis(h)
     F = change.group
-    # applying the move list and then its inverse restores the basis
-    words = apply_moves(F, list(change.moves) + list(invert_moves(change.moves)))
+    # applying the runs and then their inverse restores the basis
+    words = apply_moves(F, change.runs + invert_moves(change.runs))
     assert words == tuple(F.gen(j) for j in range(1, 5))
 
 
-def _replay_one_by_one(group, moves):
-    """apply_moves as it ran before runs of equal moves were merged: one
-    product per unit move, kept as a reference."""
+def _replay_one_by_one(group, runs):
+    """apply_moves as it ran before runs of equal moves were merged: each
+    run expanded into its unit moves, one product per unit move, kept as
+    a reference."""
     basis = [group.gen(j) for j in range(1, group.rank + 1)]
-    for move in moves:
+    for move in (move for move, t in runs for _ in range(t)):
         if move[0] == "swap":
             _, i, j = move
             basis[i - 1], basis[j - 1] = basis[j - 1], basis[i - 1]
@@ -123,49 +124,52 @@ def _replay_one_by_one(group, moves):
 
 @st.composite
 def move_runs(draw):
-    """A rank and a Nielsen move list made of runs of one repeated move.
+    """A rank and up to three Nielsen move runs (move, t).
 
-    A run of at most 40 moves at most multiplies the longest basis word
-    by 41, and 41^3 < 2^20, so with at most three runs no power passes
-    the letter cap."""
+    A run of t <= 40 moves at most multiplies the longest basis word by
+    41, and 41^3 < 2^20, so with at most three runs no power passes the
+    letter cap.  Two neighbouring runs may repeat one move."""
     rank = draw(st.integers(2, 4))
     index = st.integers(1, rank)
-    moves = []
+    runs = []
     for _ in range(draw(st.integers(0, 3))):
         i, j = draw(st.lists(index, min_size=2, max_size=2, unique=True))
         move = draw(st.sampled_from([("swap", i, j), ("invert", i),
                                      ("mult", i, j, 1), ("mult", i, j, -1)]))
-        moves += [move] * draw(st.integers(1, 40))
-    return rank, moves
+        runs.append((move, draw(st.integers(1, 40))))
+    return rank, runs
 
 
 @given(move_runs())
 def test_apply_moves_matches_the_one_by_one_replay(case):
-    rank, moves = case
+    rank, runs = case
     F = FreeGroup(rank)
-    assert apply_moves(F, moves) == _replay_one_by_one(F, moves)
-    assert (apply_moves(F, invert_moves(moves))
-            == _replay_one_by_one(F, invert_moves(moves)))
+    assert apply_moves(F, runs) == _replay_one_by_one(F, runs)
+    assert (apply_moves(F, invert_moves(runs))
+            == _replay_one_by_one(F, invert_moves(runs)))
 
 
 def test_apply_moves_refuses_a_power_past_the_letter_cap():
     # b_2 = y x^(2^20) has 2^20 + 1 letters, so b_2^2 passes the cap
-    moves = [("mult", 2, 1, 1)] * (1 << 20) + [("mult", 1, 2, 1)] * 2
+    runs = [(("mult", 2, 1, 1), 1 << 20), (("mult", 1, 2, 1), 2)]
     with pytest.raises(ValueError, match="word too long"):
-        apply_moves(FreeGroup(2), moves)
+        apply_moves(FreeGroup(2), runs)
 
 
 def test_normalize_basis_refuses_a_run_of_moves_past_the_letter_cap():
     # 10^12 equal moves would put a power of 10^12 letters into b_1
     with pytest.raises(ValueError, match="word too long"):
         normalize_basis(FactorHom(2, 1, [(10 ** 12,), (1,)]))
-    assert len(normalize_basis(FactorHom(2, 1, [(1 << 20,), (1,)])).moves) \
-        == (1 << 20) + 1
+    # 2^20 + 1 would put 2^20 + 1 letters there; 2^20 fits, as one run
+    with pytest.raises(ValueError, match="word too long"):
+        normalize_basis(FactorHom(2, 1, [((1 << 20) + 1,), (1,)]))
+    assert normalize_basis(FactorHom(2, 1, [(1 << 20,), (1,)])).runs == [
+        (("mult", 1, 2, -1), 1 << 20), (("swap", 2, 1), 1)]
 
 
 def test_is_surjective_is_not_held_to_the_letter_cap():
     # the elimination takes 10^12 equal row steps; only normalize_basis
-    # turns them into moves, so only it refuses them (see the test above)
+    # builds their power, so only it refuses them (see the test above)
     h = FactorHom(2, 1, [(10 ** 12,), (1,)])
     assert is_surjective(h)
     G = KernelGroup(2, 2, 1, homs=[h, h])
@@ -186,9 +190,17 @@ def test_is_surjective_is_not_held_to_the_letter_cap():
     ("swap", 0, 1), ("swap", 1, 3), ("invert", 0), ("invert", -1),
     ("turn", 1)])
 def test_apply_moves_rejects_what_is_not_a_nielsen_move(move):
-    for moves in ([move], [("invert", 1)] + [move] * 3):
+    for runs in ([(move, 1)], [(("invert", 1), 1), (move, 3)]):
         with pytest.raises(ValueError, match="Nielsen move|out of range|unknown"):
-            apply_moves(FreeGroup(2), moves)
+            apply_moves(FreeGroup(2), runs)
+
+
+@pytest.mark.parametrize("t", [0, -1, True, 1.0])
+def test_apply_moves_rejects_a_run_count_that_is_not_a_positive_int(t):
+    # True and 1.0 would read as one move, 0 and -1 as none
+    for move in (("mult", 1, 2, 1), ("swap", 1, 2), ("invert", 1)):
+        with pytest.raises(ValueError, match="run count"):
+            apply_moves(FreeGroup(2), [(move, t)])
 
 
 def test_normalize_rejects_non_surjective():

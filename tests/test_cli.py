@@ -432,6 +432,16 @@ def test_normalize_basis_applies_a_run_of_moves_at_once():
                            "verified = True\n")
 
 
+def test_normalize_basis_keeps_its_moves_as_runs_within_the_memory_limit():
+    # twenty runs of 2^20 equal moves: a list of each unit move and of its
+    # inverse ran out of the 1 GB limit with a MemoryError
+    rows = "; ".join(["1048576"] * 20 + ["1"])
+    proc = _run_limited(("normalize-basis", "--rows", rows), 60)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "moves = 20971521\n" in proc.stdout
+
+
 def test_toy_amalgam_report_shape(capsys):
     code, out, _ = run(capsys, "toy-amalgam", "--k", "1", "--n", "1")
     data = json.loads(out)

@@ -12,7 +12,8 @@ digests were recorded with the probe that counted seam cancellations
 letter by letter, so they pin its traversal byte for byte.  The
 SHARED_HELPERS commands (`certify`, `split`, `normalize-basis`, `dehn`,
 `toy-amalgam`, `rewrite`) pin every call site of the shared
-word helpers the same way; the `dehn` digests over Z^2 at n = 10 and Z^3
+word helpers the same way, and `certify` also at perfbench's n = 8, 16,
+31 and 32; the `dehn` digests over Z^2 at n = 10 and Z^3
 at n = 6 were recorded when `dehn` searched every class, not one per
 symmetry orbit.
 """
@@ -165,6 +166,14 @@ SHARED_HELPERS = [
      0, '914fa6cb4cc84694a68108a2c20a343343463101b13b6f9116175edca612d2ed', ''),
     (('certify', '--n', '4'),
      0, '293ab13ae380270dc62d40c06cf8492706cdd345afe6d3d085973c0a01e39ce5', ''),
+    (('certify', '--n', '8'),
+     0, '90a0cc1321765faac43290097a636213e23a830b1186653f04b4d22d15969e34', ''),
+    (('certify', '--n', '16'),
+     0, '3d914108771741c6a54977cd24add47e235e043b25e5813b4643983ac8f57754', ''),
+    (('certify', '--n', '31'),
+     0, '059afe48460d9cd18abaf2dd5528121e49e98e6a15a44fb1632bb31080c158fd', ''),
+    (('certify', '--n', '32'),
+     0, '47753627d36f7eb13e93db43be200044edec9524a72d7f1ddf7f7c630b04bd1c', ''),
     (('split', '--group', 'K3_2_2', '--element', '[x^2, y^3] ; [y, x^-1]^2 ; y^-3 x y^3 x^-1', '--format', 'json'),
      0, '0b76a5185e54ed068486406b250733abfec95d01079e2bfe84dec059af9bb3ca', ''),
     (('split', '--group', 'K3_2_2', '--element', '[x^2, y^3] ; [y, x^-1]^2 ; y^-3 x y^3 x^-1', '--format', 'table'),

@@ -186,6 +186,7 @@ def test_exhausted_runs_report_the_winding_bound():
 
 TAMPER = r"""
 from kgroups.presentations import area_search, parse_presentation, verify_lower_bound
+from kgroups.words import FreeGroup
 P = parse_presentation("< a, b, c | [a,b], [b,c], [a,c] >")
 w = P.word("a b^-1 c a^-1 b c^-1")
 good = area_search(P, w).lower_bound_witness
@@ -209,6 +210,11 @@ B = parse_presentation("< a, t | t a t^-1 a^-2 >")
 print("ACCEPTED" if verify_lower_bound(B, B.word("[t a t^-1, a]"), {
     "kind": "winding", "planes": [[0, 1]], "step": 1, "value": 1})
       else "rejected")
+# a word over another alphabet: e3 is no generator of P
+Z2 = parse_presentation("< x, y | [x,y] >")
+print("ACCEPTED" if verify_lower_bound(Z2, FreeGroup(3).word("[e1,e2] e3 e3"), {
+    "kind": "winding", "planes": [[0, 1]], "step": 1, "value": 1})
+      else "rejected")
 """
 
 
@@ -219,7 +225,7 @@ def test_verify_lower_bound_rejects_tampering(flags):
                          env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, check=True,
                          timeout=60).stdout
-    assert out.split() == ["good"] + ["rejected"] * 16
+    assert out.split() == ["good"] + ["rejected"] * 17
 
 
 def test_dehn_of_z2_at_length_10_is_exact_and_unconditional(capsys):
