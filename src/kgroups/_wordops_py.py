@@ -21,9 +21,9 @@ Cayley-ball search, one step per move acting on both ends of a key) pays
 for no general seam loop: a single-letter end drops x's end letter or adds
 the letter, and a longer end calls `concat` only when its seam cancels.
 
-`concat` counts a long cancelled seam, such as the kernel rewriter's
-telescoped conjugator pairs `invert(p) * c`, with one XOR once its letter
-loop has cancelled `_SEAM_LOOP` letters.
+`concat` counts a long cancelled seam, such as the one between two
+consecutive conjugated relators that `verify_null_expression` multiplies
+out, with one XOR once its letter loop has cancelled `_SEAM_LOOP` letters.
 """
 
 from __future__ import annotations
@@ -60,11 +60,14 @@ def exponent_sums(data: bytes, gens: Iterable[int]) -> List[int]:
 # cancelled letters after which concat stops walking a seam letter by
 # letter and counts the rest with one XOR.  The XOR costs about 11 steps of
 # the loop, so a seam of s >= _SEAM_LOOP letters gains s - _SEAM_LOOP - 11
-# steps.  Over one round of each perfbench workload the area search and
-# the ball steps never cancel more than 4 letters, while 91% of certify's
-# seams of 2 or more letters run 12 to 64 letters (n <= 32); on certify's
-# calls concat's time falls as the switch moves down from 32 to 5, and 8
-# keeps the loop on seams twice as long as the other workloads make.
+# steps.  Over one round of each perfbench workload (seed 301) the area
+# search and the ball steps never cancel more than 4 letters.  certify's
+# long seams come from verify_null_expression: 2,242 of its 2,319 seams of
+# 2 or more letters cancel 8 or more, 2,122 of them 12 to 64 (n <= 32),
+# while the commutator collector's seams are short (5 of its 2,239 reach
+# 8).  On certify's 26,074 calls concat's time falls as the switch moves
+# down from 32 to 5, and 8 keeps the loop on seams twice as long as the
+# other workloads make.
 _SEAM_LOOP = 8
 
 
@@ -73,8 +76,8 @@ def concat(a: bytes, b: bytes) -> bytes:
 
     A seam that does not cancel is one test.  Short seams, which the area
     search and the ball steps make, are walked letter by letter.  A seam
-    still cancelling after _SEAM_LOOP letters (in certify, a telescoped
-    conjugator pair) is finished in O(1) Python steps: read the rest of a's
+    still cancelling after _SEAM_LOOP letters (in certify, two consecutive
+    conjugated relators) is finished in O(1) Python steps: read the rest of a's
     end backwards (little-endian) and b's next letters, each flipped,
     forwards (big-endian) as integers; the letters cancel exactly as far as
     the bytes agree, so the XOR's byte length is what is left of the window.

@@ -182,8 +182,9 @@ def derive_null_expression(w: GenWord, n: int) -> NullExpression:
 
     One walk over the symbols reads both coordinates off the checked
     realization: the reduced first-coordinate prefix at every symbol,
-    which is each conjugator and at the end the first coordinate, and
-    the second coordinate's letters, reduced once.
+    which is each conjugator and at the end the first coordinate, grows
+    by one `ops.concat` of the symbol's piece (at most 4 letters, so the
+    seam is short); the second coordinate's letters are reduced once.
     """
     free, first, second = _split_images(w.gens, "commutator-deletion")
     target = h_family(n, w.gens.group)
@@ -192,16 +193,12 @@ def derive_null_expression(w: GenWord, n: int) -> NullExpression:
         one, two = first[name].data, second[name].data
         pieces[name, 1] = one, two
         pieces[name, -1] = ops.invert(one), ops.invert(two)
-    prefix, records, column = bytearray(), [], []
+    prefix, records, column = b"", [], []
     for name, sign in w.syms:
         if name == "c1_2":
-            records.append((Word(free, bytes(prefix)), 0, sign))
+            records.append((Word(free, prefix), 0, sign))
         one, two = pieces[name, sign]
-        for c in one:
-            if prefix and (prefix[-1] ^ c) == 1:
-                prefix.pop()
-            else:
-                prefix.append(c)
+        prefix = ops.concat(prefix, one)
         column.append(two)
     if (prefix, ops.free_reduce(b"".join(column))) != tuple(
             f.data for f in target.factors):

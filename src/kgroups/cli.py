@@ -237,7 +237,7 @@ def cmd_distortion(args) -> _Outcome:
 
 # certify's report grows like n^2 (it prints a kernel word of about 3n^2
 # symbols and n^2 conjugated relators): n = 256 prints 9.5 MB, takes
-# 3-5 s and peaks at 125-127 MB on a 2-vCPU VM, so larger n is refused
+# 2.1-2.7 s and peaks at 104 MB on a 2-vCPU VM, so larger n is refused
 _CERTIFY_MAX_N = 256
 
 
@@ -265,9 +265,9 @@ def cmd_toy_amalgam(args) -> _Outcome:
 # dest -> (flag, default, least accepted value, help)
 _BUDGETS = {
     "node_cap": ("--node-cap", DEFAULT_NODE_CAP, 1,
-                 "search node budget; it also sets the push cap to 8 times"
-                 " this value, and the push cap is often the budget that"
-                 " stops a search"),
+                 "node budget of each search, the greedy probe and then A*;"
+                 " it also sets A*'s push cap to 8 times this value, and the"
+                 " push cap is often the budget that stops a search"),
     "radius": ("--radius", 6, 0, "ball radius for subgroup-metric searches"),
 }
 

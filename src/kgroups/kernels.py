@@ -14,13 +14,15 @@ symbols constructively: lift factors 2..n letter by letter, peel the
 above-r letters of the factor-1 residual as conjugates, collect what is
 left into conjugated basic commutators by adjacent transpositions, and
 finally translate the conjugators into kernel symbols.  All of it works on
-reduced bytes (see _wordops_py), and the translation telescopes.  The
-collection resumes its scan just before the first letter a swap can have
-changed, found by counting the letters the swap cancelled (see
-collect_commutators), and each telescoped seam invert(c_k) c_{k+1}
-cancels in one `concat`.  The rewrite of [x^n, y^n], about 3n^2 symbols,
-then takes O(n^2) Python steps (each of its n^2 swaps still copies the
-word, in C).
+reduced bytes (see _wordops_py), and the translation telescopes: it reads
+only the seam C_k^-1 C_{k+1} between neighbouring conjugators.  The
+collector emits those seams and never a whole conjugator but the first.
+It resumes its scan just before the first letter a swap can have changed,
+found by counting the letters the swap cancelled, and the same kept prefix
+makes each seam a few letters around two swaps (see collect_commutators).
+The rewrite of [x^n, y^n], about 3n^2 symbols, then takes O(n^2) Python
+steps and holds O(n^2) bytes (each of its n^2 swaps still copies the word,
+in C).
 
 Non-standard surjective maps are supported by changing basis in each free
 factor first (see abelian.normalize_basis) and transporting the result.
@@ -366,12 +368,15 @@ def peel_high_letters(z: Word, r: int) -> Tuple[List[Tuple[bytes, int]], Word]:
     return items, Word(z.group, ops.free_reduce(residual))
 
 
-def collect_commutators(w: Word, r: int) -> List[Tuple[bytes, int, int, int]]:
+def collect_commutators(w: Word, r: int
+                        ) -> Tuple[bytes, List[Tuple[int, int, int, bytes]]]:
     """Write a zero-exponent-sum word over e_1..e_r as conjugated commutators.
 
-    Returns items (conj, i, j, sign), i < j and conj reduced bytes, whose
-    product in the given order freely equals w:
-        w = prod of  conj [e_i,e_j]^sign conj^-1.
+    The product is  w = prod over k of  C_k [e_i,e_j]^sign C_k^-1  (i < j),
+    and each conjugator comes as its seam to the next.  Returns (C_1,
+    items), the items (i, j, sign, seam) in product order, each seam
+    C_k^-1 C_{k+1} in reduced bytes and C_{K+1} the empty word, so
+        w = C_1 [..]^s_1 seam_1 [..]^s_2 seam_2 ... [..]^s_K seam_K.
 
     Method: bubble toward sorted order.  One adjacent swap uses
         a b = b a . [a^-1, b^-1]
@@ -380,21 +385,34 @@ def collect_commutators(w: Word, r: int) -> List[Tuple[bytes, int, int, int]]:
     Each swap keeps length and lowers the inversion count; free reduction
     after a swap lowers length; so (length, inversions) descends
     lexicographically and the loop stops.  A sorted reduced word whose
-    exponent sums all vanish is empty, which is where it stops.  S is a
-    slice of the current word, so every piece stays reduced bytes.
+    exponent sums all vanish is empty, which is where it stops.  The swap
+    at position t of the word cur, with S = cur[t+2:] and c the conjugator
+    normalize_basic_commutator gives for [a^-1, b^-1], emits the
+    commutator conjugated by invert(S) c, and the swaps run in reverse
+    product order.
 
     Each swap is at the first descent (a pair whose first letter has the
     higher generator), and the scan after it resumes at
-    max(t - d // 2 - 1, 0), not at 0, where t is the swap's position and
-    d = len(old) - len(new) counts the cancelled letters.  Proof that it
-    finds the same descent: the new word is old[:t] times b a times the
-    suffix, freely reduced, and every cancelled pair takes at most one
-    letter of old[:t] (the other comes from b a or the suffix), so the
-    new word keeps old[:t - d // 2] as its prefix.  No pair (s, s+1) of
-    the old word with s < t is a descent, and the new word's pairs with
-    s + 1 < t - d // 2 are such old pairs; so the new word has no descent
-    before t - d // 2 - 1, the resume point.  The swaps and their order,
-    hence the items, are those of a scan from 0.
+    L = max(t - d // 2 - 1, 0), not at 0, where d = len(cur) - len(new)
+    counts the cancelled letters.  Proof that it finds the same descent:
+    the new word is cur[:t] times b a times S, freely reduced, and every
+    cancelled pair takes at most one letter of cur[:t] (the other comes
+    from b a or S), so the new word keeps cur[:t - d // 2] as its prefix.
+    No pair (s, s+1) of cur with s < t is a descent, and the new word's
+    pairs with s + 1 < t - d // 2 are such pairs; so the new word has no
+    descent before L.
+
+    The same shared prefix gives the seams, and no suffix is inverted.
+    Since S = (cur[:t] b a)^-1 new and new keeps cur[:L], the swap's
+    conjugator is invert(S) c = invert(new[L:]) R, with R = cur[L:t] b a c
+    a few letters long (`right`).  The next swap, at t' >= L of new, has
+    conjugator C' = invert(new[t'+2:]) c', and new[L:] = new[L:t'+2]
+    new[t'+2:], so its seam to this swap's conjugator C is
+        C'^-1 C  =  invert(new[L:t'+2] c') . R.
+    R starts as w: with L = 0 it stands for the empty conjugator
+    invert(w) w, so the first swap's item closes the chain at 1.  The last
+    swap empties the word (d = len(cur) >= 2t + 2), so its L is 0, and
+    with new empty its conjugator invert(new[L:]) R is R itself: C_1.
     """
     data = w.data
     if any(c >= 2 * r for c in data):
@@ -402,26 +420,29 @@ def collect_commutators(w: Word, r: int) -> List[Tuple[bytes, int, int, int]]:
     for j, s in enumerate(ops.exponent_sums(data, range(r)), start=1):
         if s:
             raise ValueError(f"exponent sum of e{j} must vanish")
-    emitted: List[Tuple[bytes, int, int, int]] = []
-    cur = data
+    items: List[Tuple[int, int, int, bytes]] = []
+    cur = right = data
     start = 0
     while True:
         for t in range(start, len(cur) - 1):
             a, b = cur[t], cur[t + 1]
             if a >> 1 > b >> 1:
-                suffix = cur[t + 2:]
                 i, j, sign, c = normalize_basic_commutator(a ^ 1, b ^ 1)
-                emitted.append((ops.concat(ops.invert(suffix), c), i, j, sign))
-                new = ops.concat(ops.concat(cur[:t], bytes((b, a))), suffix)
+                left = ops.concat(cur[start:t + 2], c)
+                items.append((i, j, sign, ops.concat(ops.invert(left), right)))
+                head = ops.concat(cur[:t], bytes((b, a)))
+                new = ops.concat(head, cur[t + 2:])
                 start = max(t - (len(cur) - len(new)) // 2 - 1, 0)
+                # head keeps cur[:start] too, so this is R for the next seam
+                right = ops.concat(head[start:], c)
                 cur = new
                 break
         else:
             break
     if cur:
         raise ValueError("collection left a nonempty sorted residue")
-    emitted.reverse()
-    return emitted
+    items.reverse()
+    return right, items
 
 
 def _conjugator_symbols(G: KernelGroup, c: bytes) -> List[Tuple[str, int]]:
@@ -460,25 +481,24 @@ def _rewrite_standard(G: KernelGroup, g: ProductElement) -> List[Tuple[str, int]
         raise ValueError("lift must clear factors 2..n")
     z = zeta.factors[0]
 
-    # stage 2: peel letters above r, then collect basic commutators
-    peels, residual = peel_high_letters(z, G.r)
-    items: List[Tuple[bytes, str, int]] = []
-    for prefix, c in peels:
-        k, s = _index_sign(c)
-        items.append((prefix, f"b{k}_1", s))
-    for cw, i, j, sign in collect_commutators(residual, G.r):
-        items.append((cw, f"c{i}_{j}", sign))
-
+    # stage 2: peel letters above r, then collect basic commutators;
     # stage 3: conjugators into symbols, telescoped as c_1 s_1 (c_1^-1 c_2)
-    # s_2 ... c_K^-1; GenWord's free reduction is unique, so the reduced
-    # symbol word is the one the untelescoped product reduces to
+    # s_2 ... c_K^-1, the collector's seams closing the chain.  GenWord's
+    # free reduction is unique, so the reduced symbol word is the one the
+    # untelescoped product reduces to
+    peels, residual = peel_high_letters(z, G.r)
+    first, commutators = collect_commutators(residual, G.r)
     syms: List[Tuple[str, int]] = []
     prev = b""
-    for cw, name, sign in items:
-        syms.extend(_conjugator_symbols(G, ops.concat(ops.invert(prev), cw)))
-        syms.append((name, sign))
-        prev = cw
-    syms.extend(_conjugator_symbols(G, ops.invert(prev)))
+    for prefix, c in peels:
+        syms.extend(_conjugator_symbols(G, ops.concat(ops.invert(prev), prefix)))
+        k, s = _index_sign(c)
+        syms.append((f"b{k}_1", s))
+        prev = prefix
+    syms.extend(_conjugator_symbols(G, ops.concat(ops.invert(prev), first)))
+    for i, j, sign, seam in commutators:
+        syms.append((f"c{i}_{j}", sign))
+        syms.extend(_conjugator_symbols(G, seam))
     syms.extend(lift)
     return syms
 

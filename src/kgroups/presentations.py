@@ -495,9 +495,10 @@ def area_search(P: Presentation, w: Word, *, node_cap: int = DEFAULT_NODE_CAP,
     are rejected up front.  _root_bound then gives the root bound h0 and
     the one additive heuristic of the run, or an obstruction, which ends
     it with no search.  Otherwise the greedy probe hunts for an expression
-    of area h0 within 50 * h0 + 200 expansions, and A* (run_search) runs
-    when the probe finds none.  Either path is replayed into a verified
-    witness; an exact area equal to h0 is unconditional.
+    of area h0 within min(node_cap, 50 * h0 + 200) expansions, and A*
+    (run_search) runs when the probe finds none, with node_cap expansions
+    of its own.  Either path is replayed into a verified witness; an
+    exact area equal to h0 is unconditional.
 
     stop_at_bound turns the run into a lower-bound certificate: the probe
     is skipped and A* halts once every cheaper state is settled.  A* also
@@ -526,8 +527,8 @@ def area_search(P: Presentation, w: Word, *, node_cap: int = DEFAULT_NODE_CAP,
     if stop_at_bound is None:
         # None at once when h0 is 0, the empty word among them
         path = greedy_probe(w.data, variants, len_cap=len_cap,
-                            node_budget=50 * h0 + 200, heuristic=heur,
-                            target=h0)
+                            node_budget=min(node_cap, 50 * h0 + 200),
+                            heuristic=heur, target=h0)
         if path is not None:
             out = SearchOutcome(h0, path, None, 0, 0, False, "greedy probe"
                                 " matched the heuristic lower bound")
@@ -651,6 +652,15 @@ def _null_classes(P: Presentation, n: int) -> List[Word]:
     add per letter for an abelian image, one seam ``concat`` per factor for
     a product image.  A prefix is null exactly when every coordinate of its
     image is zero (abelian) or empty (product).
+
+    The walk visits only words whose first letter is positive (an even
+    byte) and whose later letters are no smaller than the first.  Every
+    class is still found: its representative (_canonical_class) is the
+    least rotation of w and w^-1, so it starts with the least letter byte
+    of both forms, which is even since a letter's inverse is the next odd
+    byte, and none of its letters is smaller.  That representative is a
+    reduced null word of length <= n, so the walk reaches it, and it is
+    its own canonical class.
     """
     ev = P.evaluation
     letters = range(2 * P.group.rank)
@@ -669,7 +679,7 @@ def _null_classes(P: Presentation, n: int) -> List[Word]:
         if prefix and not any(image):
             reps.add(_canonical_class(prefix))
         if len(prefix) < n:
-            for c in letters:
+            for c in letters[prefix[0]:] if prefix else letters[::2]:
                 if prefix and (prefix[-1] ^ c) == 1:
                     continue
                 stack.append((prefix + bytes((c,)),

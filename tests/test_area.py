@@ -369,8 +369,9 @@ def _null_classes_by_evaluation(P, n):
 
 
 def test_null_classes_carry_the_image_down_the_walk(zz):
-    # an abelian image, and the toy amalgam's product image
-    for P, n_max in ((zz, 8), (toy_scenario(1).presentation, 4)):
+    # abelian images of rank 2 and 3, and the toy amalgam's product image
+    z3 = with_abelian_evaluation(parse_presentation(Z3))
+    for P, n_max in ((zz, 8), (z3, 6), (toy_scenario(1).presentation, 4)):
         for n in range(n_max + 1):
             got = [w.data for w in _null_classes(P, n)]
             assert got == _null_classes_by_evaluation(P, n)
@@ -402,6 +403,14 @@ def test_area_of_a_deep_commutator_is_exact(zz):
     assert res.status == "exact" and res.area == 1024
     assert res.unconditional
     assert verify_null_expression(zz, w, res.witness)
+
+
+def test_node_cap_bounds_the_greedy_probe(zz):
+    # the probe needs 4096 expansions, past a node cap of 100: the run ends
+    # exhausted with its root bound, not exact after 4096 probe expansions
+    res = area_search(zz, zz.word("[x^64, y^64]"), node_cap=100)
+    assert res.status == "exhausted" and res.lower_bound == 4096
+    assert res.nodes <= 100
 
 
 ADMISSIBILITY_PRESENTATIONS = (

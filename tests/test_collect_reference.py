@@ -4,11 +4,14 @@
 resumed its scan just before the first letter a swap can have changed:
 after every swap it scans the new word again from position 0.  Both make
 the same swaps in the same order, so on every zero-exponent-sum word they
-must emit equal items.  The corpus holds words on which a later resume
+must emit equal items: the reference's full conjugators, and the
+collector's first conjugator followed by the reduced seam from each
+conjugator to the next.  The corpus holds words on which a later resume
 point misses a descent.
 """
 
 import random
+import tracemalloc
 
 from kgroups import _wordops_py as ops
 from kgroups.kernels import (KernelGroup, ProductElement,
@@ -65,10 +68,37 @@ def _corpus():
     return words
 
 
+def _conjugators(first, items):
+    """Rebuild the collector's conjugators from its seams, checking that
+    every seam is reduced and that the chain closes to the empty word."""
+    out, conj = [], first
+    for i, j, sign, seam in items:
+        assert seam == ops.free_reduce(seam), seam
+        out.append((conj, i, j, sign))
+        conj = ops.concat(conj, seam)
+    assert conj == b""
+    return out
+
+
 def test_collector_matches_the_restart_reference():
     for r, data in _corpus():
         w = Word(FreeGroup(r), data)
-        assert collect_commutators(w, r) == ref_collect(data), (r, data)
+        assert _conjugators(*collect_commutators(w, r)) == ref_collect(data), \
+            (r, data)
+
+
+def test_collector_holds_seams_not_conjugators():
+    # the 16,384 conjugators of [x^128, y^128] held 5.8 MB in full
+    w = h_family(128).factors[0]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = collect_commutators(w, 2)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert len(out[1]) == 128 ** 2
+    assert held < 2_000_000
 
 
 def test_rank_two_corpus_rewrites_round_trip():

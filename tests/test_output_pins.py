@@ -13,8 +13,10 @@ letter by letter, so they pin its traversal byte for byte.  The
 SHARED_HELPERS commands (`certify`, `split`, `normalize-basis`, `dehn`,
 `toy-amalgam`, `rewrite`) pin every call site of the shared
 word helpers the same way, and `certify` also at perfbench's n = 8, 16,
-31 and 32; the `dehn` digests over Z^2 at n = 10 and Z^3
-at n = 6 were recorded when `dehn` searched every class, not one per
+31 and 32 and at n = 64.  `rewrite` on [x^100, y^100] and `certify` at
+n = 64 were recorded when the commutator collector returned every
+conjugator in full, not seams; the `dehn` digests over Z^2 at n = 10 and
+Z^3 at n = 6 were recorded when `dehn` searched every class, not one per
 symmetry orbit.
 """
 
@@ -174,6 +176,8 @@ SHARED_HELPERS = [
      0, '059afe48460d9cd18abaf2dd5528121e49e98e6a15a44fb1632bb31080c158fd', ''),
     (('certify', '--n', '32'),
      0, '47753627d36f7eb13e93db43be200044edec9524a72d7f1ddf7f7c630b04bd1c', ''),
+    (('certify', '--n', '64'),
+     0, '64e68d3af452fb7f069bb2c6b762dac6c870253fe71f4a251f179d692d499079', ''),
     (('split', '--group', 'K3_2_2', '--element', '[x^2, y^3] ; [y, x^-1]^2 ; y^-3 x y^3 x^-1', '--format', 'json'),
      0, '0b76a5185e54ed068486406b250733abfec95d01079e2bfe84dec059af9bb3ca', ''),
     (('split', '--group', 'K3_2_2', '--element', '[x^2, y^3] ; [y, x^-1]^2 ; y^-3 x y^3 x^-1', '--format', 'table'),
@@ -208,6 +212,8 @@ SHARED_HELPERS = [
      0, 'd1eb5aed8128168e8ba121db6291d650333c78a8763e38ec1c9508625140c22f', ''),
     (('rewrite', '--group', 'K3_2_2', '--element', '[x^2, y] ; y^-1 x ; x^-1 y'),
      0, 'e5ab509437bf20ea4608618b322e16498293f48c8c95277e38b5ad42707ca15c', ''),
+    (('rewrite', '--group', 'K2_2_2', '--element', '[x^100, y^100] ; 1'),
+     0, '30e573a377ab0d66f5f7050d61432164b74c6240b25e6ff2deffab8e589f5874', ''),
 ]
 
 # each: (target, the one line on stderr)
