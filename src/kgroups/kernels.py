@@ -15,14 +15,17 @@ above-r letters of the factor-1 residual as conjugates, collect what is
 left into conjugated basic commutators by adjacent transpositions, and
 finally translate the conjugators into kernel symbols.  All of it works on
 reduced bytes (see _wordops_py), and the translation telescopes: it reads
-only the seam C_k^-1 C_{k+1} between neighbouring conjugators.  The
-collector emits those seams and never a whole conjugator but the first.
-It resumes its scan just before the first letter a swap can have changed,
+only the seam C_k^-1 C_{k+1} between neighbouring conjugators.  Both
+stages emit those seams and never a whole conjugator but the first.  A
+peel's seam is the inverted slice of the word between two peeled letters,
+so the peels hold O(len) bytes (see peel_high_letters).  The collector
+resumes its scan just before the first letter a swap can have changed,
 found by counting the letters the swap cancelled, and the same kept prefix
 makes each seam a few letters around two swaps (see collect_commutators).
-The rewrite of [x^n, y^n], about 3n^2 symbols, then takes O(n^2) Python
-steps and holds O(n^2) bytes (each of its n^2 swaps still copies the word,
-in C).
+A rewrite therefore holds bytes linear in the word and the symbols it
+prints: for [x^n, y^n], about 3n^2 symbols, it takes O(n^2) Python steps
+and holds O(n^2) bytes (each of its n^2 swaps still copies the word, in
+C).
 
 Non-standard surjective maps are supported by changing basis in each free
 factor first (see abelian.normalize_basis) and transporting the result.
@@ -348,8 +351,9 @@ def normalize_basic_commutator(u: int, v: int) -> Tuple[int, int, int, bytes]:
     return (a >> 1) + 1, (b >> 1) + 1, sign * (-1) ** len(w), w
 
 
-def peel_high_letters(z: Word, r: int) -> Tuple[List[Tuple[bytes, int]], Word]:
-    """Split off the letters above r as conjugates.
+def peel_high_letters(z: Word, r: int
+                      ) -> Tuple[bytes, List[Tuple[int, bytes]], Word]:
+    """Split off the letters above r as conjugates, each with its seam.
 
     If z = B0 R1 B1 ... RK BK with each Rt a letter e_k (k > r) and the Bt
     blocks over e_1..e_r, then, writing Pt for the full prefix before Rt,
@@ -357,15 +361,26 @@ def peel_high_letters(z: Word, r: int) -> Tuple[List[Tuple[bytes, int]], Word]:
         z  =  (RK)^{PK} (R_{K-1})^{P_{K-1}} ... (R1)^{P1} . B0 B1 ... BK
 
     (conjugation x^w = w x w^-1; proof: induct on K, the innermost
-    conjugator swallows everything to its left).  Returns the (Pt, Rt)
-    byte pairs in that order (a prefix of a reduced word is reduced, so Pt
-    is a slice of z) plus the residual B0...BK, reduced.
+    conjugator swallows everything to its left).  Neighbouring conjugators
+    telescope: with P0 the empty word,
+
+        z  =  PK RK (PK^-1 P_{K-1}) R_{K-1} ... (P2^-1 P1) R1 (P1^-1) . B0 ... BK,
+
+    and since Pt = P_{t-1} R_{t-1} B_{t-1} for t >= 2 and P1 = B0, the
+    seam Pt^-1 P_{t-1} is the inverted slice of z from R_{t-1} up to Rt,
+    and the last seam P1^-1 inverts B0.  A slice of a reduced word is
+    reduced, and so is its inverse.  Returns (PK, items, residual): PK a
+    prefix of z, empty when K = 0; the items (Rt, Pt^-1 P_{t-1}) for
+    t = K..1; and the residual B0...BK, reduced.  PK and the seams each
+    hold at most len(z) bytes.
     """
     data = z.data
-    items = [(data[:t], c) for t, c in enumerate(data) if c >= 2 * r]
+    # 0 (where P0 ends), then the position of each Rt
+    cuts = [0] + [t for t, c in enumerate(data) if c >= 2 * r]
+    items = [(data[t], ops.invert(data[s:t])) for s, t in zip(cuts, cuts[1:])]
     items.reverse()
     residual = bytes(c for c in data if c < 2 * r)
-    return items, Word(z.group, ops.free_reduce(residual))
+    return data[:cuts[-1]], items, Word(z.group, ops.free_reduce(residual))
 
 
 def collect_commutators(w: Word, r: int
@@ -481,21 +496,21 @@ def _rewrite_standard(G: KernelGroup, g: ProductElement) -> List[Tuple[str, int]
         raise ValueError("lift must clear factors 2..n")
     z = zeta.factors[0]
 
-    # stage 2: peel letters above r, then collect basic commutators;
-    # stage 3: conjugators into symbols, telescoped as c_1 s_1 (c_1^-1 c_2)
-    # s_2 ... c_K^-1, the collector's seams closing the chain.  GenWord's
-    # free reduction is unique, so the reduced symbol word is the one the
-    # untelescoped product reduces to
-    peels, residual = peel_high_letters(z, G.r)
+    # stage 2: peel letters above r, then collect basic commutators; each
+    # returns its first conjugator and then every item with its seam to the
+    # next conjugator, the peels' last seam P_1^-1 meeting the collector's
+    # C_1.  stage 3: conjugators into symbols, telescoped as c_1 s_1
+    # (c_1^-1 c_2) s_2 ... c_K^-1, every seam mapped straight to symbols.
+    # The map is a homomorphism and GenWord's free reduction is unique, so
+    # the reduced symbol word is the one the untelescoped product reduces to
+    head, peels, residual = peel_high_letters(z, G.r)
     first, commutators = collect_commutators(residual, G.r)
-    syms: List[Tuple[str, int]] = []
-    prev = b""
-    for prefix, c in peels:
-        syms.extend(_conjugator_symbols(G, ops.concat(ops.invert(prev), prefix)))
+    syms = _conjugator_symbols(G, head)
+    for c, seam in peels:
         k, s = _index_sign(c)
         syms.append((f"b{k}_1", s))
-        prev = prefix
-    syms.extend(_conjugator_symbols(G, ops.concat(ops.invert(prev), first)))
+        syms.extend(_conjugator_symbols(G, seam))
+    syms.extend(_conjugator_symbols(G, first))
     for i, j, sign, seam in commutators:
         syms.append((f"c{i}_{j}", sign))
         syms.extend(_conjugator_symbols(G, seam))

@@ -383,6 +383,17 @@ def test_toy_amalgam_answers_at_large_k_within_the_memory_limit():
         (100000, "verified-bound")
 
 
+def test_rewrite_peels_many_high_letters_within_the_memory_limit():
+    # 40,000 letters above r in factor 1: peels returned as full prefixes
+    # held O(k * len) bytes and ran out of the 1 GB limit with a MemoryError
+    proc = _run_limited(("rewrite", "--group", "K2_3_2", "--element",
+                         "(e3 e1)^40000 e1^-40000 ; 1", "--format", "json"),
+                        60)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["round_trip"] is True
+
+
 # run in a child with no site packages: the pytest process has loaded the
 # modules this checks for
 _FOOTPRINT = (

@@ -4,6 +4,7 @@ import types
 
 import pytest
 
+from kgroups import _wordops_py as ops
 from kgroups import kernels
 from kgroups.abelian import FactorHom, ab_image
 from kgroups.kernels import (GenWord, KernelGroup, ProductElement, contains,
@@ -11,7 +12,8 @@ from kgroups.kernels import (GenWord, KernelGroup, ProductElement, contains,
                              rewrite_in_generators, standard_generators,
                              theta)
 from kgroups.metrics import h_family
-from kgroups.words import FreeGroup, commutator, inv, parse_word, reduce
+from kgroups.words import (FreeGroup, Word, commutator, inv, parse_word,
+                           reduce)
 
 
 K222 = KernelGroup(2, 2, 2)
@@ -121,6 +123,31 @@ def test_rewrite_handles_high_letters_inside_conjugators():
     assert contains(G, g)
     w = rewrite_in_generators(G, g)
     assert w.eval() == g
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_peels_return_the_last_prefix_and_reduced_seams(m):
+    # P_K then (R_t, P_t^-1 P_{t-1}) for t = K..1: concatenating the seams
+    # onto P_K rebuilds every prefix before a letter above r, down to the
+    # empty P_0, and the head and seams hold at most twice the word
+    F = FreeGroup(m)
+    rng = random.Random(m)
+    for r in range(m):
+        for _ in range(60):
+            data = ops.free_reduce(bytes(
+                rng.randrange(2 * m) for _ in range(rng.randrange(120))))
+            head, items, residual = kernels.peel_high_letters(Word(F, data), r)
+            cuts = [t for t, c in enumerate(data) if c >= 2 * r]
+            assert [c for c, _ in items] == [data[t] for t in reversed(cuts)]
+            prefix = head
+            for t, (_, seam) in zip(reversed(cuts), items):
+                assert prefix == data[:t]
+                assert seam == ops.free_reduce(seam)
+                prefix = ops.concat(prefix, seam)
+            assert prefix == b""
+            assert len(head) + sum(len(s) for _, s in items) <= 2 * len(data)
+            assert residual.data == ops.free_reduce(
+                bytes(c for c in data if c < 2 * r))
 
 
 def test_custom_hom_kernel_round_trip():
