@@ -374,6 +374,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (WordParseError, ValueError, CertificateError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_FAIL
+    except MemoryError:
+        out = None
+    if out is None:
+        # reported once the handler is left: until then its traceback holds
+        # the failed search's frames, and with them its memory
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_FAIL
     fmt = args.format or out.default_format
     sys.stdout.write(_render(out.payload, fmt, out.rows))
     return out.code

@@ -18,7 +18,8 @@ node's parent, whose result it has already seen.  Equality of states is
 componentwise free equality, which is exact and cheap, so no quotient
 trickery is needed.  One breadth-first core, ``_Side.expand`` (one shell,
 stopping at the first new element in a given collection), serves every
-search; none finds the toy amalgam's edge power, which comes from
+search that stores the elements it finds; the ball count below has its
+own.  None finds the toy amalgam's edge power, which comes from
 ``AmalgamScenario.subgroup_power``.
 
 ``distance`` and ``distortion_table`` meet in the middle (``_meet``): they
@@ -33,16 +34,22 @@ ball below the target.
 
 A failed search is still a certificate: if the ball of radius ``r`` is
 exhausted without meeting the target, the distance is provably ``> r``.
-``distance`` then counts the identity's ball of radius ``r`` one symmetry
-orbit at a time, so its ``explored`` is that ball's size.  A symmetry is a
-signed permutation of the letters, applied to every factor, that maps the
-move list onto itself (``_symmetries``); it is an automorphism of the
-Cayley graph fixing the identity, so the search stores one representative
-per orbit and counts the orbit's size.  K(2,2,2)'s standard moves have one
-such map, x <-> y, which halves the stored ball.  ``ball_profile`` does
-this count, shell by shell; ``distance_map``, which needs every element,
-enumerates the ball with ``_ball_search``.  Reports preserve that logical
-shape instead of guessing.
+``distance`` then counts the identity's ball of radius ``r``
+(``_orbit_shells``, which ``ball_profile`` runs too), so its ``explored``
+is that ball's size.  The count stores one element per symmetry orbit and
+adds the orbit's size.  A symmetry is a signed permutation of the
+letters, applied to every factor, that maps the move list onto itself
+(``_symmetries``); it is an automorphism of the Cayley graph fixing the
+identity.  K(2,2,2)'s standard moves have one such map, x <-> y, which
+halves the stored ball.  The count also finds each shell one class of
+exponent-sum vectors at a time (``_VectorClasses``), keeps only the last
+two shells, and counts the last shell one class at a time without
+storing it.  A shell grows about 5x on K(2,2,2), so the last shell holds
+most of the ball: the radius-8 count holds the 55,574 orbits of shells 6
+and 7 and at most 14,958 of the last shell's 229,960, where storing every
+orbit of B(8) took 287,873 keys.  ``distance_map``, which needs every
+element, enumerates the ball with ``_ball_search``.  Reports preserve that
+logical shape instead of guessing.
 
 The distortion experiments compare ``d_B`` against the ambient word
 metric of the enclosing product of free groups along the test family
@@ -52,8 +59,11 @@ metric of the enclosing product of free groups along the test family
 from __future__ import annotations
 
 from array import array
-from typing import (Callable, Collection, Dict, List, NamedTuple,
-                    Optional, Sequence, Tuple)
+from collections import defaultdict
+from operator import lshift
+from types import MappingProxyType
+from typing import (Callable, Collection, DefaultDict, Dict, List, Mapping,
+                    NamedTuple, Optional, Sequence, Tuple)
 
 from . import _wordops_py as ops
 from .words import _MAX_LETTERS, commutator, signed_permutations
@@ -98,8 +108,10 @@ class DistanceResult(NamedTuple):
     ball around the identity and of the ball around the target, the
     meeting element once (1 when the target is the identity).  Otherwise
     ``value`` equals ``radius`` and certifies ``distance > radius``, and
-    ``explored`` is the size of the whole ball of that radius, which was
-    counted one symmetry orbit at a time.
+    ``explored`` is the size of the whole ball of that radius.  That ball
+    was counted one symmetry orbit at a time and, for its last shell, one
+    class of exponent-sum vectors at a time (``_orbit_shells``), so the
+    search never held the whole ball.
     """
 
     found: bool
@@ -211,71 +223,60 @@ def _symmetries(moves: Sequence[Tuple[bytes, ...]]) -> List[Symmetry]:
     move, the list is empty, which leaves every count exact.  The moves
     must be checked by ``_step_plan`` first.
     """
-    index = {mv: i for i, mv in enumerate(moves)}
-    rank = max((c for mv in moves for w in mv for c in w), default=-1) // 2 + 1
+    # each move as its ball key would join it (injective, as no word holds
+    # SEP), and all of them joined by a byte that is neither a letter nor
+    # SEP, so that one translate maps every move
+    keys = [SEP.join(mv) for mv in moves]
+    index = {key: i for i, key in enumerate(keys)}
     if len(index) != len(moves):
         return []
     perms = {tuple(range(len(moves)))}
     out: List[Symmetry] = []
-    for table in signed_permutations(rank):
-        mapped = [tuple(w.translate(table) for w in mv) for mv in moves]
+    joined = b"\xfe".join(keys)
+    for table in signed_permutations(_rank(moves)):
+        mapped = joined.translate(table).split(b"\xfe")
         if set(mapped) != index.keys():
             continue
-        perm = tuple(index[mv] for mv in mapped)
+        perm = tuple(map(index.__getitem__, mapped))
         if perm not in perms:
             perms.add(perm)
             out.append((table, perm))
     return out
 
 
+def _rank(moves: Sequence[Tuple[bytes, ...]]) -> int:
+    """The rank the moves' letters need: one past their largest generator."""
+    return max(b"".join(map(b"".join, moves)), default=-1) // 2 + 1
+
+
 class _Side:
     """One breadth-first search from ``root``, grown a shell at a time.
 
     ``depths`` maps every element seen to its exact distance from ``root``,
-    in discovery order, and ``shells[k]`` is the size of shell ``k`` once
-    it is complete.  ``frontier`` is the last complete shell, at ``depth``,
-    and ``backs[j]`` the index of the move from ``frontier[j]`` back to its
-    parent, which the search skips: it leads to an element already seen,
-    so the skip changes no outcome.  A shell at ``radius`` is never
-    expanded, so it is not kept.
+    in discovery order.  ``frontier`` is the last complete shell, at
+    ``depth``, and ``backs[j]`` the index of the move from ``frontier[j]``
+    back to its parent, which the search skips: it leads to an element
+    already seen, so the skip changes no outcome.  A shell at ``radius`` is
+    never expanded, so it is not kept.
 
     Each child is one call of its move's step (``_step_plan``) on the
-    parent's key.  ``_meet`` runs two sides; ``ball_profile`` and
-    ``_ball_search`` grow one to its radius.
-
-    With symmetries (``_symmetries`` of the moves, and ``root`` the
-    identity, which they fix), the search stores one element per orbit:
-    each child ``h`` is replaced by its least image ``s(h)`` over the
-    group, and a new one adds its orbit's size to its shell, the group
-    order over the number of maps that send ``h`` to ``s(h)``.  This
-    counts every element.  The maps are graph automorphisms fixing the
-    identity, so they keep distances to it and an orbit lies within one
-    shell.  Every ``h`` in shell ``k + 1`` is ``g * m`` for some ``g`` in
-    shell ``k`` and move ``m`` (``S_(k+1) = S_k * M - B(k)``); with
-    ``g = t(r)`` for a stored ``r`` and a map ``t``, ``t^-1(h) =
-    r * t^-1(m)`` is a child of ``r``, so expanding the stored elements
-    alone reaches every orbit of shell ``k + 1``.  The move from ``s(h)``
-    back to ``s(r)`` is ``s(moves[i ^ 1])``, index ``perm[i] ^ 1``, and is
-    skipped as before.  A map acts on a key by ``bytes.translate``: a
-    signed letter map commutes with ``invert``, so the translated key is
-    the image's key, its first factor still inverted.
+    parent's key.  ``_meet`` runs two sides and ``_ball_search`` grows one
+    to its radius; both store every element, in the order found.  The ball
+    count, which needs no element's distance or order, runs a search of
+    its own (``_orbit_shells``).
     """
 
-    __slots__ = ("plan", "radius", "syms", "depths", "depth", "frontier",
-                 "backs", "shells")
+    __slots__ = ("plan", "radius", "depths", "depth", "frontier", "backs")
 
-    def __init__(self, plan: Plan, root: Key, radius: int,
-                 syms: Sequence[Symmetry] = ()) -> None:
+    def __init__(self, plan: Plan, root: Key, radius: int) -> None:
         self.plan = plan
         self.radius = radius
-        self.syms = syms
         self.depths = {root: 0}
         self.depth = 0
         self.frontier = [root]
         # one byte per move index where they fit; len(plan) marks the
         # root, which has no parent
         self.backs = array("B" if len(plan) < 256 else "L", [len(plan)])
-        self.shells = [1]
 
     def expand(self, stop: Collection[Key]) -> Optional[Key]:
         """Discover the next shell, stopping at the first new element that
@@ -283,10 +284,7 @@ class _Side:
         ``None`` once the shell is complete."""
         depth = self.depth = self.depth + 1
         grow = depth < self.radius
-        plan, depths, syms = self.plan, self.depths, self.syms
-        order = len(syms) + 1
-        seen = len(depths)
-        size = 0
+        plan, depths = self.plan, self.depths
         nxt: List[Key] = []
         nxt_backs = array(self.backs.typecode)
         for g, back in zip(self.frontier, self.backs):
@@ -294,21 +292,7 @@ class _Side:
                 if i == back:
                     continue
                 h = step(g)
-                if syms:
-                    # the least image c, the move index leading to it, and
-                    # how many maps send h to c
-                    c, j, fixed = h, i, 1
-                    for t, perm in syms:
-                        x = h.translate(t)
-                        if x < c:
-                            c, j, fixed = x, perm[i], 1
-                        elif x == c:
-                            fixed += 1
-                    if c in depths:
-                        continue
-                    h, i = c, j
-                    size += order // fixed
-                elif h in depths:
+                if h in depths:
                     continue
                 depths[h] = depth
                 if h in stop:
@@ -317,7 +301,6 @@ class _Side:
                     nxt.append(h)
                     nxt_backs.append(i ^ 1)
         self.frontier, self.backs = nxt, nxt_backs
-        self.shells.append(size if syms else len(depths) - seen)
         return None
 
     def grow(self) -> None:
@@ -399,10 +382,11 @@ def distance(
     and one around the target, each to about half the distance, and
     reports the distance where they first share an element; ``explored``
     then counts the distinct elements the two balls hold.  Without a
-    meeting, the identity's ball of radius ``max_radius`` is counted one
-    symmetry orbit at a time (``ball_profile``), so the ``distance > r``
-    certificate reports, as ``explored``, the size of the whole ball it
-    rests on.
+    meeting, the identity's ball of radius ``max_radius`` is counted with
+    the meet's step plan (``_orbit_shells``): one symmetry orbit at a time,
+    and its last shell one class of exponent-sum vectors at a time.  So
+    the ``distance > r`` certificate reports, as ``explored``, the size of
+    the whole ball it rests on.
 
     The caller is responsible for the target actually lying in the
     subgroup generated by ``gens``; for targets outside it the search can
@@ -410,30 +394,194 @@ def distance(
     """
     if target.n != gens.group.n or target.m != gens.group.m:
         raise ValueError("target has the wrong ambient product shape")
-    ident = _identity_key(gens)
-    hit, explored = _meet(_step_plan(ident, _moves(gens), max_radius),
-                          ident, ball_key(target), max_radius)
+    ident, moves = _identity_key(gens), _moves(gens)
+    plan = _step_plan(ident, moves, max_radius)
+    hit, explored = _meet(plan, ident, ball_key(target), max_radius)
     if hit is not None:
         return DistanceResult(True, hit, max_radius, explored)
     return DistanceResult(False, max_radius, max_radius,
-                          sum(ball_profile(gens, max_radius)))
+                          sum(_orbit_shells(ident, moves, plan, max_radius)))
 
 
 def ball_profile(gens: GeneratingSet, radius: int) -> List[int]:
     """Shell sizes ``[1, s_1, ..., s_radius]`` of the Cayley ball.
 
     The list stops early at the first empty shell (a finite subgroup).
-    The shells are counted one orbit of the moves' letter symmetries at a
-    time (see ``_Side``).
+    The ball is counted one symmetry orbit at a time, each shell one class
+    of exponent-sum vectors at a time, and the last shell is not stored
+    (``_orbit_shells``).
     """
     ident, moves = _identity_key(gens), _moves(gens)
-    side = _Side(_step_plan(ident, moves, radius), ident, radius,
-                 _symmetries(moves))
-    side.grow()
-    shells = side.shells
-    if shells[-1] == 0:
-        shells.pop()
+    return _orbit_shells(ident, moves, _step_plan(ident, moves, radius),
+                         radius)
+
+
+def _orbit_shells(ident: Key, moves: Sequence[Tuple[bytes, ...]],
+                  plan: Plan, radius: int) -> List[int]:
+    """Shell sizes of the ball around ``ident`` (``ball_profile``), for
+    moves checked and planned by ``_step_plan``.
+
+    The ball is counted one orbit of the moves' letter symmetries
+    (``_symmetries``) at a time.  The maps are automorphisms of the Cayley
+    graph that fix the identity, so they keep distances to it and an
+    orbit lies within one shell.  The search stores one element per orbit,
+    and a new one adds its orbit's size to its shell: the group order over
+    the number of maps that fix it.  Every ``h`` in shell ``k + 1`` is
+    ``g * m`` for some ``g`` in shell ``k`` and move ``m``; with ``g =
+    t(r)`` for a stored ``r`` and a map ``t``, ``t^-1(h) = r * t^-1(m)`` is
+    a child of ``r``, so expanding the stored elements alone reaches every
+    orbit of shell ``k + 1``.  A map acts on a key by ``bytes.translate``:
+    a signed letter map commutes with ``invert``, so the translated key is
+    the image's key, its first factor still inverted.
+
+    Each map sends an element's exponent-sum vector to its image's
+    (``_VectorClasses``), and the least of a vector's images names its
+    class; an orbit lies within one class.  The element stored for an
+    orbit is its least image among those whose vector is its class's
+    least, so the stored elements of a class share that vector.  A move
+    adds a fixed vector, so the children of one class's elements along one
+    move share a vector too, and the maps that send it to its class's
+    least (``VectorClass``; most vectors have one) give each child's
+    stored image without reading a key.  A child of shell ``k`` lies in
+    shell ``k - 1``, ``k`` or ``k + 1``, so its class's stored elements of
+    shells ``k - 1`` and ``k``, and the new ones, decide whether it is new.
+    Each shell is therefore found one class at a time, only the last two
+    shells are kept, and the last shell is not stored: each class's new
+    elements are counted and dropped.  The search holds two shells of
+    ``B(radius - 1)`` and one class of the last shell.  As in ``_Side``,
+    the move back to a stored element's parent (from ``s(h)`` to ``s(g)``,
+    ``s(moves[i ^ 1])``) is skipped.
+    """
+    syms = _symmetries(moves)
+    # perms[s][i]: the index of map s's image of moves[i], map 0 the identity
+    perms = [range(len(moves))] + [p for _, p in syms]
+    order = len(perms)
+    classes_of = _VectorClasses(moves, [t for t, _ in syms], radius)
+    steps = [(i, vec, step) for (i, step), vec in zip(plan, classes_of.vecs)]
+    # per class, its elements in the last shell found and in the one before,
+    # each with the index of its move back
+    frontier: Dict[int, Dict[Key, int]] = {0: {ident: len(plan)}}
+    previous: Dict[int, Dict[Key, int]] = {}
+    shells = [1]
+    for depth in range(1, radius + 1):
+        classes: DefaultDict[int, List[tuple]] = defaultdict(list)
+        for v, group in frontier.items():
+            for i, vec, step in steps:
+                least, s, first, rest = classes_of[v + vec]
+                classes[least].append((group, i, step, first, rest,
+                                       perms[s][i] ^ 1))
+        nxt: Dict[int, Dict[Key, int]] = {}
+        size = 0
+        for least, parts in classes.items():
+            # the class's elements in the last two shells
+            known = (frontier.get(least, _NO_ELEMENTS).keys()
+                     | previous.get(least, _NO_ELEMENTS).keys())
+            fresh: Dict[Key, int] = {}
+            for group, i, step, first, rest, first_back in parts:
+                if not rest:
+                    # one map sends the children's vector to the class's,
+                    # so a child's image under it is its least image
+                    for g, back in group.items():
+                        if back != i:
+                            c = step(g).translate(first) if first else step(g)
+                            if c not in known:
+                                fresh[c] = first_back
+                    continue
+                for g, back in group.items():
+                    if back == i:
+                        continue
+                    h = step(g)
+                    # the least image, its move back, and how many maps send
+                    # h to it; a new one with fixed > 1 has an orbit of
+                    # order // fixed elements, not order
+                    c, c_back, fixed = (h.translate(first) if first else h,
+                                        first_back, 1)
+                    for k, t in rest:
+                        x = h.translate(t)
+                        if x < c:
+                            c, c_back, fixed = x, perms[k][i] ^ 1, 1
+                        elif x == c:
+                            fixed += 1
+                    if c not in known:
+                        if fixed > 1 and c not in fresh:
+                            size -= order - order // fixed
+                        fresh[c] = c_back
+            size += order * len(fresh)
+            if depth < radius and fresh:
+                nxt[least] = fresh
+        if not size:
+            break
+        shells.append(size)
+        previous, frontier = frontier, nxt
     return shells
+
+
+# the elements of a class in a shell that has none
+_NO_ELEMENTS: Mapping[Key, int] = MappingProxyType({})
+
+# a vector's class (its least image), and the maps that send it there: the
+# first one's index and table (empty for the identity), then (index, table)
+# for the others
+VectorClass = Tuple[int, int, bytes, List[Tuple[int, bytes]]]
+
+
+class _VectorClasses(Dict[int, VectorClass]):
+    """Exponent-sum vectors for ``_orbit_shells``, packed into ints, and a
+    memo from each vector asked for to its ``VectorClass``.
+
+    An element's vector lists, factor by factor, the exponent sum of each
+    generator (``ops.exponent_sums``), and is packed as ``sum(e_k <<
+    (width * k))``: the vector of ``g * m`` is the int sum of those of
+    ``g`` and ``m``, and ``moves[i]``'s is ``vecs[i]``.  A sum is at most
+    ``radius`` times the longest move's letter count in size, which
+    ``width`` leaves room for.  Maps are numbered as in ``_orbit_shells``,
+    0 the identity and ``s`` the table ``tables[s - 1]``.  A signed letter
+    map sends a vector's sum of generator ``j`` to generator ``p(j)``,
+    negated with the sign: with ``half`` added to every field, each field
+    is nonnegative, one shift and mask reads generator ``j``'s field in
+    every factor at once, and ``2 * half`` minus a field negates it.
+    """
+
+    def __init__(self, moves: Sequence[Tuple[bytes, ...]],
+                 tables: Sequence[bytes], radius: int) -> None:
+        super().__init__()
+        rank = _rank(moves)
+        width = (radius * max(map(len, map(b"".join, moves)), default=0)
+                 ).bit_length() + 1
+        gens = range(rank)
+        # where each factor's sum of each generator starts, in bits
+        shifts = range(0, width * rank * len(moves[0]) if moves else 0, width)
+        self.vecs = [0] * len(moves)
+        for i in range(0, len(moves), 2):
+            v = sum(map(lshift, [e for w in moves[i]
+                                 for e in ops.exponent_sums(w, gens)], shifts))
+            self.vecs[i:i + 2] = v, -v
+        # 1 in every field, and in generator 0's field of every factor
+        ones = sum(1 << shift for shift in shifts)
+        firsts = sum(1 << shift for shift in shifts[::rank])
+        half = 1 << (width - 1)
+        self.bias, self.column = half * ones, ((1 << width) - 1) * firsts
+        self.twice = 2 * half * firsts
+        # per map, its number and table and, per generator j, where j's
+        # fields are, whether they are negated, and where their images go
+        self.maps = [(s, t, [(width * j, t[2 * j] & 1, width * (t[2 * j] >> 1))
+                             for j in gens]) for s, t in enumerate(tables, 1)]
+
+    def __missing__(self, v: int) -> VectorClass:
+        column, twice, bias = self.column, self.twice, self.bias
+        u = v + bias
+        least, s0, first, rest = v, 0, b"", []
+        for s, t, spec in self.maps:
+            x = -bias
+            for a, flip, b in spec:
+                f = u >> a & column
+                x += (twice - f if flip else f) << b
+            if x < least:
+                least, s0, first, rest = x, s, t, []
+            elif x == least:
+                rest.append((s, t))
+        got = self[v] = (least, s0, first, rest)
+        return got
 
 
 def distance_map(gens: GeneratingSet, radius: int

@@ -12,9 +12,9 @@ imported as `ops`).
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from itertools import permutations, product
-from typing import (Iterable, Iterator, List, Mapping, Optional, Sequence,
-                    Tuple)
+from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import _wordops_py as ops
 
@@ -213,24 +213,30 @@ def exponent_sum(w: Word, j: int) -> int:
     return ops.exponent_sums(w.data, (j - 1,))[0]
 
 
-def signed_permutations(rank: int) -> Iterator[bytes]:
+@lru_cache(maxsize=None)
+def _signed_permutation_tables(rank: int) -> Tuple[bytes, ...]:
+    rest = bytes(range(2 * rank, 256))
+    # generator j's letter and its inverse, bytes 2j and 2j + 1, go to
+    # 2k + e and its inverse (2k + e) ^ 1
+    return tuple(bytes([2 * k + e ^ b for k, e in zip(images, flips)
+                        for b in (0, 1)]) + rest
+                 for images in permutations(range(rank))
+                 for flips in product((0, 1), repeat=rank))
+
+
+def signed_permutations(rank: int) -> Tuple[bytes, ...]:
     """``bytes.translate`` tables of the signed generator permutations.
 
     Each sends generator ``j`` to generator ``p(j)`` or its inverse and
     fixes every other byte: an automorphism of the free group that maps
     reduced words to reduced words of the same length.  The identity comes
     first, then the rest in ``permutations x product`` order.  Above
-    ``_SYMMETRY_RANK`` only the identity is yielded.
+    ``_SYMMETRY_RANK`` only the identity is given.  The tables are built
+    once per rank.
     """
     if rank > _SYMMETRY_RANK:
-        yield bytes(range(256))
-        return
-    for images in permutations(range(rank)):
-        for flips in product((0, 1), repeat=rank):
-            table = bytearray(range(256))
-            for j, (k, e) in enumerate(zip(images, flips)):
-                table[2 * j], table[2 * j + 1] = 2 * k + e, 2 * k + (e ^ 1)
-            yield bytes(table)
+        return (bytes(range(256)),)
+    return _signed_permutation_tables(rank)
 
 
 # -- text form --------------------------------------------------------------

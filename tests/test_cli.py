@@ -307,9 +307,18 @@ def test_area_reports_an_obstruction_from_a_kernel_combination(capsys):
 # run in a child limited to 1 GB of address space: without the limit these
 # argvs could take the machine's memory
 _LIMITED = ("import resource, sys\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "limit = int(sys.argv[1])\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
             "from kgroups.cli import main\n"
-            "sys.exit(main(sys.argv[1:]))\n")
+            "sys.exit(main(sys.argv[2:]))\n")
+
+
+def _run_limited(argv, timeout, limit=1 << 30):
+    """Run the CLI in a child whose address space is ``limit`` bytes."""
+    src = os.path.dirname(os.path.dirname(kgroups.__file__))
+    return subprocess.run([sys.executable, "-c", _LIMITED, str(limit), *argv],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=timeout)
 
 
 @pytest.mark.parametrize("argv", [
@@ -321,21 +330,11 @@ _LIMITED = ("import resource, sys\n"
     ("member", "--group", "K2_100000_100000", "--element", "1 ; 1"),
 ], ids=lambda a: a[2])
 def test_group_descriptors_too_large_to_build_exit_one(argv):
-    src = os.path.dirname(os.path.dirname(kgroups.__file__))
-    proc = subprocess.run([sys.executable, "-c", _LIMITED, *argv],
-                          env=dict(os.environ, PYTHONPATH=src),
-                          capture_output=True, text=True, timeout=60)
+    proc = _run_limited(argv, 60)
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
-
-
-def _run_limited(argv, timeout):
-    src = os.path.dirname(os.path.dirname(kgroups.__file__))
-    return subprocess.run([sys.executable, "-c", _LIMITED, *argv],
-                          env=dict(os.environ, PYTHONPATH=src),
-                          capture_output=True, text=True, timeout=timeout)
 
 
 @pytest.mark.parametrize("argv, error", [
@@ -355,6 +354,26 @@ def _run_limited(argv, timeout):
 def test_inputs_past_the_letter_cap_exit_one(argv, error):
     proc = _run_limited(argv, 60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", error)
+
+
+def test_running_out_of_memory_exits_one_without_a_traceback():
+    # B(11) does not fit in 128 MB: the exclusion's count raised MemoryError
+    # and printed its traceback
+    proc = _run_limited(("metric", "--group", "K2_2_2", "--target", "h(3)",
+                         "--radius", "12"), 60, 128 << 20)
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (1, "", "error: out of memory\n")
+
+
+def test_radius_nine_exclusion_fits_in_192_mb():
+    # counting the last shell one vector class at a time holds about 50 MB;
+    # holding every orbit of B(9) ran out of this limit with a MemoryError
+    proc = _run_limited(("metric", "--group", "K2_2_2", "--target", "h(2)",
+                         "--radius", "9", "--format", "json"), 60, 192 << 20)
+    assert (proc.returncode, proc.stderr) == (2, "")
+    report = json.loads(proc.stdout)
+    assert (report["certificate"], report["explored"]) == \
+        ("distance > 9", 2860749)
 
 
 @pytest.mark.parametrize("n", ["257", "262144"])

@@ -3,16 +3,18 @@ import time
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from kgroups import _wordops_py as ops
 from kgroups.certificates import toy_scenario
 from kgroups.kernels import (GenWord, KernelGroup, ProductElement,
                              identity_element, standard_generators)
 from kgroups import metrics
-from kgroups.metrics import (_ball_search, _key_factors, _meet, _moves,
-                             _step_plan, _symmetries, ambient_length,
-                             ball_key, ball_profile, distance, distance_map,
-                             distortion_table, h_family)
-from kgroups.words import FreeGroup, reduce
+from kgroups.metrics import (SEP, _ball_search, _key_factors, _meet, _moves,
+                             _orbit_shells, _step_plan, _symmetries,
+                             ambient_length, ball_key, ball_profile, distance,
+                             distance_map, distortion_table, h_family)
+from kgroups.words import FreeGroup, reduce, signed_permutations
 
 G = KernelGroup(2, 2, 2)
 B = standard_generators(G)
@@ -523,15 +525,18 @@ def test_distortion_rows_out_of_reach_build_no_words():
 
 # -- counting the ball one symmetry orbit at a time ----------------------------
 
-def _unreduced_shells(gens, radius):
-    """Shell sizes of the ball as the unreduced ``_ball_search`` stores it."""
-    depths = _ball_search(ball_key(identity_element(gens.group.n,
-                                                    gens.group.m)),
-                          _moves(gens), radius)
+def _depth_counts(depths):
     shells = [0] * (max(depths.values()) + 1)
     for d in depths.values():
         shells[d] += 1
     return shells
+
+
+def _unreduced_shells(gens, radius):
+    """Shell sizes of the ball as the unreduced ``_ball_search`` stores it."""
+    return _depth_counts(_ball_search(
+        ball_key(identity_element(gens.group.n, gens.group.m)), _moves(gens),
+        radius))
 
 
 @pytest.mark.parametrize("shape, radius, order",
@@ -581,9 +586,46 @@ def test_moves_without_symmetry_get_none():
                                           (1, 0))]
 
 
+@st.composite
+def _symmetric_moves(draw):
+    """Inverse-paired moves over 1-3 factors of rank 2-3, closed under a
+    signed letter permutation other than the identity."""
+    width, rank = draw(st.integers(1, 3)), draw(st.integers(2, 3))
+    table = draw(st.sampled_from(signed_permutations(rank)[1:]))
+    word = st.lists(st.integers(0, 2 * rank - 1), max_size=3).map(
+        lambda letters: ops.free_reduce(bytes(letters)))
+    # a move the table moves, so that it is one of the move list's symmetries
+    moved = st.tuples(*[word] * width).filter(
+        lambda mv: tuple(w.translate(table) for w in mv) != mv)
+    bases = draw(st.lists(moved, min_size=1, max_size=2))
+    moves = []
+    for mv in bases:
+        # the orbit of mv under the table, each move followed by its inverse
+        while mv not in moves:
+            moves += [mv, tuple(map(ops.invert, mv))]
+            mv = tuple(w.translate(table) for w in mv)
+    return moves
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_symmetric_moves(), st.integers(2, 4))
+def test_orbit_counts_match_the_unreduced_ball_on_random_moves(moves, radius):
+    # the symmetries include sign flips, maps that fix a generator (so some
+    # elements are fixed by a map) and, over three factors, moves that change
+    # the middle factor; the radius shrinks to keep the ball small
+    while len(moves) ** radius > 20000:
+        radius -= 1
+    assert _symmetries(moves)
+    ident = SEP * (len(moves[0]) - 1)
+    plan = _step_plan(ident, moves, radius)
+    want = _depth_counts(_ball_search(ident, moves, radius))
+    assert _orbit_shells(ident, moves, plan, radius) == want
+
+
 def test_orbit_ball_memory_per_explored_element():
-    # the exclusion stores one key per x <-> y orbit: about 62 traced bytes
-    # per element of the ball, where storing every element took about 127
+    # the exclusion stores one key per x <-> y orbit of the last two shells
+    # and one vector class of the new one: about 14 traced bytes per element
+    # of the ball, where storing every element took about 127
     tracemalloc.start()
     try:
         res = distance(B, h_family(2), 6)
@@ -592,6 +634,20 @@ def test_orbit_ball_memory_per_explored_element():
         tracemalloc.stop()
     assert (res.found, res.explored) == (False, 23285)
     assert peak / res.explored < 80
+
+
+def test_exclusion_memory_holds_one_class_of_the_last_shell():
+    # the last shell, 80% of the ball, is counted one class of exponent-sum
+    # vectors at a time; holding the ball's orbit representatives took 53
+    # traced bytes per element here, this reads about 12
+    tracemalloc.start()
+    try:
+        res = distance(B, h_family(2), 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (res.found, res.explored) == (False, 115825)
+    assert peak / res.explored < 25
 
 
 def test_unreduced_ball_memory_per_key():
