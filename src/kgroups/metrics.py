@@ -61,8 +61,7 @@ from __future__ import annotations
 from array import array
 from collections import defaultdict
 from operator import lshift
-from types import MappingProxyType
-from typing import (Callable, Collection, DefaultDict, Dict, List, Mapping,
+from typing import (Callable, Collection, DefaultDict, Dict, List,
                     NamedTuple, Optional, Sequence, Tuple)
 
 from . import _wordops_py as ops
@@ -223,18 +222,16 @@ def _symmetries(moves: Sequence[Tuple[bytes, ...]]) -> List[Symmetry]:
     move, the list is empty, which leaves every count exact.  The moves
     must be checked by ``_step_plan`` first.
     """
-    # each move as its ball key would join it (injective, as no word holds
-    # SEP), and all of them joined by a byte that is neither a letter nor
-    # SEP, so that one translate maps every move
+    # each move as its ball key would join it: no word holds SEP, so the
+    # join is injective, and every table fixes SEP
     keys = [SEP.join(mv) for mv in moves]
     index = {key: i for i, key in enumerate(keys)}
     if len(index) != len(moves):
         return []
     perms = {tuple(range(len(moves)))}
     out: List[Symmetry] = []
-    joined = b"\xfe".join(keys)
     for table in signed_permutations(_rank(moves)):
-        mapped = joined.translate(table).split(b"\xfe")
+        mapped = [key.translate(table) for key in keys]
         if set(mapped) != index.keys():
             continue
         perm = tuple(map(index.__getitem__, mapped))
@@ -474,19 +471,10 @@ def _orbit_shells(ident: Key, moves: Sequence[Tuple[bytes, ...]],
         size = 0
         for least, parts in classes.items():
             # the class's elements in the last two shells
-            known = (frontier.get(least, _NO_ELEMENTS).keys()
-                     | previous.get(least, _NO_ELEMENTS).keys())
+            known = (frontier.get(least, {}).keys()
+                     | previous.get(least, {}).keys())
             fresh: Dict[Key, int] = {}
             for group, i, step, first, rest, first_back in parts:
-                if not rest:
-                    # one map sends the children's vector to the class's,
-                    # so a child's image under it is its least image
-                    for g, back in group.items():
-                        if back != i:
-                            c = step(g).translate(first) if first else step(g)
-                            if c not in known:
-                                fresh[c] = first_back
-                    continue
                 for g, back in group.items():
                     if back == i:
                         continue
@@ -515,9 +503,6 @@ def _orbit_shells(ident: Key, moves: Sequence[Tuple[bytes, ...]],
         previous, frontier = frontier, nxt
     return shells
 
-
-# the elements of a class in a shell that has none
-_NO_ELEMENTS: Mapping[Key, int] = MappingProxyType({})
 
 # a vector's class (its least image), and the maps that send it there: the
 # first one's index and table (empty for the identity), then (index, table)

@@ -214,16 +214,6 @@ def exponent_sum(w: Word, j: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _signed_permutation_tables(rank: int) -> Tuple[bytes, ...]:
-    rest = bytes(range(2 * rank, 256))
-    # generator j's letter and its inverse, bytes 2j and 2j + 1, go to
-    # 2k + e and its inverse (2k + e) ^ 1
-    return tuple(bytes([2 * k + e ^ b for k, e in zip(images, flips)
-                        for b in (0, 1)]) + rest
-                 for images in permutations(range(rank))
-                 for flips in product((0, 1), repeat=rank))
-
-
 def signed_permutations(rank: int) -> Tuple[bytes, ...]:
     """``bytes.translate`` tables of the signed generator permutations.
 
@@ -236,7 +226,14 @@ def signed_permutations(rank: int) -> Tuple[bytes, ...]:
     """
     if rank > _SYMMETRY_RANK:
         return (bytes(range(256)),)
-    return _signed_permutation_tables(rank)
+    tables = []
+    for images in permutations(range(rank)):
+        for flips in product((0, 1), repeat=rank):
+            table = bytearray(range(256))
+            for j, (k, e) in enumerate(zip(images, flips)):
+                table[2 * j], table[2 * j + 1] = 2 * k + e, 2 * k + (e ^ 1)
+            tables.append(bytes(table))
+    return tuple(tables)
 
 
 # -- text form --------------------------------------------------------------

@@ -304,8 +304,9 @@ def test_area_reports_an_obstruction_from_a_kernel_combination(capsys):
         (0, 0, True)
 
 
-# run in a child limited to 1 GB of address space: without the limit these
-# argvs could take the machine's memory
+# run in a child whose address-space limit, in bytes, is its first argument
+# (1 GB through _run_limited unless a test passes another): without a limit
+# these argvs could take the machine's memory
 _LIMITED = ("import resource, sys\n"
             "limit = int(sys.argv[1])\n"
             "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
