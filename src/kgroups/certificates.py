@@ -67,7 +67,7 @@ def _evidence(verifier: str, inputs: dict, details: dict) -> dict:
 
 
 def pair_presentation() -> Presentation:
-    """``< x, y | [x,y] >`` with its free-abelian evaluation oracle."""
+    """``< x, y | [x,y] >`` with its Z^2 evaluation oracle."""
     return with_abelian_evaluation(parse_presentation("< x, y | [x,y] >"))
 
 
@@ -127,9 +127,7 @@ def distortion_test_words(n: int) -> Tuple[Word, Word, Evaluation]:
 
 
 def letter_length(w: Word, ev: Evaluation) -> int:
-    """Length of ``w`` after expanding each symbol to its realization."""
-    if ev.kind != "product":
-        raise ValueError("letter_length needs a product evaluation")
+    """Length of ``w`` after expanding each symbol to its image's factors."""
     return sum(ev.images[j - 1].total_length() for j, _ in w.letters)
 
 
@@ -234,9 +232,8 @@ class AmalgamScenario:
         self.w = w
         self.u = u
         self.v = v
-        ev = presentation.evaluation
-        if ev is None or ev.kind != "product":
-            raise ValueError("scenario needs a faithful product evaluation")
+        if presentation.evaluation is None:
+            raise ValueError("scenario needs a faithful evaluation")
         self.edge_element = self._eval(parse_word(presentation.group, edge))
         # the cyclically reduced length of the edge (subgroup_power)
         self._core = sum(len(ops.cyclic_reduce(e.data))

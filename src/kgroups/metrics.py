@@ -58,7 +58,6 @@ metric of the enclosing product of free groups along the test family
 
 from __future__ import annotations
 
-from array import array
 from collections import defaultdict
 from operator import lshift
 from typing import (Callable, Collection, DefaultDict, Dict, List,
@@ -251,10 +250,11 @@ class _Side:
 
     ``depths`` maps every element seen to its exact distance from ``root``,
     in discovery order.  ``frontier`` is the last complete shell, at
-    ``depth``, and ``backs[j]`` the index of the move from ``frontier[j]``
-    back to its parent, which the search skips: it leads to an element
-    already seen, so the skip changes no outcome.  A shell at ``radius`` is
-    never expanded, so it is not kept.
+    ``depth``, in discovery order: it maps each element to the index of its
+    move back to its parent, as ``_orbit_shells`` keeps each class, and the
+    search skips that move: it leads to an element already seen, so the
+    skip changes no outcome.  A shell at ``radius`` is never expanded, so
+    it is not kept.
 
     Each child is one call of its move's step (``_step_plan``) on the
     parent's key.  ``_meet`` runs two sides and ``_ball_search`` grows one
@@ -263,17 +263,15 @@ class _Side:
     its own (``_orbit_shells``).
     """
 
-    __slots__ = ("plan", "radius", "depths", "depth", "frontier", "backs")
+    __slots__ = ("plan", "radius", "depths", "depth", "frontier")
 
     def __init__(self, plan: Plan, root: Key, radius: int) -> None:
         self.plan = plan
         self.radius = radius
         self.depths = {root: 0}
         self.depth = 0
-        self.frontier = [root]
-        # one byte per move index where they fit; len(plan) marks the
-        # root, which has no parent
-        self.backs = array("B" if len(plan) < 256 else "L", [len(plan)])
+        # len(plan) marks the root, which has no parent
+        self.frontier: Dict[Key, int] = {root: len(plan)}
 
     def expand(self, stop: Collection[Key]) -> Optional[Key]:
         """Discover the next shell, stopping at the first new element that
@@ -282,9 +280,8 @@ class _Side:
         depth = self.depth = self.depth + 1
         grow = depth < self.radius
         plan, depths = self.plan, self.depths
-        nxt: List[Key] = []
-        nxt_backs = array(self.backs.typecode)
-        for g, back in zip(self.frontier, self.backs):
+        nxt: Dict[Key, int] = {}
+        for g, back in self.frontier.items():
             for i, step in plan:
                 if i == back:
                     continue
@@ -295,9 +292,8 @@ class _Side:
                 if h in stop:
                     return h
                 if grow:
-                    nxt.append(h)
-                    nxt_backs.append(i ^ 1)
-        self.frontier, self.backs = nxt, nxt_backs
+                    nxt[h] = i ^ 1
+        self.frontier = nxt
         return None
 
     def grow(self) -> None:

@@ -9,9 +9,8 @@ lengths past the input, and the optimum is only claimed for expressions
 whose intermediate products stay under that cap.
 
 Null-homotopy itself is decided through an attached evaluation into a
-concrete group (a product of free groups, or free abelian) that the
-caller declares faithful; presentations without one still support
-verify/search but not the membership question.
+product of free groups that the caller declares faithful; presentations
+without one still support verify/search but not the membership question.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
 from .areasearch import (AdditiveHeuristic, SearchOutcome, greedy_probe,
                          plane_value, run_search, winding_sum)
 from . import _wordops_py as ops
-from .abelian import FactorHom, ab_image, standard_hom
 from .kernels import ProductElement, evaluate
 from .words import (FreeGroup, Word, _read, commutator, inv, mul,
                     parse_word, signed_permutations, to_text)
@@ -39,46 +37,48 @@ class CertificateError(RuntimeError):
 
 
 class Evaluation:
-    """Images of the alphabet in a concrete group, declared faithful.
+    """Images of the alphabet in a product of free groups, declared faithful.
 
-    Supports products of free groups (ProductElement images) and free
-    abelian targets (integer tuple images).  Faithfulness -- that a word
-    evaluates to the identity exactly when it is null-homotopic -- is the
-    caller's assertion; this class only does the evaluating.
+    Each image is a ProductElement, all of one shape, or an integer row
+    (a_1, ..., a_k), which is the element of F_1^k whose i-th factor is
+    x^(a_i): Z^k is a product of k rank-1 free groups.  Rows share one
+    length; the empty row, the identity of Z^0, is the identity of F_1.
+    Faithfulness -- that a word evaluates to the identity exactly when it
+    is null-homotopic -- is the caller's assertion; this class only does
+    the evaluating.
     """
 
-    __slots__ = ("kind", "images", "_hom")
+    __slots__ = ("images",)
 
-    def __init__(self, images: Sequence[Union[ProductElement, Tuple[int, ...]]]):
+    def __init__(self, images: Sequence[Union[ProductElement, Sequence[int]]]):
         images = tuple(images)
         if not images:
             raise ValueError("need at least one image")
-        if isinstance(images[0], ProductElement):
-            self.kind = "product"
-            if not all(isinstance(g, ProductElement) for g in images):
-                raise ValueError("mixed image kinds")
-            if len({(g.n, g.m) for g in images}) > 1:
-                raise ValueError("product images must share one shape")
-            self._hom = None
-        else:
-            self.kind = "abelian"
-            images = tuple(map(tuple, images))
-            if len({len(row) for row in images}) > 1:
-                raise ValueError("abelian images must share one length")
-            self._hom = FactorHom(len(images), len(images[0]), images)
-        self.images = images
+        if len({len(g) for g in images
+                if not isinstance(g, ProductElement)}) > 1:
+            raise ValueError("integer rows must share one length")
+        self.images = tuple(g if isinstance(g, ProductElement)
+                            else _row_element(g) for g in images)
+        if len({(g.n, g.m) for g in self.images}) > 1:
+            raise ValueError("images must share one shape")
 
-    def eval_word(self, w: Word):
-        if self.kind == "product":
-            first = self.images[0]
-            return evaluate(self.images, ((j - 1, s) for j, s in w.letters),
-                            first.n, first.m)
-        return ab_image(self._hom, w)
+    def eval_word(self, w: Word) -> ProductElement:
+        first = self.images[0]
+        return evaluate(self.images, ((j - 1, s) for j, s in w.letters),
+                        first.n, first.m)
 
-    def is_identity(self, el) -> bool:
-        if self.kind == "product":
-            return not el
-        return not any(el)
+
+_LINE = FreeGroup(1)
+
+
+def _row_element(row: Sequence[int]) -> ProductElement:
+    """The integer row as an element of F_1^len(row), or of F_1 if empty;
+    an entry past the letter cap raises ValueError from Word.__pow__."""
+    # int() would truncate 1.5 and read "1"; bools are not entries
+    if not all(type(a) is int for a in row):
+        raise ValueError(f"image entries must be ints, got {list(row)}")
+    x = _LINE.gen(1)
+    return ProductElement([x ** a for a in row] or [_LINE.identity])
 
 
 class Presentation:
@@ -105,7 +105,7 @@ class Presentation:
             if len(evaluation.images) != self.group.rank:
                 raise ValueError("need one image per alphabet symbol")
             for w in self.relators:
-                if not evaluation.is_identity(evaluation.eval_word(w)):
+                if evaluation.eval_word(w):
                     raise ValueError(f"relator {to_text(w)} does not evaluate to the identity")
 
     def word(self, text: str) -> Word:
@@ -192,7 +192,7 @@ class NullExpression:
 def is_null_homotopic(P: Presentation, w: Word) -> bool:
     if P.evaluation is None:
         raise ValueError("no evaluation oracle attached to this presentation")
-    return P.evaluation.is_identity(P.evaluation.eval_word(w))
+    return not P.evaluation.eval_word(w)
 
 
 def verify_null_expression(P: Presentation, w: Word, expr: NullExpression) -> bool:
@@ -624,7 +624,8 @@ def _canonical_class(data: bytes) -> bytes:
 
 
 def with_abelian_evaluation(P: Presentation) -> Presentation:
-    """P with the free-abelian quotient Z^rank as its evaluation.
+    """P with its quotient Z^rank, one unit row per generator, as its
+    evaluation.
 
     That evaluation is faithful only when P presents Z^rank, so every basic
     commutator [e_i, e_j] (i < j) must be a relator up to rotation and
@@ -640,7 +641,7 @@ def with_abelian_evaluation(P: Presentation) -> Presentation:
             raise ValueError(f"the commutator {to_text(c)} is not a relator,"
                              " so the free-abelian evaluation is not"
                              " faithful")
-    ev = Evaluation(standard_hom(rank, rank).images)
+    ev = Evaluation([[int(i == j) for j in range(rank)] for i in range(rank)])
     return Presentation(P.group.names, P.relators, ev)
 
 
@@ -648,10 +649,10 @@ def _null_classes(P: Presentation, n: int) -> List[Word]:
     """Canonical representatives of null-homotopic classes of length <= n.
 
     A depth-first walk over the reduced words of length <= n carries each
-    prefix's image under the evaluation down to its children: one vector
-    add per letter for an abelian image, one seam ``concat`` per factor for
-    a product image.  A prefix is null exactly when every coordinate of its
-    image is zero (abelian) or empty (product).
+    prefix's image under the evaluation down to its children.  A letter's
+    child joins the letter's piece onto each factor its image moves, one
+    seam ``concat`` each (a Z^k row moves one factor per nonzero entry),
+    and a prefix is null exactly when every factor of its image is empty.
 
     The walk visits only words whose first letter is positive (an even
     byte) and whose later letters are no smaller than the first.  Every
@@ -664,26 +665,25 @@ def _null_classes(P: Presentation, n: int) -> List[Word]:
     """
     ev = P.evaluation
     letters = range(2 * P.group.rank)
-    if ev.kind == "abelian":
-        step, one = operator.add, (0,) * len(ev.images[0])
-        images = [tuple(-v if c & 1 else v for v in ev.images[c >> 1])
-                  for c in letters]
-    else:
-        step, one = ops.concat, (b"",) * ev.images[0].n
-        images = [tuple(ops.invert(w) if c & 1 else w
-                        for w in ev.images[c >> 1].key()) for c in letters]
+    # per letter, the (factor, piece) pairs of the factors it moves
+    moves = [[(i, ops.invert(w) if c & 1 else w)
+              for i, w in enumerate(ev.images[c >> 1].key()) if w]
+             for c in letters]
     reps = set()
-    stack = [(b"", one)]
+    stack = [(b"", [b""] * ev.images[0].n)]
     while stack:
         prefix, image = stack.pop()
         if prefix and not any(image):
             reps.add(_canonical_class(prefix))
         if len(prefix) < n:
+            back = prefix[-1] ^ 1 if prefix else None
             for c in letters[prefix[0]:] if prefix else letters[::2]:
-                if prefix and (prefix[-1] ^ c) == 1:
+                if c == back:
                     continue
-                stack.append((prefix + bytes((c,)),
-                              tuple(map(step, image, images[c]))))
+                child = image[:]
+                for i, piece in moves[c]:
+                    child[i] = ops.concat(child[i], piece)
+                stack.append((prefix + bytes((c,)), child))
     reps.discard(b"")
     return [Word(P.group, d) for d in sorted(reps, key=lambda d: (len(d), d))]
 

@@ -10,6 +10,8 @@ import pytest
 
 import kgroups
 from kgroups import presentations
+from kgroups import _wordops_py as ops
+from kgroups.abelian import FactorHom, ab_image
 from kgroups.areasearch import AdditiveHeuristic, run_search
 from kgroups.certificates import toy_scenario
 from kgroups.kernels import ProductElement
@@ -109,6 +111,60 @@ def test_abelian_evaluation_keeps_integer_images():
     # int() used to truncate 1.5 to 1 before the map saw the rows
     with pytest.raises(ValueError):
         Evaluation([(1.5, 0), (0, 1)])
+    with pytest.raises(ValueError):
+        Evaluation([(True, 0), (0, 1)])
+
+
+def test_integer_rows_evaluate_as_exponent_sums():
+    # unit, negative and zero entries: a row is an element of F_1^k, whose
+    # factors' exponent sums are the word's image in Z^k
+    rows = [(1, 0, -2), (0, -1, 3), (0, 0, 0)]
+    ev = Evaluation(rows)
+    x = FreeGroup(1).gen(1)
+    assert ev.images[0] == ProductElement((x, x ** 0, x ** -2))
+    hom = FactorHom(3, 3, rows)
+    rng = random.Random(43)
+    F = FreeGroup(3)
+    for length in range(30):
+        w = Word(F, ops.free_reduce(bytes(rng.randrange(6)
+                                          for _ in range(length))))
+        image = ev.eval_word(w)
+        sums = tuple(ops.exponent_sums(f.data, [0])[0] for f in image.factors)
+        assert sums == ab_image(hom, w)
+
+
+def test_rows_of_length_zero_make_every_word_null():
+    P = Presentation(("x", "y"), ("x", "y^2 x"), Evaluation([(), ()]))
+    assert is_null_homotopic(P, P.word("x y^-3"))
+    assert [w.data for w in _null_classes(P, 2)] == [b"\x00", b"\x02",
+                                                    b"\x00\x00", b"\x00\x02",
+                                                    b"\x00\x03", b"\x02\x02"]
+
+
+def test_integer_rows_refuse_entries_past_the_letter_cap():
+    cap = 1 << 20
+    assert Evaluation([(cap,), (-cap,)]).images[0].total_length() == cap
+    for entry in (cap + 1, -cap - 1, 10 ** 30):
+        with pytest.raises(ValueError, match="too long"):
+            Evaluation([(0, entry), (1, 0)])
+
+
+@pytest.mark.parametrize("images", [
+    [(1, 0), (0,)],
+    [(), (0,)],             # Z^0 beside Z^1, both read in one F_1 factor
+    [(1, 0, 0), (0, 1)]])
+def test_integer_rows_share_one_length(images):
+    with pytest.raises(ValueError, match="one length"):
+        Evaluation(images)
+
+
+def test_product_images_beside_integer_rows_share_one_shape():
+    F2, F1 = FreeGroup(2), FreeGroup(1)
+    with pytest.raises(ValueError, match="one shape"):
+        Evaluation([ProductElement((F2.gen(1), F2.gen(2))), (1, 0)])
+    x = F1.gen(1)
+    ev = Evaluation([ProductElement((x, inv(x))), (1, -1)])
+    assert ev.images[0] == ev.images[1]
 
 
 @pytest.mark.parametrize("n,expected", [(1, 1), (2, 4), (3, 9)])

@@ -88,6 +88,19 @@ def test_genword_product_needs_one_generating_set():
     assert (u * u).eval() == u.eval() * u.eval()
 
 
+def test_genword_inverse_and_equality():
+    B1 = standard_generators(K222)
+    h = FactorHom(2, 2, [(1, 0), (1, 1)])
+    B2 = standard_generators(KernelGroup(2, 2, 2, homs=[h, h]))
+    syms = [("a1_2", 1), ("c1_2", -1), ("a2_2", 1), ("a1_2", 1)]
+    w = GenWord(B1, syms)
+    assert (~w).eval() == ~(w.eval())
+    assert ~~w == w and ~w != w
+    assert w == GenWord(B1, syms)
+    # the same symbols over another generating set are another word
+    assert w != GenWord(B2, syms)
+
+
 def test_rewrite_simple_cases():
     gens = standard_generators(K222)
     for text, expect in [
