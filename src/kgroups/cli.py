@@ -60,7 +60,25 @@ def _parse_group(text: str) -> KernelGroup:
     if not m:
         raise ValueError(f"group descriptor {text!r} is not of the form"
                          " K<n>_<m>_<r>")
-    return KernelGroup(*(int(g) for g in m.groups()))
+    return _kernel_group(*(int(g) for g in m.groups()))
+
+
+@functools.lru_cache(maxsize=4)
+def _kernel_group(n: int, m: int, r: int) -> KernelGroup:
+    """``KernelGroup(n, m, r)``, built and checked once per process and then
+    reused, with the generating set ``standard_generators`` caches on it.
+
+    A group does not change once checked, and what it caches lazily (its
+    generating set, its basis changes) depends on it alone, so a query
+    loop pays for the group and its generating set once.  Nothing a search finds
+    is kept here.  A bad descriptor raises on every call: ``lru_cache``
+    keeps no exception.  The cache is bounded because a descriptor holds
+    O(n) references (one factor map per factor) and its generating set up
+    to the letter cap (1M) of them, so an unbounded cache would keep every
+    large group alive; four entries hold the few groups a query loop
+    alternates between.
+    """
+    return KernelGroup(n, m, r)
 
 
 def _parse_element(G: KernelGroup, text: str) -> ProductElement:

@@ -8,18 +8,20 @@ by a generator or its inverse.  With the first factor inverted, a move
 acts on the key's two ends: right-multiplying the first factor by ``w``
 left-multiplies the key by ``w``'s inverse, and the last factor's word
 right-multiplies the key.  ``SEP`` cancels against no letter, so each end
-stops at it.  Each search first builds a step plan: one step per move,
-key to child key, both ends in one call (the word kernel's
-``two_sided_step``), so an edge builds no group objects and, unless the
-move changes a middle factor (three or more factors), does not split the
-key.  Moves come in inverse pairs, ``moves[i ^ 1]`` undoing
-``moves[i]``; the search checks this and never takes the move back to a
-node's parent, whose result it has already seen.  Equality of states is
-componentwise free equality, which is exact and cheap, so no quotient
-trickery is needed.  One breadth-first core, ``_Side.expand`` (one shell,
-stopping at the first new element in a given collection), serves every
-search that stores the elements it finds; the ball count below has its
-own.  None finds the toy amalgam's edge power, which comes from
+stops at it.  Each search runs on a step plan: one step per move, key to
+child key, both ends in one call (the word kernel's ``two_sided_step``),
+so an edge builds no group objects and, unless the move changes a middle
+factor (three or more factors), does not split the key.  A plan is
+checked and built once per move list and then reused (``_step_plan``):
+it depends on the moves alone, not on a search's target or radius, and
+holds no search result.  Moves come in inverse pairs, ``moves[i ^ 1]``
+undoing ``moves[i]``; the plan's check enforces this, and the search
+never takes the move back to a node's parent, whose result it has
+already seen.  Equality of states is componentwise free equality, which
+is exact and cheap, so no quotient trickery is needed.  One breadth-first
+core, ``_Side.expand`` (one shell, stopping at the first new element in a
+given collection), serves every search that stores the elements it finds;
+the ball count below has its own.  None finds the toy amalgam's edge power, which comes from
 ``AmalgamScenario.subgroup_power``.
 
 ``distance`` and ``distortion_table`` meet in the middle (``_meet``): they
@@ -58,6 +60,7 @@ metric of the enclosing product of free groups along the test family
 
 from __future__ import annotations
 
+import functools
 from collections import defaultdict
 from operator import lshift
 from typing import (Callable, Collection, DefaultDict, Dict, List,
@@ -139,17 +142,39 @@ def _moves(gens: GeneratingSet) -> List[Tuple[bytes, ...]]:
 
 # per move: its index and its step, which maps a ball key to the key of the
 # element times the move
-Plan = List[Tuple[int, Callable[[Key], Key]]]
+Plan = Tuple[Tuple[int, Callable[[Key], Key]], ...]
 
 
 def _step_plan(ident: Key, moves: Sequence[Tuple[bytes, ...]], radius: int
                ) -> Plan:
-    """Check a search's inputs and build its step plan.
+    """Check a search's inputs and return its step plan.
+
+    ``radius`` is the search's radius: it must be nonnegative, else
+    ``ValueError``, and it is checked on every call.  The plan does not
+    depend on it.  The moves are checked, and the plan built, once per
+    value of ``(ident, moves)`` (``_checked_plan``): a later call with
+    equal moves, from any generating set, gets the same plan, and a
+    different move list is checked afresh.
+    """
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
+    return _checked_plan(ident, tuple(moves))
+
+
+# A plan and its key hold one reference per factor of each move, up to
+# about twice the letter cap (1M) on the largest generating set, so the
+# cache is bounded; a process that alternates between a few groups, the
+# CLI's query loop or a library caller's, still finds each plan.
+@functools.lru_cache(maxsize=4)
+def _checked_plan(ident: Key, moves: Tuple[Tuple[bytes, ...], ...]) -> Plan:
+    """The step plan of ``moves`` from ``ident``'s shape, once its moves
+    are checked.
 
     A move is a tuple of factor words, one per factor of ``ident``, and the
     child of ``g`` along it replaces each factor ``f`` by the reduced
     ``f * w``.  Moves come in inverse pairs: ``moves[i ^ 1]`` must be the
-    factorwise inverse of ``moves[i]``, else ``ValueError``.
+    factorwise inverse of ``moves[i]``, else ``ValueError``.  An error is
+    not cached, so a bad move list raises on every call.
 
     The plan holds one step per move, ``ball_key(g)`` to
     ``ball_key(g * move)``.  In the key the first factor is inverted, so
@@ -158,10 +183,9 @@ def _step_plan(ident: Key, moves: Sequence[Tuple[bytes, ...]], radius: int
     ``ops.two_sided_step`` does both in one call, and ``SEP`` keeps the
     two ends apart.  Only a move that changes a middle factor (a key of
     three or more factors) splits the key, steps those factors and joins
-    it again (``_middle_step``).
+    it again (``_middle_step``).  The plan is a tuple, and each step
+    keeps no state between calls, so callers can share it.
     """
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
     if len(moves) % 2:
         raise ValueError("moves must come in inverse pairs")
     width = ident.count(SEP) + 1
@@ -172,14 +196,14 @@ def _step_plan(ident: Key, moves: Sequence[Tuple[bytes, ...]], radius: int
         if tuple(map(ops.invert, mv)) != tuple(moves[i ^ 1]):
             raise ValueError("move %d is not the inverse of move %d"
                              % (i ^ 1, i))
-    plan: Plan = []
+    plan = []
     for i, mv in enumerate(moves):
         step = ops.two_sided_step(ops.invert(mv[0]),
                                   mv[-1] if width > 1 else b"")
         middle = [(k, ops.two_sided_step(b"", w))
                   for k, w in enumerate(mv[1:-1], 1) if w]
         plan.append((i, _middle_step(step, middle) if middle else step))
-    return plan
+    return tuple(plan)
 
 
 def _middle_step(ends: Callable[[Key], Key],
@@ -361,9 +385,17 @@ def _meet(plan: Plan, ident: Key, target: Key, radius: int
     return None, len(fwd.depths) + len(bwd.depths)
 
 
-def _identity_key(gens: GeneratingSet) -> Key:
-    """``ball_key`` of the identity: ``n`` empty factor words."""
-    return SEP * (gens.group.n - 1)
+def _search_inputs(gens: GeneratingSet, radius: int
+                   ) -> Tuple[Key, List[Tuple[bytes, ...]], Plan]:
+    """A search's identity key (``ball_key`` of ``n`` empty factor words),
+    ``gens``' moves and their step plan.
+
+    The moves are read from ``gens`` on every call, and ``_step_plan``
+    checks ``radius`` each time and returns the plan it built for an equal
+    move list before.
+    """
+    ident, moves = SEP * (gens.group.n - 1), _moves(gens)
+    return ident, moves, _step_plan(ident, moves, radius)
 
 
 def distance(
@@ -387,8 +419,7 @@ def distance(
     """
     if target.n != gens.group.n or target.m != gens.group.m:
         raise ValueError("target has the wrong ambient product shape")
-    ident, moves = _identity_key(gens), _moves(gens)
-    plan = _step_plan(ident, moves, max_radius)
+    ident, moves, plan = _search_inputs(gens, max_radius)
     hit, explored = _meet(plan, ident, ball_key(target), max_radius)
     if hit is not None:
         return DistanceResult(True, hit, max_radius, explored)
@@ -404,9 +435,7 @@ def ball_profile(gens: GeneratingSet, radius: int) -> List[int]:
     of exponent-sum vectors at a time, and the last shell is not stored
     (``_orbit_shells``).
     """
-    ident, moves = _identity_key(gens), _moves(gens)
-    return _orbit_shells(ident, moves, _step_plan(ident, moves, radius),
-                         radius)
+    return _orbit_shells(*_search_inputs(gens, radius), radius)
 
 
 def _orbit_shells(ident: Key, moves: Sequence[Tuple[bytes, ...]],
@@ -573,7 +602,8 @@ def distance_map(gens: GeneratingSet, radius: int
     for property checks (symmetry, triangle inequality) that need many
     distances at once rather than one target.
     """
-    depths = _ball_search(_identity_key(gens), _moves(gens), radius)
+    ident, moves, _ = _search_inputs(gens, radius)
+    depths = _ball_search(ident, moves, radius)
     return {_key_factors(key): d for key, d in depths.items()}
 
 
@@ -640,8 +670,7 @@ def distortion_table(n_range: Sequence[int], radius_budget: int
                 else n_range)
         _check_h_index(max(ends))
     gens = standard_generators(KernelGroup(2, 2, 2))
-    ident, moves = _identity_key(gens), _moves(gens)
-    plan = _step_plan(ident, moves, radius_budget)
+    ident, moves, plan = _search_inputs(gens, radius_budget)
     # a ball element is at most radius * (longest move) letters long
     reach = radius_budget * max(sum(map(len, mv)) for mv in moves)
     rows: List[DistortionRow] = []

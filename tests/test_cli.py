@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kgroups
-from kgroups import cli
+from kgroups import cli, metrics
 from kgroups.cli import main
 
 
@@ -120,6 +120,68 @@ def test_parser_is_built_once_and_leaks_no_flags(capsys):
     assert again == first
     assert "radius = 3\n" in again[0][1]
     assert "radius = 6\n" in again[1][1] and "radius = 6\n" in again[5][1]
+
+
+def test_a_repeated_metric_query_runs_its_search_again(capsys, monkeypatch):
+    # the group and the step plan are reused between queries, a search's
+    # outcome never: both exclusions count the ball
+    counted = []
+    orbit_shells = metrics._orbit_shells
+
+    def counting(*args):
+        counted.append(args[-1])
+        return orbit_shells(*args)
+    monkeypatch.setattr(metrics, "_orbit_shells", counting)
+    argv = ("metric", "--group", "K2_2_2", "--target", "h(2)", "--radius", "6")
+    first, second = run(capsys, *argv), run(capsys, *argv)
+    assert counted == [6, 6]
+    # the same exit code and the same stdout and stderr bytes
+    assert first == second and first[0] == 2
+    assert "explored = 23285" in first[1].splitlines()
+
+
+# three groups, each queried by metric, member, rewrite and split in turn
+INTERLEAVED = [
+    ("metric", "--group", "K2_2_2", "--target", "h(1)"),
+    ("member", "--group", "K3_2_2", "--element", "x ; x^-1 ; 1"),
+    ("rewrite", "--group", "K2_3_3", "--element", "e1 e3 ; e3^-1 e1^-1"),
+    ("metric", "--group", "K3_2_2", "--target", "x y ; y^-1 ; x^-1",
+     "--radius", "3"),
+    ("split", "--group", "K2_2_2", "--element", "x y^-1 ; y x^-1"),
+    ("metric", "--group", "K2_3_3", "--target", "e1 e3 ; e3^-1 e1^-1",
+     "--format", "json"),
+    ("member", "--group", "K2_3_3", "--element", "e3 ; 1"),
+    ("metric", "--group", "K2_2_2", "--target", "h(2)", "--radius", "4"),
+    ("split", "--group", "K3_2_2", "--element", "x ; x^-1 y ; y^-1"),
+    ("rewrite", "--group", "K3_2_2", "--element", "[x,y] ; 1 ; 1"),
+    ("metric", "--group", "K2_3_3", "--target", "e1 e2 ; e2^-1 e1^-1",
+     "--radius", "1"),
+    ("split", "--group", "K2_3_3", "--element", "e1 e2 ; e2^-1 e1^-1"),
+    ("rewrite", "--group", "K2_2_2", "--element", "[x^2, y^2] ; 1"),
+    ("metric", "--group", "K3_2_2", "--target", "x ; 1 ; 1"),
+    ("member", "--group", "K2_2_2", "--element", "x ; 1"),
+]
+
+
+def test_interned_groups_change_no_output(capsys):
+    src = os.path.dirname(os.path.dirname(kgroups.__file__))
+    for argv in INTERLEAVED:
+        fresh = subprocess.run(
+            [sys.executable, "-m", "kgroups", *argv],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, timeout=60)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (fresh.returncode, fresh.stdout), argv
+    assert cli._kernel_group.cache_info().maxsize == 4
+    assert cli._parse_group("K2_2_2") is cli._parse_group(" K02_2_2")
+    # with the cache warm, bad input still fails on every call
+    for _ in range(2):
+        assert run(capsys, "metric", "--group", "K2_2_2", "--target", "h(2)",
+                   "--radius", "-1") == (
+            1, "", "error: --radius must be at least 0\n")
+        assert run(capsys, "metric", "--group", "K0_2_2",
+                   "--target", "1") == (
+            1, "", "error: need n >= 1 and m >= 1\n")
 
 
 def test_h_family_targets_respect_the_word_length_cap(capsys):

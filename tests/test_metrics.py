@@ -503,6 +503,18 @@ def test_distance_rejects_moves_without_inverse_pairs(monkeypatch):
         distortion_table(range(1, 4), -1)
 
 
+def test_equal_moves_share_one_checked_plan():
+    # a fresh generating set with the same moves gets the plan built for B,
+    # whatever the radius; the plan cache is bounded
+    fresh = standard_generators(KernelGroup(2, 2, 2))
+    assert fresh is not B
+    plan = _step_plan(SEP, _moves(B), 2)
+    assert isinstance(plan, tuple)
+    assert _step_plan(SEP, _moves(fresh), 7) is plan
+    assert _step_plan(SEP, _moves(fresh), 0) is plan
+    assert metrics._checked_plan.cache_info().maxsize == 4
+
+
 def test_distortion_rows_match_one_distance_call_per_n():
     for radius in range(8):
         rows = distortion_table(range(1, 9), radius)
