@@ -134,15 +134,23 @@ def heuristic(state: bytes, hparams) -> int:
 
 def expand(state: bytes, variants: Sequence[bytes],
            len_cap: int) -> List[Tuple[bytes, int, int]]:
-    """All single-insertion successors within the length cap.
+    """The single-insertion successors that cancel, within the length cap.
 
+    Variant v at position p is kept only when it cancels a letter at a
+    seam: v's first letter cancels state[p-1] or its last letter cancels
+    state[p].  Some optimal expression cancels at every move (van Kampen's
+    lemma, areasearch's module docstring), so no other child is needed.
     Returns (child, pos, variant_index) tuples, variants outer, positions
-    0..len(state) inner, both ascending.
+    ascending.
     """
     out = []
     n = len(state)
     for vidx, rv in enumerate(variants):
+        head, tail = rv[0] ^ 1, rv[-1] ^ 1
         for pos in range(n + 1):
+            if not ((pos and state[pos - 1] == head)
+                    or (pos < n and state[pos] == tail)):
+                continue
             child = insert_reduce(state, pos, rv)
             if len(child) <= len_cap:
                 out.append((child, pos, vidx))

@@ -4,7 +4,8 @@ One move inserts a relator variant (a cyclic rotation of a relator or its
 inverse) at some position and freely reduces; every move costs 1 and the
 goal is the empty word.  With heuristic terms this is A* with a
 consistent heuristic, without them plain uniform-cost search; either way
-the first settlement of the goal is optimal within the length-cap regime.
+the first settlement of the goal is optimal within the search's regime:
+moves that cancel (below), words within the length cap.
 
 Inserting, reducing and counting exponent sums happen in the word kernel
 (`_wordops_py`, imported as `ops`); the loop around it is plain Python.
@@ -63,11 +64,39 @@ is a root-only bound: the caller takes the larger of it and the additive
 bound as the start's h0, the probe's target, while children keep their
 additive bounds.
 
-Seam lengths: the state and the variant are reduced, so inserting v at
-position p can cancel letters only where state[p-1] = v[0]^-1 or
-state[p] = v[-1]^-1.  Every other position gives a child of length
-len(state) + len(v), so the probe builds only the seam children to rank
-them, and down the dive only the child it enters.
+Successors: insertions that cancel.  ops.expand is the one successor
+rule of the search and the probe: it keeps variant v at position p only
+when v cancels a letter at a seam, state[p-1] = v[0]^-1 or
+state[p] = v[-1]^-1 (the state and v are reduced, so they can cancel
+nowhere else).  By van Kampen's lemma (Lyndon and Schupp, Combinatorial
+Group Theory, 1977, ch. V) some optimal expression cancels at every
+move.  Let w be a reduced nonempty null word with a van Kampen diagram D
+of least area A >= 1.  An edge that lies on no cell is crossed twice by
+the boundary, once each way, and if every edge were, w would reduce to
+the empty word; so some boundary edge e, read as the letter w_i, lies on
+a cell sigma.  Read sigma's boundary starting just after e, in the
+direction w reads e: it spells rho w_i.  Cutting sigma out leaves a
+diagram of area A - 1 whose boundary reads w[:i] rho^-1 w[i+1:], and
+inserting (rho w_i)^-1 at position i + 1 and reducing gives that word,
+the variant's first letter w_i^-1 cancelling w_i.  Read from e itself,
+sigma spells w_i rho, and (w_i rho)^-1 at position i gives the same
+word, its last letter cancelling w_i.  By induction on A, the children
+that cancel hold an optimal path.
+
+  - Relators that are not cyclically reduced.  A relator u c u^-1, with
+    c cyclically reduced, has exactly the conjugates of c, so every word
+    has the same area over the relators' cyclic reductions, and D may be
+    taken over those.  Then both readings of sigma's boundary, from e
+    and from just after it, and their inverses are rotations of c or
+    c^-1, which are reduced, and _variants holds each of them: the free
+    reduction of the rotation of u c^(+-1) u^-1 by |u| + t is the
+    rotation of c^(+-1) by t.
+  - The regime.  An exact area is least, and a lower bound holds, over
+    the expressions whose every move cancels and whose intermediate
+    words stay within the length cap.  The lemma's path may pass a
+    longer word than some other path of the same area, so the cap
+    still matters.  An unconditional result is unaffected: it matches
+    the root bound, which holds for every expression at any length.
 
 Frontier layout: edge costs are 1 and the heuristic is consistent, so f
 never falls along an edge.  The frontier is a min-heap of (f, h) keys and
@@ -203,30 +232,15 @@ def seam_ranked(state: bytes, variants: Sequence[bytes], child_h: Sequence[int],
                 h_max: int, len_cap: int) -> List[int]:
     """The probe's ranking of one state's children.
 
-    Returns the codes vidx * (len(state) + 1) + pos of every child
-    insert_reduce(state, pos, variants[vidx]) with h = child_h[vidx] <= h_max
-    and length <= len_cap, sorted by (h, length, code): the order a sort of
-    ops.expand's children gives, visited or not.  Variants are nonempty and
-    reduced, so a child is shorter than len(state) + len(v) only at a seam
-    position (module docstring), and only those children are built.
+    Returns the codes vidx * (len(state) + 1) + pos of ops.expand's
+    children made by the variants with h = child_h[vidx] <= h_max, sorted
+    by (h, length, code), visited or not.
     """
-    n = len(state)
-    width = n + 1
-    keys = []
-    for k, (v, h) in enumerate(zip(variants, child_h)):
-        if h > h_max:
-            continue
-        head, tail = v[0] ^ 1, v[-1] ^ 1
-        full = n + len(v)
-        base = k * width
-        for p in range(width):
-            if (p and state[p - 1] == head) or (p < n and state[p] == tail):
-                length = len(ops.insert_reduce(state, p, v))
-            else:
-                length = full
-            if length <= len_cap:
-                keys.append((h, length, base + p))
-    keys.sort()
+    useful = [k for k, h in enumerate(child_h) if h <= h_max]
+    width = len(state) + 1
+    keys = sorted((child_h[useful[k]], len(child), useful[k] * width + pos)
+                  for child, pos, k in
+                  ops.expand(state, [variants[k] for k in useful], len_cap))
     return [code for _, _, code in keys]
 
 
@@ -306,7 +320,7 @@ def run_search(start: bytes, variants: Sequence[bytes], *, len_cap: int,
 
     Stops at the goal, at node_cap settled states or push_cap pushes
     (lower_bound is the f being popped), or when the frontier runs dry
-    (regime_empty: no expression within len_cap).
+    (regime_empty: no expression whose every move cancels within len_cap).
 
     stop_at_bound halts as soon as the cheapest unsettled f reaches the
     bound: every cheaper state is settled by then, so the optimum is at

@@ -208,7 +208,9 @@ def cmd_area(args) -> _Outcome:
     if res.status == "exact":
         code = EXIT_OK
     elif res.regime_empty:
-        code = EXIT_FAIL  # proven impossible: the word is not null-homotopic
+        # the searched regime holds no expression (after an obstruction,
+        # no length does)
+        code = EXIT_FAIL
     else:
         code = EXIT_INCONCLUSIVE
     return _Outcome(payload, code)

@@ -3,10 +3,12 @@
 Area of a null-homotopic word w: the least T such that w is freely equal
 to a product of T conjugated relators.  The search inserts relator
 variants into reduced words (areasearch module); exactness holds within a
-documented completeness regime: intermediate words are capped at
-|w| + DEFAULT_LEN_CAP_FACTOR * (longest relator), that is 4 relator
-lengths past the input, and the optimum is only claimed for expressions
-whose intermediate products stay under that cap.
+documented completeness regime: every move cancels a letter at a seam of
+the insertion (by van Kampen's lemma some optimal expression does), and
+intermediate words are capped at |w| + DEFAULT_LEN_CAP_FACTOR * (longest
+relator), that is 4 relator lengths past the input.  The optimum is only
+claimed for expressions whose moves all cancel and whose intermediate
+products stay under that cap.
 
 Null-homotopy itself is decided through an attached evaluation into a
 product of free groups that the caller declares faithful; presentations
@@ -443,10 +445,13 @@ class AreaResult(NamedTuple):
     """Outcome of area_search: exact with witness, or exhausted with bound.
 
     `lower_bound` (exhausted runs) and exactness both hold within the
-    completeness regime recorded in `caps`: expressions whose intermediate
-    words exceed the length cap are outside the searched space.
-    regime_empty means the whole capped space was explored and contains no
-    expression at all.
+    completeness regime: expressions whose every move cancels a letter at
+    a seam (areasearch's module docstring) and whose intermediate words
+    stay within the length cap recorded in `caps`.  Other expressions are
+    outside the searched space.  regime_empty means the whole regime was
+    explored and holds no expression; the word may still be null.  An
+    unconditional area matches the root bound, which holds for every
+    expression at any length.
     """
 
     status: str  # "exact" or "exhausted"
@@ -698,8 +703,9 @@ def dehn_function(P: Presentation, n: int, *,
 
     A signed generator permutation (``signed_permutations``) that maps the
     relator variants (``_variants``) onto themselves maps each insertion
-    path to one with the same word lengths, so it keeps the area, within
-    the length cap and without it.  So only the first class of each orbit
+    path to one with the same word lengths whose moves cancel where the
+    old ones did, so it keeps the area, within the search's regime and
+    without it.  So only the first class of each orbit
     in (length, bytes) order is searched, and its result stands for the
     whole orbit.
     """

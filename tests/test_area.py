@@ -248,8 +248,9 @@ def heuristic_builds(monkeypatch):
 
 @pytest.mark.parametrize("text,stop_at_bound,builds,reason", [
     ("[x^2, y^2]", None, 1, "greedy probe matched the heuristic lower bound"),
-    # area 3: the probe fails and A* settles 290 states
-    ("x^-2 y^2 x y^-1 x^-1 y^-1 x^4 y x^-2 y^-1", None, 1, "goal"),
+    # area 4: the probe spends its budget and fails, and A* settles 269
+    # states
+    ("x^4 y x y^-1 x^-2 y x^-3 y^-1", None, 1, "goal"),
     ("[x^2, y^2]", 3, 1, "reached requested bound"),
     ("x y", None, 0, "abelianization obstruction: no expression exists at"
                      " any length"),

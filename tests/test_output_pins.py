@@ -143,8 +143,10 @@ COMMANDS = [
      0, 'cb9922e05d4528889895a51ee5069b6f36b59b07ac1224f8ead80ec132ff7393'),
     (('area', '--presentation', '< a, t | [t, a^2] >', '--word', '[t^2, a^2]', '--node-cap', '2000', '--format', 'json'),
      0, '82638cbfdd8f1416a525c50da83632a471ed93c929ac1f919a6fd5042dcd7a92'),
+    # recorded with the search that tries only insertions that cancel: it
+    # stops at the push cap after 465 nodes with lower bound 3
     (('area', '--presentation', '< a, b | (a b)^2 (b a)^-2 >', '--word', '(a b)^2 (b a)^-2 [a b, b a]', '--node-cap', '2000', '--format', 'json'),
-     2, '4112094068ea5a4280272a7d938c5cc89b7a886b38a82aaf44d95c127a0a1d72'),
+     2, '91ca8c416b0b5627748ee2e3c6decd2d47f7eba9806d64e4281b3dc8dda8c5be'),
     # long greedy-probe dives over dense seams: every witness byte pinned
     (('area', '--presentation', '< x, y | [x,y] >', '--word', '[x^8, y^8]', '--format', 'json'),
      0, '9ab29ffdaf10c8094c2d4461c1c16fef9e3c044615c1976e926fb4bc7a80397b'),

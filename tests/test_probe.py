@@ -1,4 +1,5 @@
-"""The greedy probe's seam-length ranking against build-and-sort references."""
+"""The successor rule and the greedy probe's ranking against references
+that try every insertion."""
 
 import random
 
@@ -20,13 +21,26 @@ RANKING_PRESENTATIONS = (
 )
 
 
+def cancelling_children(state, variants, len_cap):
+    """Insert every variant at every position with insert_reduce, and keep
+    the children shorter than len(state) + len(v), which are exactly the
+    insertions that cancel, within the cap: (child, pos, variant index),
+    variants outer, positions ascending."""
+    return [(child, pos, k)
+            for k, v in enumerate(variants)
+            for pos in range(len(state) + 1)
+            for child in [ops.insert_reduce(state, pos, v)]
+            if len(child) < len(state) + len(v) and len(child) <= len_cap]
+
+
 def reference_ranking(state, variants, child_h, h_max, len_cap):
-    """Build every child with ops.expand and sort by (h, length, code)."""
-    useful = [k for k in range(len(variants)) if child_h[k] <= h_max]
+    """Sort the cancelling children of the variants with h <= h_max by
+    (h, length, code)."""
     width = len(state) + 1
-    keys = sorted((child_h[useful[k]], len(child), useful[k] * width + pos)
+    keys = sorted((child_h[k], len(child), k * width + pos)
                   for child, pos, k in
-                  ops.expand(state, [variants[k] for k in useful], len_cap))
+                  cancelling_children(state, variants, len_cap)
+                  if child_h[k] <= h_max)
     return [code for _, _, code in keys]
 
 
@@ -57,19 +71,22 @@ def test_seam_ranking_matches_build_and_sort(text):
                                            DEFAULT_LEN_CAP_FACTOR * maxlen))
         want = reference_ranking(state, variants, child_h, h_max, len_cap)
         assert seam_ranked(state, variants, child_h, h_max, len_cap) == want
-        kept = sum(h <= h_max for h in child_h) * (len(state) + 1)
-        capped += len(want) < kept
+        children = cancelling_children(state, variants, len_cap)
+        assert ops.expand(state, variants, len_cap) == children
+        # the cap dropped a child that cancels
+        capped += len(children) < len(
+            cancelling_children(state, variants, len(state) + maxlen))
         # more letters gone than the variant brought: it was absorbed whole
         absorbed += any(len(child) < len(state) - len(variants[k])
-                        for child, _, k in
-                        ops.expand(state, variants, len_cap))
+                        for child, _, k in children)
     assert capped
     if "x^2" in text:
         assert absorbed
 
 
 def parent_probe(start, variants, *, len_cap, node_budget, heuristic):
-    """The probe as it was before the seam ranking: expand, filter, sort."""
+    """The probe as it was before the seam ranking: build the children,
+    filter and sort; here the children are cancelling_children's."""
     h0 = heuristic.bound(heuristic.values(start))
     if h0 <= 0:
         return None
@@ -83,7 +100,8 @@ def parent_probe(start, variants, *, len_cap, node_budget, heuristic):
         width = len(state) + 1
         keep = sorted((hv[useful[k]], len(child), useful[k] * width + pos)
                       for child, pos, k in
-                      ops.expand(state, [variants[k] for k in useful], len_cap)
+                      cancelling_children(state, [variants[k] for k in useful],
+                                          len_cap)
                       if child not in visited)
         return [code for _, _, code in keep]
 

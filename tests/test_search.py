@@ -12,7 +12,9 @@ from kgroups.areasearch import AdditiveHeuristic, run_search
 from kgroups.presentations import _root_bound, _variants, parse_presentation
 
 Z2 = "< x, y | [x,y] >"
-# area 3 over h0 = 1: the greedy probe fails on it, so area_search searches
+# area 3 over an additive bound of 1, so run_search has levels to search;
+# area_search's winding root bound is 3 and its greedy probe closes the
+# word with 0 nodes
 PROBE_FAILS = "[x,y] x^2 [y,x] x^-2 [x,y]"
 
 # (presentation, word, run_search keywords, {heuristic: outcome}); an
@@ -20,24 +22,24 @@ PROBE_FAILS = "[x,y] x^2 [y,x] x^-2 [x,y]"
 # stop_reason), and every case searches within len(word) + one relator
 CASES = [
     (Z2, PROBE_FAILS, {}, {
-        True: (3, [(0, 4), (2, 0), (0, 4)], None, 67, 593, False, "goal"),
-        False: (3, [(6, 0), (0, 4), (0, 4)], None, 1614, 20024, False, "goal"),
+        True: (3, [(0, 4), (2, 0), (0, 4)], None, 10, 120, False, "goal"),
+        False: (3, [(6, 0), (0, 4), (0, 4)], None, 416, 2024, False, "goal"),
     }),
-    (Z2, PROBE_FAILS, {"node_cap": 30}, {
-        True: (None, None, 1, 30, 328, False, "node cap"),
-        False: (None, None, 1, 30, 333, False, "node cap"),
+    (Z2, PROBE_FAILS, {"node_cap": 8}, {
+        True: (None, None, 1, 8, 103, False, "node cap"),
+        False: (None, None, 1, 8, 107, False, "node cap"),
     }),
-    (Z2, PROBE_FAILS, {"push_cap": 300}, {
-        True: (None, None, 1, 21, 300, False, "push cap"),
-        False: (None, None, 1, 22, 300, False, "push cap"),
+    (Z2, PROBE_FAILS, {"push_cap": 100}, {
+        True: (None, None, 1, 7, 100, False, "push cap"),
+        False: (None, None, 1, 7, 100, False, "push cap"),
     }),
     (Z2, PROBE_FAILS, {"stop_at_bound": 2}, {
-        True: (None, None, 3, 33, 339, False, "reached requested bound"),
-        False: (None, None, 2, 65, 462, False, "reached requested bound"),
+        True: (None, None, 3, 8, 115, False, "reached requested bound"),
+        False: (None, None, 2, 18, 193, False, "reached requested bound"),
     }),
     ("< x, y | x^2, y^2 >", "[x,y]", {}, {
-        True: (None, None, None, 144, 143, True, "frontier exhausted"),
-        False: (None, None, None, 144, 143, True, "frontier exhausted"),
+        True: (None, None, None, 16, 15, True, "frontier exhausted"),
+        False: (None, None, None, 16, 15, True, "frontier exhausted"),
     }),
 ]
 
