@@ -15,9 +15,8 @@ Word reduction and concatenation run in one pure-Python kernel,
 """
 
 from ._wordops_py import BACKEND
-from .words import (FreeGroup, Word, WordParseError, commutator, conj,
-                    exponent_sum, inv, mul, parse_word, reduce, substitute,
-                    to_text)
+from .words import (FreeGroup, Word, WordParseError, commutator, inv, mul,
+                    parse_word, reduce, substitute, to_text)
 from .abelian import (BasisChange, FactorHom, NielsenMove, ab_image,
                       apply_moves, invert_moves, is_surjective,
                       normalize_basis, standard_hom)
@@ -32,8 +31,7 @@ from .presentations import (AreaResult, DehnResult, Evaluation,
                             dehn_function, is_null_homotopic,
                             parse_presentation, verify_null_expression)
 from .metrics import (DistanceResult, DistortionRow, ambient_length,
-                      ball_profile, distance, distance_map,
-                      distortion_table, h_family)
+                      distance, distance_map, distortion_table, h_family)
 from .certificates import (AmalgamScenario, CertificateError,
                            CertificateReport, ToyAmalgamReport,
                            derive_null_expression, distortion_test_words,
@@ -46,9 +44,8 @@ __version__ = "0.1.0"
 __all__ = [
     "BACKEND", "__version__",
     # words
-    "FreeGroup", "Word", "WordParseError", "commutator", "conj",
-    "exponent_sum", "inv", "mul", "parse_word", "reduce", "substitute",
-    "to_text",
+    "FreeGroup", "Word", "WordParseError", "commutator", "inv", "mul",
+    "parse_word", "reduce", "substitute", "to_text",
     # abelian images
     "BasisChange", "FactorHom", "NielsenMove", "ab_image", "apply_moves",
     "invert_moves", "is_surjective", "normalize_basis", "standard_hom",
@@ -64,8 +61,8 @@ __all__ = [
     "Presentation", "area_search", "dehn_function", "is_null_homotopic",
     "parse_presentation", "verify_null_expression",
     # metrics
-    "DistanceResult", "DistortionRow", "ambient_length", "ball_profile",
-    "distance", "distance_map", "distortion_table", "h_family",
+    "DistanceResult", "DistortionRow", "ambient_length", "distance",
+    "distance_map", "distortion_table", "h_family",
     # certificates
     "AmalgamScenario", "CertificateError", "CertificateReport",
     "ToyAmalgamReport", "derive_null_expression", "distortion_test_words",

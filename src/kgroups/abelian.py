@@ -206,13 +206,9 @@ class BasisChange:
         self.new_basis = apply_moves(group, self.runs)
         self.inverse_basis = apply_moves(group, invert_moves(self.runs))
 
-    def apply(self, w: Word) -> Word:
-        """The basis-change automorphism: e_i -> new_basis[i]."""
-        return substitute(w, dict(enumerate(self.new_basis, start=1)),
-                          target=self.group)
-
     def unapply(self, w: Word) -> Word:
-        """Inverse automorphism: apply(unapply(w)) == w."""
+        """The inverse automorphism, e_i -> inverse_basis[i]: substituting
+        new_basis into the result gives back w."""
         return substitute(w, dict(enumerate(self.inverse_basis, start=1)),
                           target=self.group)
 

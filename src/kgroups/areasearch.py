@@ -268,6 +268,15 @@ def greedy_probe(start: bytes, variants: Sequence[bytes], *, len_cap: int,
     additivity of the module docstring, so no state is rescanned.  A
     visited child is skipped at the dive and not at ranking: the visited
     set only grows, so the traversal is the same either way.
+
+    So an entered child is built three times: by ops.expand to rank it, by
+    insert_reduce to enter it, and again when the caller replays the path
+    as a witness.  The rank keeps codes, not children, because every
+    level's ranking stays alive until the dive returns past it.  On
+    [x^32, y^32] over Z^2 (area 1024) the dive ranks 254,139 children over
+    1,024 levels: as 8-byte codes they hold 1.94 MiB, and as child words
+    (sys.getsizeof: a 33-byte header plus the word) 39.2 MiB, before any
+    list or tuple around them.
     """
     if target <= 0:
         return None

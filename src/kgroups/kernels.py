@@ -147,14 +147,6 @@ class GenWord:
         return (isinstance(other, GenWord) and self.gens is other.gens
                 and self.syms == other.syms)
 
-    def __mul__(self, other: "GenWord") -> "GenWord":
-        if other.gens is not self.gens:
-            raise ValueError("words over different generating sets")
-        return GenWord(self.gens, self.syms + other.syms)
-
-    def __invert__(self) -> "GenWord":
-        return GenWord(self.gens, [(nm, -s) for nm, s in reversed(self.syms)])
-
     def to_text(self) -> str:
         if not self.syms:
             return "1"
@@ -233,13 +225,6 @@ class KernelGroup:
     def factor_group(self) -> FreeGroup:
         return self._free
 
-    def element(self, texts: Sequence[str]) -> ProductElement:
-        """Build a ProductElement from factor word texts."""
-        if len(texts) != self.n:
-            raise ValueError(f"expected {self.n} factor words, got {len(texts)}")
-        F = self.factor_group()
-        return ProductElement([F.word(t) for t in texts])
-
     def basis_changes(self) -> Tuple[BasisChange, ...]:
         if self._basis_changes is None:
             change = {h: normalize_basis(h) for h in dict.fromkeys(self.homs)}
@@ -280,9 +265,10 @@ def contains(G: KernelGroup, g: ProductElement) -> bool:
 def standard_generators(G: KernelGroup) -> GeneratingSet:
     """The three-layer generating set; needs n >= 2.
 
-    For non-standard factor maps the realizations use the normalized basis
-    of each factor in place of the standard letters, so the same symbol
-    names describe generators of the actual kernel.
+    Every factor's letters are its normalized basis (``basis_changes``),
+    on which the factor map is standard, so the same symbol names describe
+    generators of the actual kernel for any factor maps.  A standard map
+    needs no move, so its basis is the factor's one-letter words.
     """
     if G.n < 2:
         raise ValueError("the generating set requires at least two factors")
@@ -293,13 +279,8 @@ def standard_generators(G: KernelGroup) -> GeneratingSet:
         raise ValueError(f"the generating set of {G!r} is too large: {count}"
                          f" symbols of {G.n} factors each (limit"
                          f" {_MAX_LETTERS} factors in all)")
-    F = G.factor_group()
-    one = F.identity
-    if G.is_standard:
-        # one-letter words straight from their bytes
-        basis = [tuple(Word(F, bytes((2 * i,))) for i in range(G.m))] * G.n
-    else:
-        basis = [bc.new_basis for bc in G.basis_changes()]
+    one = G.factor_group().identity
+    basis = [bc.new_basis for bc in G.basis_changes()]
 
     def put(factors_by_index: Dict[int, Word]) -> ProductElement:
         return ProductElement([factors_by_index.get(i, one) for i in range(1, G.n + 1)])

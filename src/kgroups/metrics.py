@@ -37,21 +37,21 @@ ball below the target.
 A failed search is still a certificate: if the ball of radius ``r`` is
 exhausted without meeting the target, the distance is provably ``> r``.
 ``distance`` then counts the identity's ball of radius ``r``
-(``_orbit_shells``, which ``ball_profile`` runs too), so its ``explored``
-is that ball's size.  The count stores one element per symmetry orbit and
-adds the orbit's size.  A symmetry is a signed permutation of the
-letters, applied to every factor, that maps the move list onto itself
-(``_symmetries``); it is an automorphism of the Cayley graph fixing the
-identity.  K(2,2,2)'s standard moves have one such map, x <-> y, which
-halves the stored ball.  The count also finds each shell one class of
-exponent-sum vectors at a time (``_VectorClasses``), keeps only the last
-two shells, and counts the last shell one class at a time without
-storing it.  A shell grows about 5x on K(2,2,2), so the last shell holds
-most of the ball: the radius-8 count holds the 55,574 orbits of shells 6
-and 7 and at most 14,958 of the last shell's 229,960, where storing every
-orbit of B(8) took 287,873 keys.  ``distance_map``, which needs every
-element, enumerates the ball with ``_ball_search``.  Reports preserve that
-logical shape instead of guessing.
+(``_orbit_shells``), so its ``explored`` is that ball's size.  The count
+stores one element per symmetry orbit and adds the orbit's size.  A
+symmetry is a signed permutation of the letters, applied to every factor,
+that maps the move list onto itself (``_symmetries``); it is an
+automorphism of the Cayley graph fixing the identity.  K(2,2,2)'s
+standard moves have one such map, x <-> y, which halves the stored ball.
+The count also finds each shell one class of exponent-sum vectors at a
+time (``_VectorClasses``), keeps only the last two shells, and counts the
+last shell one class at a time without storing it.  A shell grows about
+5x on K(2,2,2), so the last shell holds most of the ball: the radius-8
+count holds the 55,574 orbits of shells 6 and 7 and at most 14,958 of the
+last shell's 229,960, where storing every orbit of B(8) took 287,873
+keys.  ``distance_map``, which needs every element, enumerates the ball
+with ``_ball_search``.  Reports preserve that logical shape instead of
+guessing.
 
 The distortion experiments compare ``d_B`` against the ambient word
 metric of the enclosing product of free groups along the test family
@@ -119,14 +119,6 @@ class DistanceResult(NamedTuple):
     value: int
     radius: int
     explored: int
-
-    def describe(self) -> str:
-        if self.found:
-            return "distance = %d" % self.value
-        return "distance > %d (ball of %d elements exhausted)" % (
-            self.value,
-            self.explored,
-        )
 
 
 def _moves(gens: GeneratingSet) -> List[Tuple[bytes, ...]]:
@@ -427,21 +419,11 @@ def distance(
                           sum(_orbit_shells(ident, moves, plan, max_radius)))
 
 
-def ball_profile(gens: GeneratingSet, radius: int) -> List[int]:
-    """Shell sizes ``[1, s_1, ..., s_radius]`` of the Cayley ball.
-
-    The list stops early at the first empty shell (a finite subgroup).
-    The ball is counted one symmetry orbit at a time, each shell one class
-    of exponent-sum vectors at a time, and the last shell is not stored
-    (``_orbit_shells``).
-    """
-    return _orbit_shells(*_search_inputs(gens, radius), radius)
-
-
 def _orbit_shells(ident: Key, moves: Sequence[Tuple[bytes, ...]],
                   plan: Plan, radius: int) -> List[int]:
-    """Shell sizes of the ball around ``ident`` (``ball_profile``), for
-    moves checked and planned by ``_step_plan``.
+    """Shell sizes ``[1, s_1, ..., s_radius]`` of the ball around
+    ``ident``, for moves checked and planned by ``_step_plan``; the list
+    stops early at the first empty shell (a finite subgroup).
 
     The ball is counted one orbit of the moves' letter symmetries
     (``_symmetries``) at a time.  The maps are automorphisms of the Cayley

@@ -175,13 +175,6 @@ def commutator(x: Word, y: Word) -> Word:
     return Word(x.group, d)
 
 
-def conj(x: Word, y: Word) -> Word:
-    """x conjugated by y with the conjugator on the left: y x y^-1."""
-    _check_same_group(x, y)
-    d = ops.concat(ops.concat(y.data, x.data), ops.invert(y.data))
-    return Word(x.group, d)
-
-
 def substitute(w: Word, images: Mapping[int, Word],
                target: Optional[FreeGroup] = None) -> Word:
     """Homomorphic image of w under generator index -> Word.
@@ -205,12 +198,6 @@ def substitute(w: Word, images: Mapping[int, Word],
     # free reduction has a unique result, so reducing the joined pieces
     # once equals multiplying them one by one
     return Word(target, ops.free_reduce(b"".join(pieces)))
-
-
-def exponent_sum(w: Word, j: int) -> int:
-    if not 1 <= j <= w.group.rank:
-        raise ValueError(f"generator index {j} out of rank {w.group.rank}")
-    return ops.exponent_sums(w.data, (j - 1,))[0]
 
 
 @lru_cache(maxsize=None)

@@ -6,7 +6,7 @@ import pytest
 
 from kgroups import _wordops_py as ops
 from kgroups import kernels
-from kgroups.abelian import FactorHom, ab_image
+from kgroups.abelian import FactorHom, ab_image, standard_hom
 from kgroups.kernels import (GenWord, KernelGroup, ProductElement, contains,
                              identity_element, random_kernel_element,
                              rewrite_in_generators, standard_generators,
@@ -17,6 +17,11 @@ from kgroups.words import (FreeGroup, Word, commutator, inv, parse_word,
 
 
 K222 = KernelGroup(2, 2, 2)
+
+
+def element(G, texts):
+    """The product element of ``G`` with factor words ``texts``."""
+    return ProductElement([G.factor_group().word(t) for t in texts])
 
 
 def test_product_element_shape_checks():
@@ -32,14 +37,14 @@ def test_product_element_shape_checks():
 
 
 def test_theta_and_membership():
-    g = K222.element(["x y x^-1 y^-1", "1"])
+    g = element(K222, ["x y x^-1 y^-1", "1"])
     assert theta(K222, g) == (0, 0)
     assert contains(K222, g)
-    assert not contains(K222, K222.element(["x", "1"]))
+    assert not contains(K222, element(K222, ["x", "1"]))
     # r = 1 ignores the second coordinate
     K221 = KernelGroup(2, 2, 1)
-    assert contains(K221, K221.element(["y", "y^5"]))
-    assert not contains(K221, K221.element(["x", "y"]))
+    assert contains(K221, element(K221, ["y", "y^5"]))
+    assert not contains(K221, element(K221, ["x", "y"]))
 
 
 def test_standard_generator_realizations():
@@ -63,6 +68,38 @@ def test_standard_generators_by_family():
     assert set(gens.symbols) == {"a1_2", "a2_2", "b3_1", "b3_2", "c1_2"}
 
 
+def _one_letter_generators(n, m, r):
+    """The symbols and realization bytes of the three layers built straight
+    from one-letter words, the reference for a standard map."""
+    letter = [bytes((2 * i,)) for i in range(m)]
+
+    def put(at):
+        return tuple(at.get(j, b"") for j in range(1, n + 1))
+    gens = [(f"a{i}_{j}", put({1: letter[i - 1], j: ops.invert(letter[i - 1])}))
+            for i in range(1, r + 1) for j in range(2, n + 1)]
+    gens += [(f"b{i}_{j}", put({j: letter[i - 1]}))
+             for i in range(r + 1, m + 1) for j in range(1, n + 1)]
+    gens += [(f"c{i}_{j}", put({1: letter[i - 1] + letter[j - 1]
+                                + ops.invert(letter[i - 1])
+                                + ops.invert(letter[j - 1])}))
+             for i in range(1, r + 1) for j in range(i + 1, r + 1)]
+    return gens
+
+
+@pytest.mark.parametrize("n,m,r", [(2, 2, 2), (3, 2, 2), (2, 3, 2), (2, 3, 3),
+                                   (4, 3, 1), (2, 2, 0)])
+def test_standard_maps_give_the_one_letter_generators(n, m, r):
+    # a standard map's normalized basis is its one-letter words, so the one
+    # basis path builds exactly the one-letter generating set
+    want = _one_letter_generators(n, m, r)
+    for G in (KernelGroup(n, m, r),
+              KernelGroup(n, m, r, homs=[standard_hom(m, r)] * n)):
+        gens = standard_generators(G)
+        assert list(gens.symbols) == [name for name, _ in want]
+        assert [gens.realization[s].key() for s in gens.symbols] == [
+            key for _, key in want]
+
+
 def test_genword_reduces_symbols():
     gens = standard_generators(K222)
     w = GenWord(gens, [("a1_2", 1), ("c1_2", 1), ("c1_2", -1), ("a1_2", -1)])
@@ -80,12 +117,7 @@ def test_genword_product_needs_one_generating_set():
     B2 = standard_generators(KernelGroup(2, 2, 2, homs=[h, h]))
     u, v = GenWord(B1, [("a2_2", 1)]), GenWord(B2, [("a2_2", 1)])
     assert u.eval() * v.eval() != GenWord(B1, u.syms + v.syms).eval()
-    with pytest.raises(ValueError):
-        u * v
-    three = standard_generators(KernelGroup(3, 2, 2))
-    with pytest.raises(ValueError):
-        GenWord(three, [("a1_2", 1)]) * u
-    assert (u * u).eval() == u.eval() * u.eval()
+    assert GenWord(B1, u.syms + u.syms).eval() == u.eval() * u.eval()
 
 
 def test_genword_inverse_and_equality():
@@ -94,8 +126,10 @@ def test_genword_inverse_and_equality():
     B2 = standard_generators(KernelGroup(2, 2, 2, homs=[h, h]))
     syms = [("a1_2", 1), ("c1_2", -1), ("a2_2", 1), ("a1_2", 1)]
     w = GenWord(B1, syms)
-    assert (~w).eval() == ~(w.eval())
-    assert ~~w == w and ~w != w
+    inverse = GenWord(B1, [(nm, -s) for nm, s in reversed(syms)])
+    assert inverse.eval() == ~(w.eval())
+    assert GenWord(B1, w.syms + inverse.syms).syms == ()
+    assert inverse != w
     assert w == GenWord(B1, syms)
     # the same symbols over another generating set are another word
     assert w != GenWord(B2, syms)
@@ -108,7 +142,7 @@ def test_rewrite_simple_cases():
         (["x", "x^-1"], "a1_2"),
         (["y", "y^-1"], "a2_2"),
     ]:
-        g = K222.element(text)
+        g = element(K222, text)
         w = rewrite_in_generators(K222, g)
         assert w.to_text() == expect
         assert w.eval() == g
@@ -117,7 +151,7 @@ def test_rewrite_simple_cases():
 
 def test_rewrite_rejects_non_members():
     with pytest.raises(ValueError):
-        rewrite_in_generators(K222, K222.element(["x", "1"]))
+        rewrite_in_generators(K222, element(K222, ["x", "1"]))
 
 
 @pytest.mark.parametrize("n,m,r", [(2, 2, 1), (2, 2, 2), (3, 2, 2), (2, 3, 2)])
@@ -132,7 +166,7 @@ def test_rewrite_round_trip_randomized(n, m, r):
 def test_rewrite_handles_high_letters_inside_conjugators():
     # elements whose canceling parts weave through rank-3 letters
     G = KernelGroup(2, 3, 2)
-    g = G.element(["e3 e1 e3^-2 e2 e3", "e2^-1 e1^-1"])
+    g = element(G, ["e3 e1 e3^-2 e2 e3", "e2^-1 e1^-1"])
     assert contains(G, g)
     w = rewrite_in_generators(G, g)
     assert w.eval() == g
@@ -167,7 +201,7 @@ def test_custom_hom_kernel_round_trip():
     # a non-standard surjection: e1 -> t1+t2, e2 -> t2, e3 -> t1
     h = FactorHom(3, 2, [(1, 1), (0, 1), (1, 0)])
     G = KernelGroup(2, 3, 2, homs=[h, h])
-    g = G.element(["e1 e3^-1 e2^-1", "1"])
+    g = element(G, ["e1 e3^-1 e2^-1", "1"])
     assert contains(G, g)
     w = rewrite_in_generators(G, g)
     assert w.eval() == g
@@ -305,7 +339,7 @@ def _pinned_cases(family):
         # the kernel and elements of test_custom_hom_kernel_round_trip
         h = FactorHom(3, 2, [(1, 1), (0, 1), (1, 0)])
         G = KernelGroup(2, 3, 2, homs=[h, h])
-        return [(G, G.element(["e1 e3^-1 e2^-1", "1"]))] + [
+        return [(G, element(G, ["e1 e3^-1 e2^-1", "1"]))] + [
             (G, random_kernel_element(G, 10, seed)) for seed in range(40)]
     G = KernelGroup(*(int(c) for c in family[1:].split("_")))
     return [(G, random_kernel_element(G, 6 + seed % 11, seed))

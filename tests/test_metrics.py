@@ -11,13 +11,18 @@ from kgroups.kernels import (GenWord, KernelGroup, ProductElement,
                              identity_element, standard_generators)
 from kgroups import metrics
 from kgroups.metrics import (SEP, _ball_search, _key_factors, _meet, _moves,
-                             _orbit_shells, _step_plan, _symmetries,
-                             ambient_length, ball_key, ball_profile, distance,
+                             _orbit_shells, _search_inputs, _step_plan,
+                             _symmetries, ambient_length, ball_key, distance,
                              distance_map, distortion_table, h_family)
 from kgroups.words import FreeGroup, reduce, signed_permutations
 
 G = KernelGroup(2, 2, 2)
 B = standard_generators(G)
+
+
+def ball_shells(gens, radius):
+    """Shell sizes ``[1, s_1, ..., s_radius]`` of the Cayley ball."""
+    return _orbit_shells(*_search_inputs(gens, radius), radius)
 
 
 def test_h_family_elements():
@@ -37,7 +42,7 @@ def test_distance_of_identity_and_h1():
     assert res.found and res.value == 0
     res = distance(B, h_family(1), 3)
     assert res.found and res.value == 1
-    assert res.describe() == "distance = 1"
+    assert res.explored == 6
 
 
 def test_distance_of_generator_products():
@@ -56,7 +61,7 @@ def test_h2_is_outside_radius_six():
     """
     res = distance(B, h_family(2), 6)
     assert not res.found
-    assert res.describe().startswith("distance > 6")
+    assert res.value == 6
     assert res.explored == 23285
 
 
@@ -117,12 +122,12 @@ def test_distance_map_satisfies_triangle_inequality():
 
 
 def test_ball_profile_shells():
-    assert ball_profile(B, 0) == [1]
-    assert ball_profile(B, 3) == [1, 6, 30, 150]
-    assert ball_profile(B, 5) == [1, 6, 30, 150, 750, 3740]
-    assert ball_profile(B, 7) == [1, 6, 30, 150, 750, 3740, 18608, 92540]
+    assert ball_shells(B, 0) == [1]
+    assert ball_shells(B, 3) == [1, 6, 30, 150]
+    assert ball_shells(B, 5) == [1, 6, 30, 150, 750, 3740]
+    assert ball_shells(B, 7) == [1, 6, 30, 150, 750, 3740, 18608, 92540]
     with pytest.raises(ValueError):
-        ball_profile(B, -1)
+        _search_inputs(B, -1)
 
 
 def test_distortion_table_and_csv():
@@ -222,7 +227,7 @@ def test_raw_key_search_matches_the_product_search(shape, radius):
     shells = [0] * (radius + 1)
     for d in ref.values():
         shells[d] += 1
-    assert ball_profile(gens, radius) == shells
+    assert ball_shells(gens, radius) == shells
     if shape == (2, 2, 2):
         assert shells == [1, 6, 30, 150, 750, 3740]
     if shape == (3, 2, 2):
@@ -563,7 +568,7 @@ def test_orbit_counts_match_the_unreduced_ball(shape, radius, order):
     assert len(_symmetries(_moves(gens))) + 1 == order
     want = _unreduced_shells(gens, radius)
     for r in range(radius + 1):
-        assert ball_profile(gens, r) == want[:r + 1]
+        assert ball_shells(gens, r) == want[:r + 1]
     # an exclusion reports the whole ball, counted the same way; a power of
     # the first generator longer than any ball element lies outside it
     reach = radius * max(map(ambient_length, gens.realization.values()))

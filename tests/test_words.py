@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kgroups import _wordops_py as ops
-from kgroups.words import (FreeGroup, Word, WordParseError, commutator, conj,
-                           exponent_sum, inv, mul, parse_word, reduce,
-                           runs, signed_permutations, substitute, to_text)
+from kgroups.words import (FreeGroup, Word, WordParseError, commutator, inv,
+                           mul, parse_word, reduce, runs, signed_permutations,
+                           substitute, to_text)
 
 F2 = FreeGroup(2)
 F3 = FreeGroup(3, names=("a", "b", "c"))
@@ -74,25 +74,10 @@ def test_power_is_repeated_product(w, k):
     assert w ** k == expect
 
 
-def test_commutator_and_conj():
+def test_commutator():
     x, y = F2.gen(1), F2.gen(2)
     assert to_text(commutator(x, y)) == "x y x^-1 y^-1"
     assert not commutator(x, x)
-    # x^y = y x y^-1
-    assert conj(x, y) == mul(mul(y, x), inv(y))
-
-
-@given(words(2, 15), words(2, 15))
-def test_conj_is_homomorphic_in_the_first_slot(u, v):
-    x, y = F2.gen(1), F2.gen(2)
-    assert conj(mul(x, y), u) == mul(conj(x, u), conj(y, u))
-    assert conj(conj(u, v), inv(v)) == u
-
-
-def test_exponent_sum():
-    w = parse_word(F2, "x^3 y x^-1 y^-1")
-    assert exponent_sum(w, 1) == 2
-    assert exponent_sum(w, 2) == 0
 
 
 def test_substitute():
