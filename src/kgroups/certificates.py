@@ -517,22 +517,14 @@ def lower_bound_report(n: int) -> CertificateReport:
 
     # direct ball-search evidence where feasible
     if n <= 2:
-        gens = standard_generators(group)
-        radius = 1 if n == 1 else n * n
-        d_res = distance(gens, h, radius)
-        if n == 1:
-            if not (d_res.found and d_res.value == 1):
-                raise CertificateError("subgroup-distance: h_1 must be one"
-                                       " generator away")
-            detail = {"distance": 1}
-        else:
-            if d_res.found and d_res.value < n * n:
-                raise CertificateError(
-                    "subgroup-distance: found h_%d below the deletion bound"
-                    % n)
-            detail = ({"distance": d_res.value} if d_res.found else
-                      {"certificate": "distance > %d" % d_res.radius,
-                       "ball_size": d_res.explored})
+        radius = n * n
+        d_res = distance(standard_generators(group), h, radius)
+        if d_res.found and d_res.value < n * n:
+            raise CertificateError(
+                "subgroup-distance: found h_%d below the deletion bound" % n)
+        detail = ({"distance": d_res.value} if d_res.found else
+                  {"certificate": "distance > %d" % d_res.radius,
+                   "ball_size": d_res.explored})
         evidence.append(_evidence(
             "subgroup-distance",
             {"n": n, "radius": radius}, detail))

@@ -62,7 +62,7 @@ from __future__ import annotations
 
 import functools
 from collections import defaultdict
-from operator import lshift
+from operator import add
 from typing import (Callable, Collection, DefaultDict, Dict, List,
                     NamedTuple, Optional, Sequence, Tuple)
 
@@ -456,25 +456,25 @@ def _orbit_shells(ident: Key, moves: Sequence[Tuple[bytes, ...]],
     the move back to a stored element's parent (from ``s(h)`` to ``s(g)``,
     ``s(moves[i ^ 1])``) is skipped.
     """
-    syms = _symmetries(moves)
+    classes_of = _vector_classes(tuple(moves))
     # perms[s][i]: the index of map s's image of moves[i], map 0 the identity
-    perms = [range(len(moves))] + [p for _, p in syms]
+    perms = classes_of.perms
     order = len(perms)
-    classes_of = _VectorClasses(moves, [t for t, _ in syms], radius)
     steps = [(i, vec, step) for (i, step), vec in zip(plan, classes_of.vecs)]
     # per class, its elements in the last shell found and in the one before,
     # each with the index of its move back
-    frontier: Dict[int, Dict[Key, int]] = {0: {ident: len(plan)}}
-    previous: Dict[int, Dict[Key, int]] = {}
+    frontier: Dict[Vector, Dict[Key, int]] = {
+        classes_of.zero: {ident: len(plan)}}
+    previous: Dict[Vector, Dict[Key, int]] = {}
     shells = [1]
     for depth in range(1, radius + 1):
-        classes: DefaultDict[int, List[tuple]] = defaultdict(list)
+        classes: DefaultDict[Vector, List[tuple]] = defaultdict(list)
         for v, group in frontier.items():
             for i, vec, step in steps:
-                least, s, first, rest = classes_of[v + vec]
+                least, s, first, rest = classes_of[tuple(map(add, v, vec))]
                 classes[least].append((group, i, step, first, rest,
                                        perms[s][i] ^ 1))
-        nxt: Dict[int, Dict[Key, int]] = {}
+        nxt: Dict[Vector, Dict[Key, int]] = {}
         size = 0
         for least, parts in classes.items():
             # the class's elements in the last two shells
@@ -511,69 +511,64 @@ def _orbit_shells(ident: Key, moves: Sequence[Tuple[bytes, ...]],
     return shells
 
 
+# an exponent-sum vector: per factor, per generator, the exponent sum
+Vector = Tuple[int, ...]
 # a vector's class (its least image), and the maps that send it there: the
 # first one's index and table (empty for the identity), then (index, table)
 # for the others
-VectorClass = Tuple[int, int, bytes, List[Tuple[int, bytes]]]
+VectorClass = Tuple[Vector, int, bytes, List[Tuple[int, bytes]]]
 
 
-class _VectorClasses(Dict[int, VectorClass]):
-    """Exponent-sum vectors for ``_orbit_shells``, packed into ints, and a
-    memo from each vector asked for to its ``VectorClass``.
+class _VectorClasses(Dict[Vector, VectorClass]):
+    """A move list's letter symmetries and exponent-sum vectors, for
+    ``_orbit_shells``, and a memo from each vector asked for to its
+    ``VectorClass``.  Nothing in it depends on a target or a radius, so
+    it is built once per move list (``_vector_classes``).
 
     An element's vector lists, factor by factor, the exponent sum of each
-    generator (``ops.exponent_sums``), and is packed as ``sum(e_k <<
-    (width * k))``: the vector of ``g * m`` is the int sum of those of
-    ``g`` and ``m``, and ``moves[i]``'s is ``vecs[i]``.  A sum is at most
-    ``radius`` times the longest move's letter count in size, which
-    ``width`` leaves room for.  Maps are numbered as in ``_orbit_shells``,
-    0 the identity and ``s`` the table ``tables[s - 1]``.  A signed letter
-    map sends a vector's sum of generator ``j`` to generator ``p(j)``,
-    negated with the sign: with ``half`` added to every field, each field
-    is nonnegative, one shift and mask reads generator ``j``'s field in
-    every factor at once, and ``2 * half`` minus a field negates it.
+    generator (``ops.exponent_sums``), as a tuple: the vector of ``g * m``
+    is the fieldwise sum of those of ``g`` and ``m``, and ``moves[i]``'s is
+    ``vecs[i]``.  Maps are numbered as in ``_orbit_shells``, 0 the identity
+    and ``s`` the symmetry ``_symmetries(moves)[s - 1]``, whose move
+    permutation is ``perms[s]``.  A signed letter map sends each factor's
+    sum of generator ``j`` to that factor's field of generator ``p(j)``,
+    negated with the sign: ``maps`` holds, per map and per field of the
+    image, the field it reads and the sign it multiplies by.
     """
 
-    def __init__(self, moves: Sequence[Tuple[bytes, ...]],
-                 tables: Sequence[bytes], radius: int) -> None:
+    def __init__(self, moves: Sequence[Tuple[bytes, ...]]) -> None:
         super().__init__()
+        syms = _symmetries(moves)
+        self.perms = [range(len(moves))] + [p for _, p in syms]
         rank = _rank(moves)
-        width = (radius * max(map(len, map(b"".join, moves)), default=0)
-                 ).bit_length() + 1
-        gens = range(rank)
-        # where each factor's sum of each generator starts, in bits
-        shifts = range(0, width * rank * len(moves[0]) if moves else 0, width)
-        self.vecs = [0] * len(moves)
-        for i in range(0, len(moves), 2):
-            v = sum(map(lshift, [e for w in moves[i]
-                                 for e in ops.exponent_sums(w, gens)], shifts))
-            self.vecs[i:i + 2] = v, -v
-        # 1 in every field, and in generator 0's field of every factor
-        ones = sum(1 << shift for shift in shifts)
-        firsts = sum(1 << shift for shift in shifts[::rank])
-        half = 1 << (width - 1)
-        self.bias, self.column = half * ones, ((1 << width) - 1) * firsts
-        self.twice = 2 * half * firsts
-        # per map, its number and table and, per generator j, where j's
-        # fields are, whether they are negated, and where their images go
-        self.maps = [(s, t, [(width * j, t[2 * j] & 1, width * (t[2 * j] >> 1))
-                             for j in gens]) for s, t in enumerate(tables, 1)]
+        self.vecs = [tuple(e for w in mv for e in ops.exponent_sums(
+            w, range(rank))) for mv in moves]
+        self.zero = (0,) * (rank * len(moves[0]) if moves else 0)
+        self.maps = []
+        for s, (t, _) in enumerate(syms, 1):
+            # (image field, field read, sign) for generator j of factor k
+            spec = sorted((k + (t[2 * j] >> 1), k + j, 1 - 2 * (t[2 * j] & 1))
+                          for k in range(0, len(self.zero), rank)
+                          for j in range(rank))
+            self.maps.append((s, t, [(a, sign) for _, a, sign in spec]))
 
-    def __missing__(self, v: int) -> VectorClass:
-        column, twice, bias = self.column, self.twice, self.bias
-        u = v + bias
+    def __missing__(self, v: Vector) -> VectorClass:
         least, s0, first, rest = v, 0, b"", []
         for s, t, spec in self.maps:
-            x = -bias
-            for a, flip, b in spec:
-                f = u >> a & column
-                x += (twice - f if flip else f) << b
+            x = tuple([v[a] * sign for a, sign in spec])
             if x < least:
                 least, s0, first, rest = x, s, t, []
             elif x == least:
                 rest.append((s, t))
         got = self[v] = (least, s0, first, rest)
         return got
+
+
+# A move list's _VectorClasses, built once per value of the moves and shared
+# by every later count on equal moves, from any generating set: the four most
+# recent, like the step plans (_checked_plan).  The moves must be checked by
+# _step_plan first.
+_vector_classes = functools.lru_cache(maxsize=4)(_VectorClasses)
 
 
 def distance_map(gens: GeneratingSet, radius: int

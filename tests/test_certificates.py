@@ -13,7 +13,7 @@ from kgroups.certificates import (AmalgamScenario, CertificateError,
 from kgroups.kernels import (GenWord, GeneratingSet, KernelGroup,
                              ProductElement, random_kernel_element,
                              rewrite_in_generators, standard_generators)
-from kgroups.metrics import h_family
+from kgroups.metrics import DistanceResult, h_family
 from kgroups.presentations import (Evaluation, Presentation, area_search,
                                    parse_presentation, verify_null_expression)
 from kgroups.words import (FreeGroup, commutator, inv, mul, parse_word,
@@ -301,3 +301,30 @@ def test_lower_bound_report_runs_no_area_search(monkeypatch):
     monkeypatch.setattr(certificates, "area_search", refuse)
     rep = lower_bound_report(32)
     assert rep.area_bound == 2 * 32 ** 3
+
+
+def test_subgroup_distance_prints_an_exclusion_at_n_1(monkeypatch):
+    # n = 1 searches at radius n^2 = 1 like n = 2, and prints what it found
+    monkeypatch.setattr(certificates, "distance",
+                        lambda gens, h, radius: DistanceResult(
+                            False, radius, radius, 7))
+    evidence = {e["verifier"]: e for e in lower_bound_report(1).evidence}
+    entry = evidence["subgroup-distance"]
+    assert entry["inputs"] == {"n": 1, "radius": 1}
+    assert entry["details"] == {"certificate": "distance > 1", "ball_size": 7}
+
+
+def test_subgroup_distance_below_n_squared_raises(monkeypatch):
+    for n, found in ((1, 0), (2, 3)):
+        monkeypatch.setattr(certificates, "distance",
+                            lambda gens, h, radius, d=found: DistanceResult(
+                                True, d, radius, 5))
+        with pytest.raises(CertificateError, match="below the deletion bound"):
+            lower_bound_report(n)
+    # a distance of n^2 or more is printed
+    monkeypatch.setattr(certificates, "distance",
+                        lambda gens, h, radius: DistanceResult(
+                            True, radius, radius, 5))
+    for n in (1, 2):
+        evidence = {e["verifier"]: e for e in lower_bound_report(n).evidence}
+        assert evidence["subgroup-distance"]["details"] == {"distance": n * n}

@@ -520,6 +520,46 @@ def test_equal_moves_share_one_checked_plan():
     assert metrics._checked_plan.cache_info().maxsize == 4
 
 
+def test_equal_moves_share_one_symmetry_list_and_vector_memo(monkeypatch):
+    # the symmetries and the vector memo depend on the moves alone: two fresh
+    # generating sets of K(2,2,2) share them, another move list has its own
+    metrics._vector_classes.cache_clear()
+    built = []
+    symmetries = metrics._symmetries
+    monkeypatch.setattr(metrics, "_symmetries",
+                        lambda moves: built.append(moves) or symmetries(moves))
+    a, b = (standard_generators(KernelGroup(2, 2, 2)) for _ in range(2))
+    assert a is not b and a.group is not b.group
+    assert ball_shells(a, 4) == ball_shells(b, 4) == _unreduced_shells(a, 4)
+    assert len(built) == 1
+    tables = metrics._vector_classes(tuple(_moves(a)))
+    assert tables is metrics._vector_classes(tuple(_moves(b)))
+    assert tables.perms == [range(6), (2, 3, 0, 1, 5, 4)]
+    other = standard_generators(KernelGroup(2, 3, 2))
+    assert ball_shells(other, 3) == _unreduced_shells(other, 3)
+    assert len(built) == 2
+    others = metrics._vector_classes(tuple(_moves(other)))
+    assert others is not tables and len(others.perms) == 4
+    assert metrics._vector_classes.cache_info().maxsize == 4
+
+
+def test_one_vector_memo_serves_every_radius():
+    # a count at radius 6, then 3, then 6 reads and extends one memo, and
+    # each equals the unreduced ball's shells
+    metrics._vector_classes.cache_clear()
+    want = _unreduced_shells(B, 6)
+    tables = metrics._vector_classes(tuple(_moves(B)))
+    sizes = []
+    for radius in (6, 3, 6):
+        assert ball_shells(B, radius) == want[:radius + 1]
+        sizes.append(len(tables))
+    assert metrics._vector_classes(tuple(_moves(B))) is tables
+    assert metrics._vector_classes.cache_info().currsize == 1
+    # the radius-3 count asks only for vectors the radius-6 one memoized
+    assert sizes[0] == sizes[1] == sizes[2] > 0
+    assert all(len(v) == 4 and all(type(e) is int for e in v) for v in tables)
+
+
 def test_distortion_rows_match_one_distance_call_per_n():
     for radius in range(8):
         rows = distortion_table(range(1, 9), radius)
