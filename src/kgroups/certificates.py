@@ -9,8 +9,9 @@ The pipeline ties the other modules into verifiable inequality chains:
 * convert any kernel word representing ``h_n`` into a null expression
   for ``[x^n, y^n]`` by deleting its commutator symbols — the bridge
   from area facts to subgroup distance bounds;
-* brute-force the amalgam inequality ``Area >= 2n * d(1, h)`` on a toy
-  scenario whose hypotheses are all machine-checked.
+* check the amalgam inequality ``Area >= 2n * d(1, h)`` on a toy
+  scenario whose hypotheses are all machine-checked; the area search's
+  root bound proves it with no node expanded.
 
 Nothing here claims an asymptotic statement as a computed fact; each
 report carries only per-instance certificates, each naming its verifier
@@ -375,7 +376,7 @@ class ToyAmalgamReport(NamedTuple):
 
 def toy_amalgam_check(k: int, n: int, *,
                       node_cap: int = DEFAULT_NODE_CAP) -> ToyAmalgamReport:
-    """Brute-force the inequality Area >= 2n * d(1, h) on the toy scenario.
+    """Check the inequality Area >= 2n * d(1, h) on the toy scenario.
 
     d is the word length of h over {edge, edge^-1}, read from the scenario
     as ``validate`` checks it: it returns the j with h = edge^j, from
@@ -389,7 +390,8 @@ def toy_amalgam_check(k: int, n: int, *,
     inequality without finding the exact area.  So it reaches the goal
     only below the bound, and an exact area is a refutation.  Exhaustion
     below the bound is reported as inconclusive — a budget statement,
-    never a refutation.
+    never a refutation.  On every instance tried (k, n <= 6) the root's
+    lower bound already reaches 2n * d, so the proof expands no node.
     """
     scen = toy_scenario(k)
     d = abs(scen.validate())
@@ -434,10 +436,14 @@ class CertificateReport(NamedTuple):
             "subgroup_distance_bound": self.distance_bound,
             "area_bound": self.area_bound,
             "conclusion": (
-                "the test word has area at least %d over any presentation"
-                " extending the kernel generators; the bound grows like"
-                " 2n * n^2, cubically in the word length, which is linear"
-                " in n" % self.area_bound),
+                "area_bound = 2n * d = %d, where d = n^2 = %d is the"
+                " deletion inference's lower bound on the subgroup distance"
+                " of h_n; arXiv:0708.0758's amalgam inequality gives"
+                " Area_P(T_n) >= C_P * n^3 for the test word T_n and each"
+                " finite presentation P of the paper's subgroup, where the"
+                " constant C_P > 0 depends on P; this report checks that"
+                " inequality's hypotheses in F2 x F2 only"
+                % (self.area_bound, self.distance_bound)),
             "evidence": self.evidence,
         }
 

@@ -44,8 +44,11 @@ that maps the move list onto itself (``_symmetries``); it is an
 automorphism of the Cayley graph fixing the identity.  K(2,2,2)'s
 standard moves have one such map, x <-> y, which halves the stored ball.
 The count also finds each shell one class of exponent-sum vectors at a
-time (``_VectorClasses``), keeps only the last two shells, and counts the
-last shell one class at a time without storing it.  A shell grows about
+time, keeps only the last two shells, and counts the last shell one class
+at a time without storing it.  A vector is a tuple of exponent sums.  The
+symmetries and the memo from each vector to its class depend on the moves
+alone, so, like the step plan, they are built once per move list and
+reused (``_vector_classes``).  A shell grows about
 5x on K(2,2,2), so the last shell holds most of the ball: the radius-8
 count holds the 55,574 orbits of shells 6 and 7 and at most 14,958 of the
 last shell's 229,960, where storing every orbit of B(8) took 287,873
@@ -438,9 +441,11 @@ def _orbit_shells(ident: Key, moves: Sequence[Tuple[bytes, ...]],
     a signed letter map commutes with ``invert``, so the translated key is
     the image's key, its first factor still inverted.
 
-    Each map sends an element's exponent-sum vector to its image's
-    (``_VectorClasses``), and the least of a vector's images names its
-    class; an orbit lies within one class.  The element stored for an
+    Each map sends an element's exponent-sum vector, a tuple, to its
+    image's, and the least of a vector's images names its class; an orbit
+    lies within one class.  The maps and the memo of classes come from
+    ``_vector_classes``, built once per move list and shared by every
+    count on equal moves, whatever its radius.  The element stored for an
     orbit is its least image among those whose vector is its class's
     least, so the stored elements of a class share that vector.  A move
     adds a fixed vector, so the children of one class's elements along one
@@ -527,13 +532,14 @@ class _VectorClasses(Dict[Vector, VectorClass]):
 
     An element's vector lists, factor by factor, the exponent sum of each
     generator (``ops.exponent_sums``), as a tuple: the vector of ``g * m``
-    is the fieldwise sum of those of ``g`` and ``m``, and ``moves[i]``'s is
-    ``vecs[i]``.  Maps are numbered as in ``_orbit_shells``, 0 the identity
+    is the fieldwise sum of those of ``g`` and ``m``, ``moves[i]``'s is
+    ``vecs[i]`` and the identity's is ``zero``.  Maps are numbered as in ``_orbit_shells``, 0 the identity
     and ``s`` the symmetry ``_symmetries(moves)[s - 1]``, whose move
     permutation is ``perms[s]``.  A signed letter map sends each factor's
     sum of generator ``j`` to that factor's field of generator ``p(j)``,
     negated with the sign: ``maps`` holds, per map and per field of the
-    image, the field it reads and the sign it multiplies by.
+    image, the field it reads and the sign it multiplies by.  The memo
+    keeps every vector asked for: those of the largest ball counted.
     """
 
     def __init__(self, moves: Sequence[Tuple[bytes, ...]]) -> None:
@@ -546,7 +552,8 @@ class _VectorClasses(Dict[Vector, VectorClass]):
         self.zero = (0,) * (rank * len(moves[0]) if moves else 0)
         self.maps = []
         for s, (t, _) in enumerate(syms, 1):
-            # (image field, field read, sign) for generator j of factor k
+            # (image field, field read, sign) for generator j of the factor
+            # whose fields start at k
             spec = sorted((k + (t[2 * j] >> 1), k + j, 1 - 2 * (t[2 * j] & 1))
                           for k in range(0, len(self.zero), rank)
                           for j in range(rank))

@@ -303,6 +303,24 @@ def test_lower_bound_report_runs_no_area_search(monkeypatch):
     assert rep.area_bound == 2 * 32 ** 3
 
 
+def test_conclusion_claims_only_the_cited_presentation_dependent_bound():
+    # area at least 2n^3 "over any presentation" is false from n = 13 on, and
+    # no fixed constant holds over every finite presentation
+    for n in (1, 2, 13):
+        data = json.loads(lower_bound_report(n).to_bytes())
+        assert list(data) == ["area_bound", "conclusion", "evidence", "n",
+                              "subgroup_distance_bound", "test_word",
+                              "test_word_letters", "test_word_symbols"]
+        text = data["conclusion"]
+        assert "any presentation" not in text
+        assert "arXiv:0708.0758" in text
+        assert "C_P > 0 depends on P" in text
+        assert "Area_P(T_n) >= C_P * n^3" in text
+        assert "area_bound = 2n * d = %d, where d = n^2 = %d" % (
+            2 * n ** 3, n * n) in text
+        assert "hypotheses in F2 x F2 only" in text
+
+
 def test_subgroup_distance_prints_an_exclusion_at_n_1(monkeypatch):
     # n = 1 searches at radius n^2 = 1 like n = 2, and prints what it found
     monkeypatch.setattr(certificates, "distance",

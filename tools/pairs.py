@@ -1,7 +1,7 @@
 """Run perfbench in this checkout and in another tree, in alternating pairs.
 
 Usage: python tools/pairs.py OTHER_TREE --workload W [--pairs 10]
-           [--seeds 301 ...] [--seconds 5] [--json FILE]
+           [--seeds 301 ...] [--seconds 5]
 
 OTHER_TREE is the tree to compare against, usually a checkout of the parent
 commit; it must hold its own ``perfbench/run.py``.  Pair k runs the command
@@ -16,7 +16,7 @@ median and quartiles, this checkout's median, on how many pairs this
 checkout's run was better, and how much worse its median is (negative:
 better).  A metric whose median is worse by more than its bound is flagged.
 Then each pair's seed, order, and each run's round count, ``correct`` and
-``failed``.  ``--json FILE`` also writes every run's result there.
+``failed``.
 
 The exit code is 1 when a metric is flagged, a run is not correct, or this
 checkout's run of a pair failed more operations than OTHER_TREE's; else 0.
@@ -84,7 +84,6 @@ def main(argv=None) -> int:
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seeds", type=int, nargs="+", default=[301])
     p.add_argument("--seconds", type=float, default=5)
-    p.add_argument("--json", type=Path, help="write every run's result here")
     args = p.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     other, env = args.other.resolve(), dict(os.environ)
@@ -118,11 +117,6 @@ def main(argv=None) -> int:
               " this %d rounds correct %s failed %d"
               % (k, seed, first, a["rounds"], a["correct"], a["failed"],
                  b["rounds"], b["correct"], b["failed"]))
-    if args.json:
-        args.json.write_text(json.dumps(
-            {"workload": args.workload, "seeds": [s for s, _ in log],
-             "first": [f for _, f in log], "other": theirs, "this": mine},
-            indent=1) + "\n")
     return 1 if bad else 0
 
 
